@@ -16,8 +16,10 @@ so the perf trajectory is tracked across PRs (companion to
 ``sweep``
     A dose-range sweep: independent cold solves vs the warm-chained
     serial sweep vs the multi-process harness (``run_dmopt_cells`` with
-    all cores).  ``cpu_count`` is recorded because process-level
-    speedup is hardware-gated.
+    all cores).  ``cpu_count`` is the number of cores this process may
+    run on; the harness run and its ``parallel_speedup`` are recorded
+    only when there are at least two, since a pool on one core measures
+    its own overhead, not a speedup.
 
 Usage::
 
@@ -114,7 +116,7 @@ def bench_sweep(design: str, scale: float, grid: float, ranges: list,
         "grid_size": grid,
         "mode": mode,
         "dose_ranges": list(ranges),
-        "cpu_count": os.cpu_count(),
+        "cpu_count": len(os.sched_getaffinity(0)),
     }
 
     t0 = time.perf_counter()
@@ -130,6 +132,8 @@ def bench_sweep(design: str, scale: float, grid: float, ranges: list,
     out["serial_warm_iterations"] = sum(r.solve.iterations for r in chained)
     out["warm_speedup"] = out["serial_cold"] / out["serial_warm"]
 
+    if out["cpu_count"] < 2:
+        return out
     cells = [
         DMoptCell(design, grid, mode=mode, dose_range=r, scale=scale)
         for r in ranges
@@ -191,10 +195,14 @@ def main(argv=None) -> int:
         report["solve_warm"].append(r)
     for design, scale in designs[:1]:
         r = bench_sweep(design, scale, grid, sweep_ranges, mode="qcp")
+        parallel = (
+            f"parallel {r['parallel_all_cores']:.2f}s"
+            if "parallel_all_cores" in r
+            else "parallel not run"
+        )
         print(f"sweep       {design:8s} qcp x{len(sweep_ranges)}: "
               f"cold {r['serial_cold']:.2f}s  warm {r['serial_warm']:.2f}s  "
-              f"parallel {r['parallel_all_cores']:.2f}s "
-              f"({r['cpu_count']} cores)")
+              f"{parallel} ({r['cpu_count']} cores)")
         report["sweep"].append(r)
 
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -153,6 +153,8 @@ def dmopt_dose_range_sweep(
         sweep_point_key,
     )
 
+    # one pass over the input: an iterator would be spent by a len()
+    dose_ranges = list(dose_ranges)
     store = (
         CheckpointStore(checkpoint, resume=resume)
         if checkpoint is not None
@@ -161,7 +163,7 @@ def dmopt_dose_range_sweep(
     results = []
     prev = None
     with obs.span("sweep.dose_range", mode=mode, grid=float(grid_size),
-                  n_points=len(list(dose_ranges))):
+                  n_points=len(dose_ranges)):
         for dose_range in dose_ranges:
             key = None
             if store is not None:

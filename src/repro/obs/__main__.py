@@ -5,7 +5,7 @@
   from one telemetry manifest (``--json`` for machine-readable output).
 * ``compare <baseline.json> <current.json>`` -- diff two BENCH_*.json
   benchmark files and exit 1 when a time/speedup metric regressed
-  beyond ``--tol`` (the CI perf gate).
+  beyond ``--tol`` (the CI perf gate), 2 when either file is missing.
 """
 
 from __future__ import annotations
@@ -28,8 +28,12 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    result = compare_files(args.baseline, args.current, tol=args.tol,
-                           floor=args.floor)
+    try:
+        result = compare_files(args.baseline, args.current, tol=args.tol,
+                               floor=args.floor)
+    except FileNotFoundError as exc:
+        print(f"compare: no such file: {exc.filename}", file=sys.stderr)
+        return 2
     print(format_comparison(result, verbose=args.verbose))
     failed = bool(result["regressions"]) or (
         bool(result["missing"]) and not args.allow_missing

@@ -6,7 +6,8 @@ checks before touching any factorization, so degenerate problems --
 trivially inconsistent bounds, constraint systems with no finite row,
 or zero-row constraint matrices -- come back as diagnostic
 :class:`~repro.solver.result.SolveResult` objects rather than
-exceptions raised from deep inside an iteration loop.
+exceptions raised from deep inside an iteration loop.  The SuperLU
+keyword set every solver factorization shares lives here too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,16 @@ from repro.solver.result import (
     SolveResult,
     diagnostic_result,
 )
+
+#: SuperLU keywords for a symmetric matrix that needs no pivoting: SPD
+#: (the IPM normal matrix, the unconstrained solve) or quasi-definite
+#: (ADMM's KKT system), which factors stably under any symmetric
+#: permutation (Vanderbei 1995).  The factorization keeps to the
+#: diagonal and orders the columns on the pattern of ``A + A'``; pair it
+#: with ``permc_spec="MMD_AT_PLUS_A"``, or with ``"NATURAL"`` when the
+#: matrix comes already permuted.
+SYMMETRIC_SPLU = {"diag_pivot_thresh": 0.0,
+                  "options": {"SymmetricMode": True}}
 
 
 def bounds_conflicts(l, u, tol: float = 1e-12) -> np.ndarray:
@@ -58,7 +69,9 @@ def solve_unconstrained(P, q, t_start: float,
     n = q.size
     N = (sp.csc_matrix(P) + reg * sp.eye(n)).tocsc()
     try:
-        x = spla.splu(N).solve(-np.asarray(q, dtype=float))
+        x = spla.splu(
+            N, permc_spec="MMD_AT_PLUS_A", **SYMMETRIC_SPLU
+        ).solve(-np.asarray(q, dtype=float))
     except RuntimeError:
         return diagnostic_result(
             STATUS_ILL_CONDITIONED,

@@ -11,19 +11,22 @@ perturbed KKT conditions.  Each iteration factorizes the normal matrix
 
     N(w) = P + reg + G' diag(w) G
 
-with SuperLU.  Iteration counts are nearly independent of conditioning,
-which makes this backend much faster than ADMM on the dose-map programs
-(whose arrival-time variables are cost-free and create flat directions
-that stall first-order methods).
+which is symmetric positive definite, with SuperLU in symmetric mode:
+diagonal pivots under a fill-reducing ordering that depends only on the
+sparsity pattern.  Iteration counts are nearly independent of
+conditioning, which makes this backend much faster than ADMM on the
+dose-map programs (whose arrival-time variables are cost-free and
+create flat directions that stall first-order methods).
 
 Repeated solves of structurally identical problems (the dose-map
-driver's sweep points, QCP bisection steps, and guard retries) share an
-:class:`IPMWorkspace`: the stacked ``G``, the symbolic sparsity of
-``N`` and a precomputed scatter operator turn the per-iteration normal
-assembly from two sparse-sparse products into a single SpMV.  Pass a
-mutable dict as ``workspace`` to carry it across calls; a ``warm``
-state (previous ``x``/``z``) typically cuts iteration counts roughly in
-half on adjacent sweep points.
+driver's sweep points, QCP root-search steps, and guard retries) share
+an :class:`IPMWorkspace`.  It computes the ordering once and holds the
+stacked ``G``, the symbolic sparsity of the permuted ``N`` and a
+precomputed scatter operator, so each iteration assembles the permuted
+normal matrix with a single SpMV and factors it in the natural order.
+Pass a mutable dict as ``workspace`` to carry it across calls; a
+``warm`` state (previous ``x``/``z``) typically cuts iteration counts
+roughly in half on adjacent sweep points.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import scipy.sparse.linalg as spla
 
 from repro import obs, telemetry
 from repro.obs import metrics
-from repro.solver.guards import prevalidate
+from repro.solver.guards import SYMMETRIC_SPLU, prevalidate
 from repro.solver.result import (
     STATUS_DIVERGED,
     STATUS_ILL_CONDITIONED,
@@ -77,17 +80,23 @@ class IPMWorkspace:
 
     * the stacked one-sided ``G`` (and its transpose), so bound changes
       only re-gather ``h``;
-    * the symbolic sparsity (``indptr``/``indices``) of the normal
-      matrix ``N = P + reg*I + G' diag(w) G``;
+    * a symmetric fill-reducing ordering of the normal matrix
+      ``N = P + reg*I + G' diag(w) G``: ``order`` (new -> old index)
+      and ``perm`` (old -> new).  Minimum degree on ``N + N'`` reads
+      only the sparsity pattern, so it is computed once here and serves
+      every iterate, every QCP inner solve, every bound retarget and
+      the regularized retry;
+    * the symbolic sparsity (``N_indptr``/``N_indices``) of the
+      *permuted* normal matrix ``N[order][:, order]``;
     * a scatter operator ``E`` of shape (nnz(N), m) with
-      ``N.data = E @ w + P.data + reg`` -- each constraint row ``k``
+      ``Np.data = E @ w + P.data + reg`` -- each constraint row ``k``
       contributes ``w_k * G[k,a] * G[k,b]`` to the (a, b) entry, and
-      ``E`` hard-codes those destinations, replacing two sparse-sparse
-      products per iteration with one SpMV.
+      ``E`` hard-codes its destination in the permuted pattern,
+      replacing two sparse-sparse products per iteration with one SpMV.
 
-    SuperLU exposes no symbolic-refactorization API, so the symbolic
-    work we *can* hoist out of the iteration loop is this pattern
-    analysis; the numeric factorization still runs per iteration.
+    SuperLU exposes no symbolic-refactorization API, so the numeric
+    factorization still runs per iteration, in the natural order of the
+    already-permuted matrix.
     """
 
     #: Skip the scatter operator when the pairwise expansion would dwarf
@@ -126,14 +135,32 @@ class IPMWorkspace:
         )
         U = (ones(P) + ones(C) + sp.eye(self.n, format="csc")).tocsc()
         U.sort_indices()
-        self.N_indptr = U.indptr
-        self.N_indices = U.indices
         self.nnzN = U.nnz
-        # (col, row) -> data-array position lookup, in CSC data order
-        col_of = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(U.indptr)
+
+        # the ordering reads only the pattern, but SuperLU returns it
+        # from a factorization: give the pattern diagonally dominant
+        # values so that one cannot fail
+        col_counts = np.diff(U.indptr)
+        U.data = np.where(
+            U.indices == np.repeat(np.arange(self.n), col_counts),
+            np.repeat(col_counts + 1.0, col_counts),
+            1.0,
         )
-        self._N_keys = col_of * self.n + U.indices
+        self.perm = spla.splu(
+            U, permc_spec="MMD_AT_PLUS_A", **SYMMETRIC_SPLU
+        ).perm_c.astype(np.int64)
+        self.order = np.argsort(self.perm)
+
+        # the permuted pattern, and its (col, row) -> data-array position
+        # lookup in CSC data order
+        Up = U[self.order][:, self.order].tocsc()
+        Up.sort_indices()
+        self.N_indptr = Up.indptr
+        self.N_indices = Up.indices
+        col_of = np.repeat(
+            np.arange(self.n, dtype=np.int64), np.diff(Up.indptr)
+        )
+        self._N_keys = col_of * self.n + Up.indices
         self.pos_P = self._positions(
             P.indices,
             np.repeat(np.arange(self.n, dtype=np.int64), np.diff(P.indptr)),
@@ -149,8 +176,10 @@ class IPMWorkspace:
             self.E = None
 
     def _positions(self, rows, cols):
-        """Data-array positions of (row, col) entries of the N pattern."""
-        keys = np.asarray(cols, dtype=np.int64) * self.n + rows
+        """Permuted-pattern data positions of (row, col) entries of N."""
+        keys = self.perm[cols]
+        keys *= self.n
+        keys += self.perm[rows]
         return np.searchsorted(self._N_keys, keys)
 
     def _build_expansion(self, G, counts):
@@ -211,14 +240,17 @@ class IPMWorkspace:
         )
 
     def normal(self, P, w_inv, reg):
-        """Assemble N = P + reg*I + G' diag(w_inv) G on the cached pattern."""
+        """Assemble the permuted normal matrix ``N[order][:, order]``.
+
+        ``N = P + reg*I + G' diag(w_inv) G``, on the cached pattern.
+        """
         if self.E is None:
-            N = (
+            N = sp.csc_matrix(
                 P
                 + reg * sp.eye(self.n)
                 + self.Gt @ sp.diags(w_inv) @ self.Gcsc
-            ).tocsc()
-            return N
+            )
+            return N[self.order][:, self.order].tocsc()
         data = self.E @ w_inv
         data[self.pos_P] += P.data
         data[self.pos_diag] += reg
@@ -373,7 +405,7 @@ def solve_qp_ipm(
         w_inv = z / s
         normal = ws.normal(P, w_inv, reg)
         try:
-            lu = spla.splu(normal)
+            lu = spla.splu(normal, permc_spec="NATURAL", **SYMMETRIC_SPLU)
         except RuntimeError:
             # singular normal system: stop on the best iterate so far
             # and let the fallback chain retry with stronger
@@ -383,7 +415,8 @@ def solve_qp_ipm(
             break
 
         def _solve_step(r1, r2):
-            dx = lu.solve(r1 + Gt @ (w_inv * r2))
+            rhs = r1 + Gt @ (w_inv * r2)
+            dx = lu.solve(rhs[ws.order])[ws.perm]
             dz = w_inv * (G @ dx - r2)
             return dx, dz
 

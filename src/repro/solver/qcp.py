@@ -9,9 +9,13 @@ lam >= 0, solve the resulting QP
     min  c'x + lam * ((1/2) x'Q x + g'x - s)   s.t.  l <= A x <= u,
 
 and drive the constraint value h(lam) = (1/2)x'Qx + g'x - s to zero.
-h(lam) is non-increasing in lam; after geometric bracketing we use the
-Illinois variant of regula falsi (with bisection safeguards), which
-typically needs only a handful of inner QP solves.
+h(lam) is non-increasing in lam.  The search first brackets the root
+geometrically: from ``lam_hint`` (or 1e-4) the multiplier grows tenfold
+until the constraint holds.  It then bisects the bracket -- in log
+space once its lower end is positive -- until the bracket is narrower
+than ``lam_tol`` relative to its upper end or h is within a tenth of
+the feasibility tolerance.  Each step is one inner QP solve; a cold
+solve of a G=10 dose-map program (AES-65 or JPEG-65) takes 16.
 
 Two inner backends are available: the ADMM solver (warm-startable) and
 the interior-point solver (faster on the ill-conditioned dose-map

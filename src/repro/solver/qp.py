@@ -7,9 +7,10 @@ Solves
 
 with P positive semidefinite, using the operator-splitting ADMM of
 Stellato et al. (the OSQP algorithm): a quasi-definite KKT system is
-factorized once per rho setting and reused every iteration.  Includes
-modified Ruiz equilibration, over-relaxation, per-constraint rho (stiffer
-on equalities), and adaptive rho updates with refactorization.
+factorized once per rho setting -- symmetrically, without pivoting --
+and reused every iteration.  Includes modified Ruiz equilibration,
+over-relaxation, per-constraint rho (stiffer on equalities), and
+adaptive rho updates with refactorization.
 
 This is the repository's replacement for the CPLEX solver the paper uses;
 it is validated against ``scipy.optimize`` on small instances and against
@@ -27,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from repro import obs, telemetry
 from repro.obs import metrics
-from repro.solver.guards import prevalidate
+from repro.solver.guards import SYMMETRIC_SPLU, prevalidate
 from repro.solver.result import (
     STATUS_DIVERGED,
     STATUS_MAX_ITER,
@@ -101,7 +102,8 @@ class _KKT:
             ],
             format="csc",
         )
-        self._lu = spla.splu(kkt)
+        self._lu = spla.splu(kkt, permc_spec="MMD_AT_PLUS_A",
+                             **SYMMETRIC_SPLU)
         self._n = n
 
     def solve(self, rhs: np.ndarray):

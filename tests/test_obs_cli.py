@@ -184,6 +184,15 @@ class TestCompare:
                                  floor=1e-3)
         assert result["regressions"] == []
 
+    def test_missing_baseline_exits_2_with_one_line(self, tmp_path,
+                                                     capsys):
+        cur = tmp_path / "cur.json"
+        cur.write_text(json.dumps(self._bench()))
+        missing = tmp_path / "BENCH_absent.json"
+        assert obs_main(["compare", str(missing), str(cur)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(missing) in err
+
     def test_committed_smoke_baselines_self_compare(self):
         import pathlib
 

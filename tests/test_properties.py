@@ -4,8 +4,12 @@ Invariants that must hold regardless of input details -- the contracts
 the optimization relies on when it composes the substrates.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DesignContext
@@ -13,6 +17,14 @@ from repro.core.snap import SNAP_CEIL, SNAP_FLOOR, SNAP_NEAREST, snap_dose_map
 from repro.dosemap import DoseMap, GridPartition
 from repro.library import CellLibrary
 from repro.netlist import make_design
+from repro.solver import (
+    STATUS_ILL_CONDITIONED,
+    STATUS_SOLVED,
+    qp as admm,
+    solve_qp,
+    solve_qp_ipm,
+)
+from repro.solver.guards import SYMMETRIC_SPLU
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +161,133 @@ class TestLibraryProperties:
             return
         assert b.delay_at(0.05, 2.0) < a.delay_at(0.05, 2.0)
         assert b.leakage_uw > a.leakage_uw
+
+
+@st.composite
+def _convex_qps(draw, strictly_convex=False):
+    """Small random convex QPs ``(P, q, A, l, u)``.
+
+    ``P`` is PSD (rank-deficient unless ``strictly_convex``).  ``A`` is
+    a random sparse block under a two-sided box on ``x``, which keeps
+    every problem bounded; its rows are two-sided, upper-only or
+    lower-only.  Bounds are cut around a random point, so every problem
+    is feasible.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 10))
+    m = draw(st.integers(1, 8))
+    rank = n if strictly_convex else draw(st.integers(0, n))
+    M = rng.standard_normal((n, rank))
+    P = M @ M.T + (0.1 * np.eye(n) if strictly_convex else 0.0)
+    q = rng.standard_normal(n)
+    R = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+    A = sp.vstack([sp.eye(n), sp.csr_matrix(R)], format="csc")
+    ax = A @ rng.uniform(-1.0, 1.0, n)
+    width = rng.uniform(0.1, 2.0, n + m)
+    l, u = ax - width, ax + width
+    kind = rng.integers(0, 3, m)
+    l[n:][kind == 1] = -np.inf
+    u[n:][kind == 2] = np.inf
+    return sp.csc_matrix(P), q, A, l, u
+
+
+class TestQPSolverProperties:
+    """The IPM's symmetric factorization on its cached ordering."""
+
+    TOL = 1e-7
+
+    @settings(deadline=None, max_examples=40)
+    @given(_convex_qps())
+    def test_ipm_meets_kkt_and_matches_admm(self, problem):
+        P, q, A, l, u = problem
+        res = solve_qp_ipm(P, q, A, l, u, tol=self.TOL)
+        assert res.status == STATUS_SOLVED
+        x, z = res.x, res.info["z"]
+        up, lo = np.isfinite(u), np.isfinite(l)
+        # z holds the duals of the stacked rows [A[up]; -A[lo]]
+        y = np.zeros(A.shape[0])
+        y[up] += z[: up.sum()]
+        y[lo] -= z[up.sum():]
+        ax = A @ x
+        h = np.concatenate([u[up], -l[lo]])
+        slack = np.concatenate([u[up] - ax[up], ax[lo] - l[lo]])
+        scale_h = max(1.0, np.abs(h).max())
+        scale_obj = max(1.0, np.abs(q).max())
+        assert slack.min() >= -10 * self.TOL * scale_h
+        assert np.abs(P @ x + q + A.T @ y).max() <= 10 * self.TOL * scale_obj
+        assert z.min() >= 0.0
+        assert float(z @ np.abs(slack)) <= 10 * self.TOL * z.size * scale_h
+
+        ref = solve_qp(P, q, A, l, u, eps_abs=1e-7, eps_rel=1e-7)
+        assert ref.status == STATUS_SOLVED
+        assert res.obj == pytest.approx(ref.obj, rel=1e-4, abs=1e-4)
+
+    @settings(deadline=None, max_examples=25)
+    @given(_convex_qps(strictly_convex=True), st.integers(0, 2**32 - 1))
+    def test_workspace_reuse_across_retargets(self, problem, seed):
+        """One ordering serves every retarget: same x as a fresh solve."""
+        P, q, A, l, u = problem
+        rng = np.random.default_rng(seed)
+        workspace = {}
+        for step in range(3):
+            scale = rng.uniform(0.5, 2.0)
+            shift = rng.uniform(0.0, 0.5, l.size)
+            args = (scale * P, q, A, l - shift, u + shift)
+            reused = solve_qp_ipm(*args, workspace=workspace)
+            if step == 0:
+                ws = workspace["ws"]
+            assert workspace["ws"] is ws
+            fresh = solve_qp_ipm(*args)
+            assert reused.status == fresh.status == STATUS_SOLVED
+            np.testing.assert_allclose(reused.x, fresh.x, atol=1e-8)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_singular_normal_system_is_ill_conditioned(self, n_used, n_free,
+                                                       seed):
+        """Unregularized variables absent from P and A: N is singular."""
+        rng = np.random.default_rng(seed)
+        n = n_used + n_free
+        P = np.zeros((n, n))
+        M = rng.standard_normal((n_used, n_used))
+        P[:n_used, :n_used] = M @ M.T
+        A = np.zeros((n_used, n))
+        A[:, :n_used] = np.eye(n_used) + rng.standard_normal(
+            (n_used, n_used)
+        ) * (rng.random((n_used, n_used)) < 0.3)
+        q = np.concatenate([rng.standard_normal(n_used), np.zeros(n_free)])
+        ones = np.ones(n_used)
+        workspace = {}
+        for _ in range(2):  # fresh, then on the cached ordering
+            res = solve_qp_ipm(
+                sp.csc_matrix(P), q, sp.csc_matrix(A), -ones, ones,
+                reg=0.0, workspace=workspace,
+            )
+            assert res.status == STATUS_ILL_CONDITIONED
+            assert res.failed
+
+    @settings(deadline=None, max_examples=30)
+    @given(_convex_qps(), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_admm_kkt_factors_symmetrically(self, problem, log_rho, seed):
+        """The quasi-definite KKT factors with the symmetric keywords."""
+        P, _, A, _, _ = problem
+        calls = []
+
+        class Recorder:
+            def splu(self, M, **kwargs):
+                calls.append(kwargs)
+                return spla.splu(M, **kwargs)
+
+        rng = np.random.default_rng(seed)
+        rho = 10.0 ** (log_rho + rng.uniform(-1.0, 1.0, A.shape[0]))
+        with mock.patch.object(admm, "spla", Recorder()):
+            kkt = admm._KKT(P, A, admm._SIGMA, rho)
+        assert calls == [{"permc_spec": "MMD_AT_PLUS_A", **SYMMETRIC_SPLU}]
+        n = P.shape[0]
+        K = sp.bmat([[P + admm._SIGMA * sp.eye(n), A.T],
+                     [A, -sp.diags(1.0 / rho)]]).toarray()
+        rhs = rng.standard_normal(K.shape[0])
+        sol = np.concatenate(kkt.solve(rhs))
+        assert np.abs(K @ sol - rhs).max() <= 1e-8 * (
+            np.abs(K).max() * np.abs(sol).max() + np.abs(rhs).max()
+        )

@@ -80,6 +80,35 @@ class TestIPMWarmStart:
         assert np.allclose(again.x, plain.x, atol=ATOL)
 
 
+    def test_normal_matrix_is_permuted_on_both_assembly_paths(
+        self, monkeypatch
+    ):
+        """Scatter and dense-row assembly both return N[order][:, order]."""
+        rng = np.random.default_rng(5)
+        n = 30
+        P = sp.csc_matrix(np.diag(rng.uniform(0.0, 1.0, n)))
+        R = rng.standard_normal((12, n)) * (rng.random((12, n)) < 0.2)
+        A = sp.vstack([sp.eye(n), sp.csr_matrix(R)], format="csc")
+        l, u = -np.ones(A.shape[0]), np.ones(A.shape[0])
+        w = rng.uniform(0.1, 10.0, 2 * A.shape[0])
+        q = rng.standard_normal(n)
+        scatter = IPMWorkspace(P, A, l, u)
+        via_scatter = solve_qp_ipm(P, q, A, l, u)
+        monkeypatch.setattr(IPMWorkspace, "MAX_EXPANSION_RATIO", 0.0)
+        dense = IPMWorkspace(P, A, l, u)
+        via_dense = solve_qp_ipm(P, q, A, l, u)
+        assert scatter.E is not None and dense.E is None
+        assert np.array_equal(scatter.order, dense.order)
+        G = scatter.Gcsc
+        N = (P + 1e-9 * sp.eye(n) + G.T @ sp.diags(w) @ G).toarray()
+        want = N[np.ix_(scatter.order, scatter.order)]
+        for ws in (scatter, dense):
+            got = ws.normal(P, w, 1e-9).toarray()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert via_scatter.ok and via_dense.ok
+        np.testing.assert_allclose(via_dense.x, via_scatter.x, atol=1e-9)
+
+
 class TestADMMWarmStart:
     def test_x0_y0_flag_and_answer(self):
         P, q, A, l, u = box_qp(n=25, seed=11)
@@ -152,6 +181,18 @@ class TestSweepChaining:
             assert got.leakage == pytest.approx(want.leakage, rel=1e-6)
         # warm chaining must actually help on the second point
         assert chained[1].solve.iterations < independent[1].solve.iterations
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [tuple, lambda r: (x for x in r)],
+        ids=["tuple", "generator"],
+    )
+    def test_sweep_accepts_any_iterable(self, aes_ctx, wrap):
+        # the span attribute once spent an iterator before the loop ran
+        ranges = [4.0, 5.0]
+        res = dmopt_dose_range_sweep(aes_ctx, 30.0, wrap(ranges), mode="qp")
+        assert [r.formulation.dose_range for r in res] == ranges
+        assert all(r.ok for r in res)
 
     def test_sweep_warm_start_off(self, aes_ctx):
         res = dmopt_dose_range_sweep(
