@@ -107,19 +107,16 @@ def bias_gate_lengths(
     # longest-path gate count through each gate: a move's slack budget is
     # shared by every gate on its worst path, so a pass may only consume
     # slack[g] / depth_through[g] per gate -- conservative, but golden
-    # re-analysis between passes restores the unconsumed slack
-    order = nl.topological_order(lib)
-    is_seq = {g: lib.cell(nl.gates[g].master).is_sequential for g in order}
-    lvl_up = {}
-    for g in order:
-        fanins = [] if is_seq[g] else nl.fanin_gates(g)
-        lvl_up[g] = 1 + max((lvl_up[d] for d in fanins), default=0)
-    lvl_down = {g: 1 for g in order}
-    for g in reversed(order):
-        for succ in nl.fanout_gates(g):
-            if not is_seq[succ]:
-                lvl_down[g] = max(lvl_down[g], 1 + lvl_down[succ])
-    depth_through = {g: lvl_up[g] + lvl_down[g] - 1 for g in order}
+    # re-analysis between passes restores the unconsumed slack.  Gates
+    # up to and including g number graph.level + 1; `down` counts g and
+    # the gates below it, from one pass in reverse graph (topological)
+    # order.
+    graph = ctx.timing_graph
+    down = [1] * graph.n
+    for gid in reversed(range(graph.n)):
+        for succ in graph.comb_fanout[gid]:
+            down[gid] = max(down[gid], 1 + down[succ])
+    depth_through = dict(zip(graph.names, (graph.level + down).tolist()))
 
     for _pass in range(max_passes):
         passes += 1

@@ -12,7 +12,7 @@ from repro.fitting import DelayFitter, LeakageFitter
 from repro.netlist.designs import DesignBundle, make_design
 from repro.placement import place_design
 from repro.power import total_leakage
-from repro.sta import make_analyzer
+from repro.sta import CompiledTimingGraph, make_analyzer
 
 
 class DesignContext:
@@ -56,6 +56,11 @@ class DesignContext:
         self.sta_backend = sta_backend
         self.analyzer = make_analyzer(
             self.netlist, self.library, self.placement, backend=sta_backend
+        )
+        #: The compiled timing DAG every analysis reads: the vector
+        #: analyzer's own, compiled here only on the reference backend.
+        self.timing_graph = getattr(self.analyzer, "graph", None) or (
+            CompiledTimingGraph(self.netlist, self.library)
         )
         #: Golden STA at nominal dose.
         self.baseline = self.analyzer.analyze()

@@ -6,7 +6,8 @@ turns symmetric CD noise into asymmetric leakage noise, so *mean* chip
 leakage exceeds the leakage of the mean chip.  This estimator samples the
 exact exponential device model (not the optimizer's quadratic), fully
 vectorized across samples and gates, and quantifies how a dose map shifts
-the distribution.
+the distribution.  Sample columns are the gates in the compiled timing
+graph's ``names`` order, the same as :mod:`repro.variation.montecarlo`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tech import device
+from repro.variation.montecarlo import check_dl, gate_dose_shift_nm
 
 
 class LeakageMonteCarlo:
@@ -29,45 +31,27 @@ class LeakageMonteCarlo:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        nl = ctx.netlist
         lib = ctx.library
         self.node = lib.node
-        order = nl.topological_order(lib)
-        self._order = order
-        masters = [lib.cell(nl.gates[g].master) for g in order]
+        self.graph = ctx.timing_graph
+        masters = [lib.cell(m) for m in self.graph.masters]
         self._w_n = np.array([m.w_n for m in masters])
         self._w_p = np.array([m.w_p for m in masters])
         self._stack_n = np.array([float(m.stack_n) for m in masters])
         self._stack_p = np.array([float(m.stack_p) for m in masters])
         self._leak_states = np.array([m.leak_states for m in masters])
 
-    def _gate_dose_shift_nm(self, dose_map) -> np.ndarray:
-        if dose_map is None:
-            return np.zeros(len(self._order))
-        lib = self.ctx.library
-        place = self.ctx.placement
-        return np.array(
-            [
-                lib.dose_to_dl(dose_map.dose_of_gate(place, g))
-                for g in self._order
-            ]
-        )
-
     def leakage_samples(self, dl_nm: np.ndarray, dose_map=None) -> np.ndarray:
         """Total chip leakage (uW) per sample.
 
-        ``dl_nm`` has shape (n_samples, n_gates) in topological order
-        (compatible with :meth:`TimingMonteCarlo.sample_dl`).
+        ``dl_nm`` has shape (n_samples, n_gates) with gate columns in
+        ``graph.names`` order (compatible with
+        :meth:`TimingMonteCarlo.sample_dl`) and must be finite.
         """
-        dl_nm = np.atleast_2d(np.asarray(dl_nm, dtype=float))
-        if dl_nm.shape[1] != len(self._order):
-            raise ValueError(
-                f"dl matrix has {dl_nm.shape[1]} gate columns, design has "
-                f"{len(self._order)}"
-            )
+        dl_nm = check_dl(dl_nm, self.graph.n)
         node = self.node
-        lengths = node.l_nominal + dl_nm + self._gate_dose_shift_nm(dose_map)
-        lengths = np.maximum(lengths, 1.0)
+        shift = gate_dose_shift_nm(self.ctx, dose_map)
+        lengths = np.maximum(node.l_nominal + dl_nm + shift, 1.0)
         i_n = device.leakage_current(node, lengths, self._w_n) / self._stack_n
         i_p = device.leakage_current(node, lengths, self._w_p) / self._stack_p
         per_gate = self._leak_states * 0.5 * (i_n + i_p) * node.vdd
@@ -75,7 +59,7 @@ class LeakageMonteCarlo:
 
     def nominal_leakage(self) -> float:
         """Zero-variation total (sanity anchor to the golden analysis)."""
-        return float(self.leakage_samples(np.zeros((1, len(self._order))))[0])
+        return float(self.leakage_samples(np.zeros((1, self.graph.n)))[0])
 
 
 def leakage_statistics(samples: np.ndarray) -> dict:

@@ -9,13 +9,16 @@ sample through a **linearized timing model** (per-gate delay
 ``t0 + A_p * dL``, the same first-order model DMopt optimizes), and
 report ``yield(T) = P(MCT <= T)`` with and without an optimized dose map.
 
-The linearized evaluation is vectorized across samples -- one topological
-sweep evaluates every Monte Carlo sample simultaneously -- so thousands
-of chips cost about as much as one golden STA pass.
+Evaluation propagates level by level over the compiled timing graph
+(``DesignContext.timing_graph``), vectorized over gates x samples, so
+thousands of chips cost about as much as one golden STA pass.  The
+columns of a ``dl_nm`` sample matrix are the gates in ``graph.names``
+order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +40,91 @@ class VariationModel:
         residual signature).
     correlation_grid_um:
         Edge length of the correlation grid.
+
+    Sigmas must be finite and >= 0 and the grid edge finite and > 0;
+    anything else raises :class:`ValueError`.
     """
 
     sigma_random_nm: float = 1.0
     sigma_systematic_nm: float = 1.0
     correlation_grid_um: float = 20.0
     seed: int = 42
+
+    def __post_init__(self):
+        for name in ("sigma_random_nm", "sigma_systematic_nm"):
+            value = float(getattr(self, name))
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}"
+                )
+        grid = float(self.correlation_grid_um)
+        if not (math.isfinite(grid) and grid > 0.0):
+            raise ValueError(
+                f"correlation_grid_um must be finite and > 0, got {grid!r}"
+            )
+
+
+@dataclass(frozen=True)
+class FirstOrderTiming:
+    """The linearized timing model laid out on a compiled timing graph.
+
+    ``t0`` (nominal delay, ns) and ``a`` (A_p, ns per nm of gate length)
+    are per gate in ``graph.names`` order; ``arc_wire`` is the wire delay
+    of each fan-in arc of the graph's perm-ordered CSR (0 on the virtual
+    arcs); ``ff_extra`` is wire delay + setup of each FF data-pin arc.
+    """
+
+    graph: object
+    t0: np.ndarray
+    a: np.ndarray
+    arc_wire: np.ndarray
+    ff_extra: np.ndarray
+
+
+def first_order_timing(ctx) -> FirstOrderTiming:
+    """The first-order timing model of a design context, from its
+    baseline STA and delay fits, on ``ctx.timing_graph``."""
+    graph = ctx.timing_graph
+    baseline = ctx.baseline
+    wire = baseline.wire_delay
+    t0 = np.array([baseline.gate_delay[g] for g in graph.names])
+    a = np.array([ctx.delay_fit_for(g).a for g in graph.names])
+    arc_wire = np.zeros(len(graph.fi_src))
+    arc_wire[graph.real_fi] = [wire.get(k, 0.0) for k in graph.wd_keys_fi]
+    lib = ctx.library
+    ff_extra = np.array(
+        [
+            wire.get(key, 0.0) + lib.cell(graph.masters[gid]).setup_ns
+            for key, gid in zip(graph.wd_keys_ff, graph.ff_gate.tolist())
+        ]
+    )
+    return FirstOrderTiming(graph, t0, a, arc_wire, ff_extra)
+
+
+def gate_dose_shift_nm(ctx, dose_map) -> np.ndarray:
+    """Per-gate printed dL (nm) a dose map induces, in
+    ``ctx.timing_graph.names`` order (zeros without a map)."""
+    names = ctx.timing_graph.names
+    if dose_map is None:
+        return np.zeros(len(names))
+    lib = ctx.library
+    place = ctx.placement
+    return np.array(
+        [lib.dose_to_dl(dose_map.dose_of_gate(place, g)) for g in names]
+    )
+
+
+def check_dl(dl_nm, n_gates: int) -> np.ndarray:
+    """``dl_nm`` as a finite (n_samples, n_gates) float matrix."""
+    dl_nm = np.atleast_2d(np.asarray(dl_nm, dtype=float))
+    if dl_nm.shape[1] != n_gates:
+        raise ValueError(
+            f"dl matrix has {dl_nm.shape[1]} gate columns, design has "
+            f"{n_gates}"
+        )
+    if not np.isfinite(dl_nm).all():
+        raise ValueError("dl matrix has non-finite entries")
+    return dl_nm
 
 
 class TimingMonteCarlo:
@@ -52,51 +134,27 @@ class TimingMonteCarlo:
     ----------
     ctx:
         A :class:`~repro.core.model.DesignContext`; its baseline STA
-        supplies per-gate nominal delays, delay sensitivities (A_p), arc
-        wire delays and the DAG.
+        supplies per-gate nominal delays, delay sensitivities (A_p) and
+        arc wire delays, its compiled timing graph the DAG.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
-        nl = ctx.netlist
-        lib = ctx.library
-        baseline = ctx.baseline
-        order = nl.topological_order(lib)
-        self._order = order
-        self._index = {name: i for i, name in enumerate(order)}
-        self._t0 = np.array([baseline.gate_delay[g] for g in order])
-        self._a = np.array([ctx.delay_fit_for(g).a for g in order])
-        is_seq = {
-            name: lib.cell(g.master).is_sequential
-            for name, g in nl.gates.items()
-        }
-        # fanin arcs per gate: (driver index, wire delay); None driver = PI
-        arcs = []
-        endpoints = []  # (gate index, extra delay) contributing to MCT
-        for name in order:
-            gate = nl.gates[name]
-            fanins = []
-            if not is_seq[name]:
-                for net_name in gate.inputs:
-                    drv = nl.nets[net_name].driver
-                    if drv is not None:
-                        wd = baseline.wire_delay.get((drv, name), 0.0)
-                        fanins.append((self._index[drv], wd))
-            arcs.append(fanins)
-            if nl.nets[gate.output].is_primary_output:
-                endpoints.append((self._index[name], 0.0))
-        for name in order:
-            if not is_seq[name]:
-                continue
-            gate = nl.gates[name]
-            setup = lib.cell(gate.master).setup_ns
-            for net_name in gate.inputs:
-                drv = nl.nets[net_name].driver
-                if drv is not None:
-                    wd = baseline.wire_delay.get((drv, name), 0.0)
-                    endpoints.append((self._index[drv], wd + setup))
-        self._arcs = arcs
-        self._endpoints = endpoints
+        self.timing = first_order_timing(ctx)
+        g = self.graph = self.timing.graph
+        # per level, the fan-in CSR padded to one row per arc slot: row k
+        # holds each gate's k-th arc.  Slot 0 is every gate's virtual arc
+        # and padding is virtual too; both read arrival 0 over wire 0.
+        slot = np.arange(len(g.fi_src)) - g.fi_ptr[g.fi_seg]
+        self._levels = []
+        for lo, hi in g.level_slices:
+            arcs = slice(g.fi_ptr[lo], g.fi_ptr[hi])
+            k, col = slot[arcs], g.fi_seg[arcs] - lo
+            src = np.full((k.max() + 1, hi - lo), -1)
+            wire = np.zeros(src.shape)
+            src[k, col] = g.fi_src[arcs]
+            wire[k, col] = self.timing.arc_wire[arcs]
+            self._levels.append((g.perm[lo:hi], src[1:], wire[1:, :, None]))
 
     # ------------------------------------------------------------------
     def sample_dl(self, model: VariationModel, n_samples: int) -> np.ndarray:
@@ -104,7 +162,7 @@ class TimingMonteCarlo:
         if n_samples < 1:
             raise ValueError("need at least one sample")
         rng = np.random.default_rng(model.seed)
-        n_gates = len(self._order)
+        n_gates = self.graph.n
         dl = model.sigma_random_nm * rng.standard_normal((n_samples, n_gates))
         if model.sigma_systematic_nm > 0:
             place = self.ctx.placement
@@ -113,7 +171,7 @@ class TimingMonteCarlo:
             )
             assign = part.assign_gates(place)
             grid_of_gate = np.array(
-                [assign[g] for g in self._order], dtype=int
+                [assign[g] for g in self.graph.names], dtype=int
             )
             sys = model.sigma_systematic_nm * rng.standard_normal(
                 (n_samples, part.n_grids)
@@ -121,61 +179,49 @@ class TimingMonteCarlo:
             dl += sys[:, grid_of_gate]
         return dl
 
-    def _gate_dose_shift_nm(self, dose_map) -> np.ndarray:
-        """Per-gate printed dL (nm) induced by a dose map."""
-        if dose_map is None:
-            return np.zeros(len(self._order))
-        lib = self.ctx.library
-        place = self.ctx.placement
-        return np.array(
-            [
-                lib.dose_to_dl(dose_map.dose_of_gate(place, g))
-                for g in self._order
-            ]
-        )
-
     def mct_samples(self, dl_nm: np.ndarray, dose_map=None) -> np.ndarray:
         """MCT (ns) of each variation sample, optionally under a dose map.
 
-        ``dl_nm`` has shape (n_samples, n_gates) in topological gate
-        order (as produced by :meth:`sample_dl`).
+        ``dl_nm`` has shape (n_samples, n_gates) with gate columns in
+        ``graph.names`` order (as produced by :meth:`sample_dl`) and must
+        be finite.
         """
-        dl_nm = np.atleast_2d(np.asarray(dl_nm, dtype=float))
-        if dl_nm.shape[1] != len(self._order):
-            raise ValueError(
-                f"dl matrix has {dl_nm.shape[1]} gate columns, design has "
-                f"{len(self._order)}"
-            )
-        total_dl = dl_nm + self._gate_dose_shift_nm(dose_map)[None, :]
-        delays = np.maximum(self._t0[None, :] + self._a[None, :] * total_dl, 0.0)
+        g = self.graph
+        tm = self.timing
+        dl_nm = check_dl(dl_nm, g.n)
+        # gate-major: one row per gate, one column per sample
+        delay = dl_nm.T + gate_dose_shift_nm(self.ctx, dose_map)[:, None]
+        np.multiply(tm.a[:, None], delay, out=delay)
+        np.add(tm.t0[:, None], delay, out=delay)
+        np.maximum(delay, 0.0, out=delay)
 
+        # the extra last row stays zero: virtual arcs (src == -1) read it
         n = dl_nm.shape[0]
-        arrival = np.zeros((n, len(self._order)))
-        for gi in range(len(self._order)):
-            fanins = self._arcs[gi]
-            if fanins:
-                best = arrival[:, fanins[0][0]] + fanins[0][1]
-                for drv, wd in fanins[1:]:
-                    np.maximum(best, arrival[:, drv] + wd, out=best)
-                arrival[:, gi] = best + delays[:, gi]
-            else:
-                arrival[:, gi] = delays[:, gi]
+        arrival = np.zeros((g.n + 1, n))
+        for ids, src, wire in self._levels:
+            best = np.zeros((len(ids), n))  # the virtual arcs
+            for s, w in zip(src, wire):
+                pins = arrival[s]
+                pins += w
+                np.maximum(best, pins, out=best)
+            best += delay[ids]
+            arrival[ids] = best
 
-        mct = np.zeros(n)
-        for gi, extra in self._endpoints:
-            np.maximum(mct, arrival[:, gi] + extra, out=mct)
-        return mct
+        ff = arrival[g.ff_src] + tm.ff_extra[:, None]
+        return np.vstack([arrival[g.po_ids], ff]).max(axis=0, initial=0.0)
 
     def nominal_mct(self) -> float:
         """MCT of the linearized model at zero variation (sanity anchor)."""
-        return float(self.mct_samples(np.zeros((1, len(self._order))))[0])
+        return float(self.mct_samples(np.zeros((1, self.graph.n)))[0])
 
 
 def timing_yield(mct_samples: np.ndarray, clock_period: float) -> float:
     """Fraction of sampled chips meeting the clock period."""
-    mct_samples = np.asarray(mct_samples)
+    mct_samples = np.asarray(mct_samples, dtype=float)
     if mct_samples.size == 0:
         raise ValueError("no samples")
+    if not np.isfinite(mct_samples).all():
+        raise ValueError("MCT samples must be finite")
     return float(np.mean(mct_samples <= clock_period))
 
 

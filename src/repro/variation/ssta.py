@@ -13,8 +13,9 @@ matching, preserving spatial correlation -- which is exactly what a dose
 map manipulates, making SSTA the natural yield analysis for this paper's
 setting.
 
-Outputs the chip MCT as a canonical form, from which mean, sigma, and
-timing-yield quantiles follow in closed form.
+Arrivals propagate over the compiled timing graph.  Outputs the chip
+MCT as a canonical form, from which mean, sigma, and timing-yield
+quantiles follow in closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dosemap import GridPartition
-from repro.variation.montecarlo import VariationModel
+from repro.variation.montecarlo import (
+    VariationModel,
+    first_order_timing,
+    gate_dose_shift_nm,
+)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -101,6 +106,11 @@ def clark_max(a: CanonicalDelay, b: CanonicalDelay) -> CanonicalDelay:
 class SSTA:
     """Block-based SSTA over a design context.
 
+    Arrivals propagate over the context's compiled timing graph in its
+    level order.  Each gate folds its fan-in pins through Clark's max in
+    graph arc order, the virtual arc (arrival 0) first -- the operating
+    point the compiled STA uses.
+
     Parameters
     ----------
     ctx:
@@ -113,82 +123,55 @@ class SSTA:
     def __init__(self, ctx, model: VariationModel):
         self.ctx = ctx
         self.model = model
-        nl = ctx.netlist
-        lib = ctx.library
+        self.timing = first_order_timing(ctx)
         place = ctx.placement
-        self._order = nl.topological_order(lib)
         part = GridPartition(
             place.die.width, place.die.height, model.correlation_grid_um
         )
         self.partition = part
-        assign = part.assign_gates(place)
-        self._grid_of = {g: assign[g] for g in self._order}
         self._n_sources = part.n_grids
-        self._is_seq = {
-            g: lib.cell(nl.gates[g].master).is_sequential for g in self._order
-        }
-
-    def _gate_delay_canonical(self, name: str, dose_map=None) -> CanonicalDelay:
-        ctx = self.ctx
-        a = ctx.delay_fit_for(name).a  # ns per nm of gate length
-        t0 = ctx.baseline.gate_delay[name]
-        if dose_map is not None:
-            dl = ctx.library.dose_to_dl(
-                dose_map.dose_of_gate(ctx.placement, name)
-            )
-            t0 = max(t0 + a * dl, 0.0)
-        sens = np.zeros(self._n_sources)
-        sens[self._grid_of[name]] = a * self.model.sigma_systematic_nm
-        rand = abs(a) * self.model.sigma_random_nm
-        return CanonicalDelay(t0, sens, rand)
+        assign = part.assign_gates(place)
+        # dose-independent parts of each gate's canonical delay
+        self._sens = []
+        self._rand = []
+        for name, a in zip(self.timing.graph.names, self.timing.a.tolist()):
+            sens = np.zeros(part.n_grids)
+            sens[assign[name]] = a * model.sigma_systematic_nm
+            self._sens.append(sens)
+            self._rand.append(abs(a) * model.sigma_random_nm)
 
     def analyze(self, dose_map=None) -> CanonicalDelay:
         """Propagate canonical arrivals; returns the chip MCT variable."""
-        ctx = self.ctx
-        nl = ctx.netlist
-        lib = ctx.library
-        wire = ctx.baseline.wire_delay
+        tm = self.timing
+        g = tm.graph
+        t0 = tm.t0
+        if dose_map is not None:
+            shift = gate_dose_shift_nm(self.ctx, dose_map)
+            t0 = np.maximum(t0 + tm.a * shift, 0.0)
+        t0 = t0.tolist()
+        src = g.fi_src.tolist()
+        wire = tm.arc_wire.tolist()
+        ptr = g.fi_ptr.tolist()
         zero = CanonicalDelay(0.0, np.zeros(self._n_sources), 0.0)
 
-        arrival: dict = {}
-        for name in self._order:
-            gate = nl.gates[name]
-            delay = self._gate_delay_canonical(name, dose_map)
-            if self._is_seq[name]:
-                arrival[name] = delay
-                continue
-            best = None
-            for net_name in gate.inputs:
-                drv = nl.nets[net_name].driver
-                if drv is None:
-                    pin = zero
-                else:
-                    pin = arrival[drv].shifted(wire.get((drv, name), 0.0))
-                best = pin if best is None else clark_max(best, pin)
-            base = best if best is not None else zero
-            arrival[name] = base.plus(delay)
+        arrival = [None] * g.n
+        for p, gid in enumerate(g.perm.tolist()):
+            best = zero  # the virtual arc
+            for arc in range(ptr[p] + 1, ptr[p + 1]):
+                best = clark_max(best, arrival[src[arc]].shifted(wire[arc]))
+            delay = CanonicalDelay(t0[gid], self._sens[gid], self._rand[gid])
+            arrival[gid] = best.plus(delay)
 
-        mct = None
-        for name in self._order:
-            gate = nl.gates[name]
-            if nl.nets[gate.output].is_primary_output:
-                cand = arrival[name]
-                mct = cand if mct is None else clark_max(mct, cand)
-        for name in self._order:
-            if not self._is_seq[name]:
-                continue
-            gate = nl.gates[name]
-            setup = lib.cell(gate.master).setup_ns
-            for net_name in gate.inputs:
-                drv = nl.nets[net_name].driver
-                if drv is None:
-                    continue
-                cand = arrival[drv].shifted(
-                    wire.get((drv, name), 0.0) + setup
-                )
-                mct = cand if mct is None else clark_max(mct, cand)
-        if mct is None:
+        ends = [arrival[gid] for gid in g.po_ids.tolist()]
+        ends += [
+            arrival[drv].shifted(extra)
+            for drv, extra in zip(g.ff_src.tolist(), tm.ff_extra.tolist())
+        ]
+        if not ends:
             raise ValueError("design has no timing endpoints")
+        mct = ends[0]
+        for cand in ends[1:]:
+            mct = clark_max(mct, cand)
         return mct
 
 

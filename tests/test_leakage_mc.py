@@ -51,6 +51,13 @@ class TestLeakageMC:
         with pytest.raises(ValueError, match="gate columns"):
             lmc.leakage_samples(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_dl_rejected(self, lmc, bad):
+        dl = np.zeros((1, lmc.graph.n))
+        dl[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lmc.leakage_samples(dl)
+
     def test_statistics_validation(self):
         with pytest.raises(ValueError, match="no samples"):
             leakage_statistics(np.array([]))

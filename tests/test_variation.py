@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import DesignContext, optimize_dose_map
+from repro.dosemap import DoseMap, GridPartition
 from repro.netlist import make_design
 from repro.variation import (
+    SSTA,
+    LeakageMonteCarlo,
     TimingMonteCarlo,
     VariationModel,
     timing_yield,
@@ -28,7 +31,7 @@ class TestSampling:
         model = VariationModel(seed=5)
         a = mc.sample_dl(model, 16)
         b = mc.sample_dl(model, 16)
-        assert a.shape == (16, len(mc._order))
+        assert a.shape == (16, mc.graph.n)
         assert np.array_equal(a, b)
 
     def test_sample_count_validation(self, mc):
@@ -54,6 +57,27 @@ class TestSampling:
         assert np.allclose(dl, dl[:, :1])
 
 
+class TestVariationModelValidation:
+    @pytest.mark.parametrize(
+        "field", ["sigma_random_nm", "sigma_systematic_nm"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_bad_sigma_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            VariationModel(**{field: value})
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 0.0, -20.0]
+    )
+    def test_bad_correlation_grid_rejected(self, value):
+        with pytest.raises(ValueError, match="correlation_grid_um"):
+            VariationModel(correlation_grid_um=value)
+
+    def test_zero_sigmas_allowed(self):
+        model = VariationModel(0, 0)
+        assert model.sigma_random_nm == 0 and model.sigma_systematic_nm == 0
+
+
 class TestMCTEvaluation:
     def test_nominal_anchors_to_golden(self, ctx, mc):
         """Zero-variation linearized MCT ~ golden baseline MCT."""
@@ -66,7 +90,7 @@ class TestMCTEvaluation:
         assert mcts.shape == (200,)
 
     def test_positive_dl_slows(self, mc):
-        n_gates = len(mc._order)
+        n_gates = mc.graph.n
         slow = mc.mct_samples(np.full((1, n_gates), 3.0))[0]
         fast = mc.mct_samples(np.full((1, n_gates), -3.0))[0]
         assert fast < mc.nominal_mct() < slow
@@ -75,12 +99,72 @@ class TestMCTEvaluation:
         with pytest.raises(ValueError, match="gate columns"):
             mc.mct_samples(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_dl_rejected(self, mc, bad):
+        dl = np.zeros((2, mc.graph.n))
+        dl[1, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            mc.mct_samples(dl)
+
     def test_dose_map_shifts_distribution(self, ctx, mc):
         res = optimize_dose_map(ctx, 10.0, mode="qcp")
         dl = mc.sample_dl(VariationModel(seed=3), 100)
         base = mc.mct_samples(dl)
         opt = mc.mct_samples(dl, dose_map=res.dose_map_poly)
         assert opt.mean() < base.mean()
+
+
+def _per_gate_loop_mct(ctx, dl_nm, dose_map):
+    """Reference: the netlist walk with one Python step per gate."""
+    nl, lib, base = ctx.netlist, ctx.library, ctx.baseline
+    order = nl.topological_order(lib)
+    index = {name: i for i, name in enumerate(order)}
+    shift = np.array(
+        [lib.dose_to_dl(dose_map.dose_of_gate(ctx.placement, g)) for g in order]
+    )
+    t0 = np.array([base.gate_delay[g] for g in order])
+    a = np.array([ctx.delay_fit_for(g).a for g in order])
+    delays = np.maximum(t0[None, :] + a[None, :] * (dl_nm + shift), 0.0)
+    arrival = np.zeros_like(delays)
+    mct = np.zeros(len(dl_nm))
+    seq = [lib.cell(nl.gates[g].master).is_sequential for g in order]
+    for i, name in enumerate(order):
+        pins = [
+            arrival[:, index[drv]] + base.wire_delay.get((drv, name), 0.0)
+            for drv in nl.fanin_gates(name)
+        ]
+        arrival[:, i] = delays[:, i]
+        if pins and not seq[i]:
+            arrival[:, i] += np.max(pins, axis=0)
+        if nl.nets[nl.gates[name].output].is_primary_output:
+            mct = np.maximum(mct, arrival[:, i])
+    for i, name in enumerate(order):
+        if seq[i]:
+            setup = lib.cell(nl.gates[name].master).setup_ns
+            for drv in nl.fanin_gates(name):
+                wd = base.wire_delay.get((drv, name), 0.0)
+                mct = np.maximum(mct, arrival[:, index[drv]] + (wd + setup))
+    return mct
+
+
+class TestAgainstPerGateLoop:
+    def test_bit_identical_to_per_gate_loop(self, ctx, mc):
+        """Level-by-level propagation on the compiled graph uses only max
+        and add on the loop's operands, so it reproduces the loop
+        exactly, with and without a dose map."""
+        place = ctx.placement
+        part = GridPartition(place.die.width, place.die.height, 10.0)
+        rng = np.random.default_rng(0)
+        dose_map = DoseMap(part, values=rng.uniform(-5, 5, (part.m, part.n)))
+        dl = mc.sample_dl(VariationModel(seed=7), 64)
+        zero_map = DoseMap(part)
+        assert np.array_equal(
+            mc.mct_samples(dl), _per_gate_loop_mct(ctx, dl, zero_map)
+        )
+        assert np.array_equal(
+            mc.mct_samples(dl, dose_map),
+            _per_gate_loop_mct(ctx, dl, dose_map),
+        )
 
 
 class TestYield:
@@ -102,6 +186,13 @@ class TestYield:
         with pytest.raises(ValueError, match="no samples"):
             timing_yield(np.array([]), 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            timing_yield([bad, 1.0], 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            yield_curve(np.array([1.0, bad]), [0.5, 2.0])
+
     def test_dmopt_improves_timing_yield(self, ctx, mc):
         """The title claim, measured directly: yield at the baseline MCT
         target improves under the optimized dose map."""
@@ -113,3 +204,50 @@ class TestYield:
             mc.mct_samples(dl, dose_map=res.dose_map_poly), target
         )
         assert y_opt > y_base
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (design, backend)
+        for design in ("AES-65", "JPEG-65", "AES-90", "JPEG-90")
+        for backend in ("vector", "reference")
+    ],
+    ids=lambda p: f"{p[0]}-{p[1]}",
+)
+def backend_ctx(request):
+    design, backend = request.param
+    ctx = DesignContext(make_design(design, scale=0.3), sta_backend=backend)
+    return backend, ctx
+
+
+class TestEnginesAgreeAtZeroVariation:
+    """Without variation, Monte Carlo, SSTA and leakage Monte Carlo all
+    reproduce the golden baseline they linearize, on either STA backend."""
+
+    def test_one_timing_graph_per_context(self, backend_ctx):
+        backend, ctx = backend_ctx
+        if backend == "vector":
+            assert ctx.timing_graph is ctx.analyzer.graph
+        # sample columns keep the netlist's topological order
+        assert ctx.timing_graph.names == ctx.netlist.topological_order(
+            ctx.library
+        )
+
+    def test_monte_carlo_nominal_is_golden(self, backend_ctx):
+        _backend, ctx = backend_ctx
+        assert TimingMonteCarlo(ctx).nominal_mct() == pytest.approx(
+            ctx.baseline.mct, rel=1e-12
+        )
+
+    def test_ssta_without_variation_is_golden(self, backend_ctx):
+        _backend, ctx = backend_ctx
+        mct = SSTA(ctx, VariationModel(0, 0)).analyze()
+        assert mct.mean == pytest.approx(ctx.baseline.mct, rel=1e-12)
+        assert mct.sigma == 0.0
+
+    def test_leakage_monte_carlo_nominal_is_golden(self, backend_ctx):
+        _backend, ctx = backend_ctx
+        assert LeakageMonteCarlo(ctx).nominal_leakage() == pytest.approx(
+            ctx.baseline_leakage, rel=1e-12
+        )
