@@ -11,7 +11,9 @@ across PRs:
 ``trial_swap``
     Per-swap trial timing inside a dosePl-style loop: swap two cells,
     re-time, undo.  Reference backend = full re-analysis; vector
-    backend = ``update_placement`` + incremental ``trial_mct``.
+    backend = ``update_placement`` + incremental ``trial_mct``, undone
+    with ``update_placement`` + ``revert_trial`` as dosePl undoes a
+    rejected swap.
 ``dosepl_e2e``
     The dosePl pass end-to-end on a scaled-down design, per backend.
 
@@ -112,8 +114,8 @@ def bench_trial_swap(design: str, scale: float, n_swaps: int) -> dict:
         vec.trial_mct()
         placement.swap(a, b)
         vec.update_placement((a, b))
-        vec.trial_mct()
-    t_vec = (time.perf_counter() - t0) / (2 * n_swaps)
+        vec.revert_trial()
+    t_vec = (time.perf_counter() - t0) / n_swaps
 
     return {
         "design": design,

@@ -139,11 +139,25 @@ class CertificationError(AssertionError):
         super().__init__(prefix + report.summary())
 
 
+def _non_finite(family: str, layer_name: str, v) -> FamilyCheck:
+    """A failed check naming the first non-finite dose of a map."""
+    i, j = np.unravel_index(int(np.argmin(np.isfinite(v))), v.shape)
+    return FamilyCheck(
+        family=family,
+        worst=float("inf"),
+        tol=TOL_SNAP,
+        ok=False,
+        detail=f"{layer_name} grid ({i},{j}) dose {v[i, j]} is not finite",
+    )
+
+
 def _check_dose_range(maps, dose_range: float) -> FamilyCheck:
     worst = 0.0
     where = ""
     for layer_name, dm in maps:
         v = np.asarray(dm.values, dtype=float)
+        if not np.isfinite(v).all():
+            return _non_finite(FAMILY_DOSE_RANGE, layer_name, v)
         excess = float(np.max(np.abs(v))) - dose_range
         if excess > worst:
             worst = excess
@@ -164,6 +178,8 @@ def _check_smoothness(maps, smoothness: float, seam_pairs) -> FamilyCheck:
     for layer_name, dm in maps:
         part = dm.partition
         v = np.asarray(dm.values, dtype=float)
+        if not np.isfinite(v).all():
+            return _non_finite(FAMILY_SMOOTHNESS, layer_name, v)
         pairs = list(part.neighbor_pairs()) + list(seam_pairs)
         for (i1, j1), (i2, j2) in pairs:
             step = abs(v[i1, j1] - v[i2, j2])

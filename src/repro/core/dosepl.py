@@ -103,11 +103,11 @@ def _cell_leakage(ctx, gate_name: str, dose: float) -> float:
 
 def _try_round(
     ctx, dose_map, trial, result, cfg, fixed, stats,
-    timer=None, doses=None, trial_best=None,
+    timer=None, trial_best=None,
 ):
     """One round of cell swapping, applied to ``trial`` in place.
 
-    ``timer``/``doses``/``trial_best`` are the persistent incremental
+    ``timer``/``trial_best`` are the persistent incremental
     trial-STA state owned by :func:`run_dosepl` (hoisted out of the
     round so the engine's compiled geometry survives across rounds):
     after each candidate swap only the dirty fanout cone is re-timed,
@@ -116,7 +116,9 @@ def _try_round(
     on a doomed swap.
 
     Returns ``(swaps_done, trial_best)``; rejected candidates are undone
-    in place, so ``trial`` holds exactly the accepted swaps.
+    in place, so ``trial`` holds exactly the accepted swaps, and the
+    timer reverts its pass over a rejected swap (``revert_trial``)
+    instead of re-timing the cone.
     """
     nl = ctx.netlist
     partition = dose_map.partition
@@ -217,9 +219,7 @@ def _try_round(
                         if m >= trial_best - 1e-12:
                             trial.swap(cell, cand)  # undo
                             timer.update_placement((cell, cand))
-                            timer.trial_mct(
-                                {cell: doses[cell], cand: doses[cand]}
-                            )
+                            timer.revert_trial()
                             stats["trial_rejected"] += 1
                             # The closest statically-feasible partner in
                             # this grid doesn't improve MCT; move on to
@@ -227,7 +227,6 @@ def _try_round(
                             # on farther siblings.
                             break
                         trial_best = m
-                        doses[cell], doses[cand] = upd[cell], upd[cand]
                     swaps_done += 1
                     n_swapped_on_path[p_idx] = n_swapped_on_path.get(p_idx, 0) + 1
                     stats["swapped_cells"].update((cell, cand))
@@ -241,7 +240,7 @@ def _try_round(
     return swaps_done, trial_best
 
 
-def _resync_trial_state(ctx, dose_map, work, target, timer, doses):
+def _resync_trial_state(ctx, dose_map, work, target, timer):
     """Make ``work`` (and the hoisted trial timer) match ``target``.
 
     Used after every round: on accept, ``target`` is the legalized
@@ -269,7 +268,6 @@ def _resync_trial_state(ctx, dose_map, work, target, timer, doses):
     for name in moved:
         dp = ctx.library.snap_dose(dose_map.dose_of_gate(work, name))
         upd[name] = (dp, 0.0)
-        doses[name] = upd[name]
     return timer.trial_mct(upd)
 
 
@@ -309,16 +307,14 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
     # accept/rollback instead of being rebuilt from scratch.
     work = place.copy()
     timer = ctx.trial_timer(work) if cfg.trial_sta else None
-    doses = None
     work_mct = None
     if timer is not None:
-        doses = ctx.gate_doses(dose_map, placement=work)
-        work_mct = timer.mct(doses)
+        work_mct = timer.mct(ctx.gate_doses(dose_map, placement=work))
 
     for rnd in range(1, cfg.rounds + 1):
         swaps_done, work_mct = _try_round(
             ctx, dose_map, work, golden, cfg, fixed, stats,
-            timer=timer, doses=doses, trial_best=work_mct,
+            timer=timer, trial_best=work_mct,
         )
         if swaps_done == 0:
             history.append((rnd, best_mct, best_leak))
@@ -340,7 +336,7 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
             fixed.update(stats["swapped_cells"])
         stats["swapped_cells"] = set()
         work_mct = _resync_trial_state(
-            ctx, dose_map, work, place, timer, doses
+            ctx, dose_map, work, place, timer
         )
         history.append((rnd, best_mct, best_leak))
         telemetry.emit("dosepl_round", round=rnd, swaps=swaps_done,

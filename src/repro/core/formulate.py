@@ -574,13 +574,7 @@ def _assemble_vector(
     n_vars = idx_T + 1
     inf = np.inf
 
-    # grid assignment, replicating GridPartition.grid_of element-wise
-    gj = np.clip(
-        (arrs.x / partition.cell_width).astype(np.int64), 0, partition.n - 1
-    )
-    gi = np.clip(
-        (arrs.y / partition.cell_height).astype(np.int64), 0, partition.m - 1
-    )
+    gi, gj = partition.grid_of(arrs.x, arrs.y)
     grid_k = gi * partition.n + gj
     gate_grid = dict(zip(arrs.names, grid_k.tolist()))
 

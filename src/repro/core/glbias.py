@@ -29,6 +29,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.power import total_leakage
 
 
@@ -61,6 +63,12 @@ class GLBiasResult:
             / self.baseline_leakage
             * 100.0
         )
+
+
+def _snapped(lib, doses) -> dict:
+    """Per-gate (snapped poly dose, 0) for a (poly, active) dose dict."""
+    poly = lib.snap_dose(np.array([dp for dp, _da in doses.values()]))
+    return dict(zip(doses, ((dp, 0.0) for dp in poly.tolist())))
 
 
 def bias_gate_lengths(
@@ -133,10 +141,9 @@ def bias_gate_lengths(
             moved += 1
         if moved == 0:
             break
-        snapped = {
-            g: (lib.snap_dose(dp), 0.0) for g, (dp, _da) in doses.items()
-        }
-        result = ctx.analyzer.analyze(doses=snapped, clock_period=tau)
+        result = ctx.analyzer.analyze(
+            doses=_snapped(lib, doses), clock_period=tau
+        )
 
     # safety trim: while the bound is violated, un-bias cells that sit on
     # violating paths (negative slack), one step per round
@@ -146,14 +153,11 @@ def bias_gate_lengths(
         for g in nl.gates:
             if result.slack[g] < 0 and doses[g][0] < 0:
                 doses[g] = (min(doses[g][0] - bias_step, 0.0), 0.0)
-        snapped = {
-            g: (lib.snap_dose(dp), 0.0) for g, (dp, _da) in doses.items()
-        }
-        result = ctx.analyzer.analyze(doses=snapped, clock_period=tau)
+        result = ctx.analyzer.analyze(
+            doses=_snapped(lib, doses), clock_period=tau
+        )
 
-    final_doses = {
-        g: (lib.snap_dose(dp), 0.0) for g, (dp, _da) in doses.items()
-    }
+    final_doses = _snapped(lib, doses)
     final = ctx.analyzer.analyze(doses=final_doses)
     leak = total_leakage(nl, lib, final_doses)
     return GLBiasResult(

@@ -8,6 +8,8 @@ and the input slews / output capacitances of all cells.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.fitting import DelayFitter, LeakageFitter
 from repro.netlist.designs import DesignBundle, make_design
 from repro.placement import place_design
@@ -165,19 +167,15 @@ class DesignContext:
         the paper's rounding step before golden signoff.
         """
         place = placement if placement is not None else self.placement
-        doses = {}
-        for name in self.netlist.gates:
-            dp = dose_map_poly.dose_of_gate(place, name) if dose_map_poly else 0.0
-            da = (
-                dose_map_active.dose_of_gate(place, name)
-                if dose_map_active is not None
-                else 0.0
-            )
-            if snap:
-                dp = self.library.snap_dose(dp)
-                da = self.library.snap_dose(da)
-            doses[name] = (dp, da)
-        return doses
+        names = list(self.netlist.gates)
+        layers = []
+        for dose_map in (dose_map_poly, dose_map_active):
+            if dose_map is None:
+                layers.append(np.zeros(len(names)))
+                continue
+            dose = dose_map.doses_of_gates(place, names)
+            layers.append(self.library.snap_dose(dose) if snap else dose)
+        return dict(zip(names, zip(layers[0].tolist(), layers[1].tolist())))
 
     def golden_eval(self, dose_map_poly, dose_map_active=None, placement=None,
                     snap: bool = True):

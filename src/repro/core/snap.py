@@ -36,7 +36,7 @@ def snap_dose_map(dose_map: DoseMap, library, mode: str = SNAP_NEAREST) -> DoseM
       solution).
     """
     if mode == SNAP_NEAREST:
-        snapped = np.vectorize(library.snap_dose)(dose_map.values)
+        snapped = library.snap_dose(dose_map.values)
     elif mode in (SNAP_CEIL, SNAP_FLOOR):
         rounder = math.ceil if mode == SNAP_CEIL else math.floor
 

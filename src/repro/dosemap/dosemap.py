@@ -36,18 +36,29 @@ class DoseMap:
                     f"values shape {values.shape} does not match partition "
                     f"({partition.m}, {partition.n})"
                 )
+            if not np.isfinite(values).all():
+                raise ValueError("dose map values must be finite")
             self.values = values.copy()
 
     # ------------------------------------------------------------------
-    def dose_at(self, x: float, y: float) -> float:
-        """Delta dose (%) at a field location."""
+    def dose_at(self, x, y):
+        """Delta dose (%) at a field location (a float), or at arrays of
+        locations (an array)."""
         i, j = self.partition.grid_of(x, y)
-        return float(self.values[i, j])
+        dose = self.values[i, j]
+        return float(dose) if np.ndim(dose) == 0 else dose
 
     def dose_of_gate(self, placement, gate_name: str) -> float:
         """Delta dose (%) applied to a placed gate."""
         x, y = placement.location(gate_name)
         return self.dose_at(x, y)
+
+    def doses_of_gates(self, placement, gate_names) -> np.ndarray:
+        """Delta dose (%) of each named placed gate, as an array."""
+        xy = np.array(
+            [placement.location(g) for g in gate_names], dtype=float
+        ).reshape(-1, 2)
+        return self.dose_at(xy[:, 0], xy[:, 1])
 
     def from_flat(self, flat) -> "DoseMap":
         """New map with values from a flat (row-major) vector."""
@@ -66,11 +77,17 @@ class DoseMap:
     # equipment feasibility (paper constraints (3)-(4) / (8)-(9))
     # ------------------------------------------------------------------
     def range_violations(self, bound: float = DEFAULT_DOSE_RANGE) -> float:
-        """Largest violation of |d| <= bound (0 when feasible)."""
+        """Largest violation of |d| <= bound (0 when feasible, inf when
+        a value is not finite)."""
+        if not np.isfinite(self.values).all():
+            return float("inf")
         return float(max(0.0, np.max(np.abs(self.values)) - bound))
 
     def smoothness_violations(self, delta: float = DEFAULT_SMOOTHNESS) -> float:
-        """Largest violation of the neighbor smoothness bound."""
+        """Largest violation of the neighbor smoothness bound (inf when a
+        value is not finite)."""
+        if not np.isfinite(self.values).all():
+            return float("inf")
         worst = 0.0
         v = self.values
         for (i1, j1), (i2, j2) in self.partition.neighbor_pairs():

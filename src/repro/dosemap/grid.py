@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class GridPartition:
@@ -71,11 +73,26 @@ class GridPartition:
     def cell_height(self) -> float:
         return self.height / self.m
 
-    def grid_of(self, x: float, y: float) -> tuple:
-        """(i, j) grid indices containing point (x, y), clamped to field."""
-        j = min(self.n - 1, max(0, int(x / self.cell_width)))
-        i = min(self.m - 1, max(0, int(y / self.cell_height)))
-        return i, j
+    def grid_of(self, x, y) -> tuple:
+        """(i, j) grid indices containing point(s) (x, y), clamped to field.
+
+        Scalar coordinates give a pair of ints; coordinate arrays give a
+        pair of int arrays, one index per point.  Non-finite coordinates
+        raise ``ValueError``.
+        """
+        xy = np.array((x, y), dtype=float)
+        if not np.isfinite(xy).all():
+            raise ValueError("grid_of needs finite coordinates")
+        size = np.array([[self.cell_width], [self.cell_height]])
+        top = np.array([[self.n - 1], [self.m - 1]], dtype=float)
+        # clamp before truncating: a far-outside coordinate must not
+        # overflow the integer conversion
+        jj, ii = np.minimum(
+            np.maximum(xy.reshape(2, -1) / size, 0.0), top
+        ).astype(np.int64)
+        if xy.ndim == 1:
+            return int(ii[0]), int(jj[0])
+        return ii.reshape(np.shape(y)), jj.reshape(np.shape(x))
 
     def index_of(self, i: int, j: int) -> int:
         """Flat index of grid (i, j), row-major."""
@@ -106,10 +123,12 @@ class GridPartition:
 
     def assign_gates(self, placement) -> dict:
         """Map every placed gate to its flat grid index."""
-        return {
-            name: self.index_of(*self.grid_of(x, y))
-            for name, (x, y) in placement.items()
-        }
+        names = [name for name, _loc in placement.items()]
+        xy = np.array(
+            [loc for _name, loc in placement.items()], dtype=float
+        ).reshape(-1, 2)
+        i, j = self.grid_of(xy[:, 0], xy[:, 1])
+        return dict(zip(names, (i * self.n + j).tolist()))
 
     def __repr__(self):
         return (

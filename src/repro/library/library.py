@@ -87,10 +87,23 @@ class CellLibrary:
         n = int(round(self.dose_range / DOSE_STEP))
         return np.arange(-n, n + 1) * DOSE_STEP
 
-    def snap_dose(self, dose_percent: float) -> float:
-        """Snap a continuous dose to the nearest characterized variant."""
-        clipped = min(max(float(dose_percent), -self.dose_range), self.dose_range)
-        return round(clipped / DOSE_STEP) * DOSE_STEP
+    def snap_dose(self, dose_percent):
+        """Snap continuous dose(s) to the nearest characterized variant.
+
+        A scalar gives a float, an array an array of the same shape.
+        Ties round half to even (as ``round`` does), and a dose that
+        snaps to zero gives ``0.0``, never ``-0.0``.  NaN raises
+        ``ValueError``; +-inf clip to the characterized range.
+        """
+        d = np.asarray(dose_percent, dtype=float)
+        if np.isnan(d).any():
+            raise ValueError("cannot snap a NaN dose")
+        snapped = (
+            np.rint(np.clip(d, -self.dose_range, self.dose_range) / DOSE_STEP)
+            * DOSE_STEP
+            + 0.0
+        )
+        return float(snapped) if snapped.ndim == 0 else snapped
 
     # ------------------------------------------------------------------
     # characterized variants

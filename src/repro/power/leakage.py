@@ -34,7 +34,20 @@ def total_leakage(netlist, library, doses=None) -> float:
             library.nominal(master).leakage_uw * count
             for master, count in netlist.master_histogram().items()
         )
-    return sum(gate_leakage(netlist, library, g, doses) for g in netlist.gates)
+    # memoized per (master, doses) within the call; summed in gate order
+    memo: dict = {}
+    leaks = []
+    get = doses.get
+    for name, gate in netlist.gates.items():
+        dp, da = get(name, (0.0, 0.0))
+        key = (gate.master, dp, da)
+        leak = memo.get(key)
+        if leak is None:
+            leak = memo[key] = library.characterized(
+                gate.master, dp, da
+            ).leakage_uw
+        leaks.append(leak)
+    return sum(leaks)
 
 
 def leakage_by_master(netlist, library, doses=None) -> dict:

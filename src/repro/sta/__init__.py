@@ -45,7 +45,8 @@ def make_analyzer(netlist, library, placement, backend: str = None, **kwargs):
     ``backend`` defaults to :data:`DEFAULT_STA_BACKEND`.  Both engines
     share the ``analyze(doses, clock_period) -> TimingResult`` contract;
     only the ``vector`` engine additionally offers ``rebind``,
-    ``update_placement`` and ``trial_mct``.
+    ``update_placement``, ``mct``, ``trial_mct`` and ``revert_trial``
+    (undo the last forward pass, e.g. a rejected trial swap).
     """
     name = DEFAULT_STA_BACKEND if backend is None else backend
     try:

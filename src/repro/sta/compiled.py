@@ -11,7 +11,8 @@ interpolation over the stacked tables).
 On top of the full vectorized pass it supports **incremental re-timing**:
 after a placement move or a per-gate dose change, only the dirty fanout
 cone is re-propagated and only the affected net loads are rebuilt, so a
-dosePl trial swap costs O(cone) instead of O(design).
+dosePl trial swap costs O(cone) instead of O(design), and a rejected
+swap is undone by ``revert_trial`` from the pass's undo log.
 
 Numerical contract: every arithmetic expression mirrors the reference
 engine operation-for-operation (same association order, same clamping,
@@ -31,28 +32,43 @@ from repro.sta.timing import DEFAULT_INPUT_SLEW, DEFAULT_PO_LOAD, TimingResult
 #: saves).
 _INCREMENTAL_DIRTY_LIMIT = 0.35
 
+#: Per-gate state arrays a forward pass writes at the gates it re-times.
+_CONE_KEYS = ("arrival", "gate_delay", "in_slew", "out_slew")
 
-def _bilinear(tab, sx, lx, s, c):
-    """Vectorized clamped bilinear interpolation.
 
-    ``tab`` is (m, S, L); ``sx``/``lx`` are the per-row axes (m, S) and
-    (m, L); ``s``/``c`` are the query points (m,).  Replicates
-    :meth:`repro.library.nldm.NLDMTable.lookup` exactly.
+def _bilinear_weights(sx, lx, s, c):
+    """Cell indices and weights of a vectorized clamped bilinear lookup.
+
+    ``sx``/``lx`` are the per-row axes (m, S) and (m, L); ``s``/``c``
+    are the query points (m,).  Returns ``(i, j, fs, fc)``: the lower
+    corner of each row's table cell and the fractional positions in it.
+    Every table sharing the axes is then read with
+    :func:`_bilinear_gather`, so the search runs once per query.
     """
     s = np.clip(s, sx[:, 0], sx[:, -1])
     c = np.clip(c, lx[:, 0], lx[:, -1])
     i = np.clip((sx <= s[:, None]).sum(axis=1) - 1, 0, sx.shape[1] - 2)
     j = np.clip((lx <= c[:, None]).sum(axis=1) - 1, 0, lx.shape[1] - 2)
-    r = np.arange(tab.shape[0])
+    r = np.arange(sx.shape[0])
     s0, s1 = sx[r, i], sx[r, i + 1]
     c0, c1 = lx[r, j], lx[r, j + 1]
     fs = (s - s0) / (s1 - s0)
     fc = (c - c0) / (c1 - c0)
+    return i, j, fs, fc
+
+
+def _bilinear_gather(tab, rows, i, j, fs, fc):
+    """Interpolate ``tab[rows]`` at the :func:`_bilinear_weights` point.
+
+    ``tab`` is the (V, S, L) table stack and ``rows`` picks one table
+    per query.  Replicates :meth:`repro.library.nldm.NLDMTable.lookup`
+    exactly.
+    """
     return (
-        tab[r, i, j] * (1 - fs) * (1 - fc)
-        + tab[r, i + 1, j] * fs * (1 - fc)
-        + tab[r, i, j + 1] * (1 - fs) * fc
-        + tab[r, i + 1, j + 1] * fs * fc
+        tab[rows, i, j] * (1 - fs) * (1 - fc)
+        + tab[rows, i + 1, j] * fs * (1 - fc)
+        + tab[rows, i, j + 1] * (1 - fs) * fc
+        + tab[rows, i + 1, j + 1] * fs * fc
     )
 
 
@@ -330,13 +346,20 @@ class CompiledTimingGraph:
         """Per-gate variant-id array for a dose assignment dict."""
         if doses is None:
             return self.nominal_vids
-        vids = np.empty(self.n, dtype=np.int64)
+        # memoized per (master, doses) within the call; variants still
+        # register in first-encounter gate order
+        memo: dict = {}
+        vids = []
         vid = self.stack.vid
         get = doses.get
-        for i, name in enumerate(self.names):
+        for name, master in zip(self.names, self.masters):
             dp, da = get(name, (0.0, 0.0))
-            vids[i] = vid(self.masters[i], dp, da)
-        return vids
+            key = (master, dp, da)
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = vid(master, dp, da)
+            vids.append(v)
+        return np.array(vids, dtype=np.int64)
 
 
 class VectorTimingAnalyzer:
@@ -355,6 +378,11 @@ class VectorTimingAnalyzer:
         Forward-only (no slacks, no dict building) MCT evaluation; with
         a cached state this re-propagates only the dirty cone -- the
         dosePl per-swap trial timer.
+    ``revert_trial()``
+        Undo the last forward pass from its undo log (the old variant
+        ids, pin caps and net loads it rebuilt, and the per-gate state
+        of its cone; the previous state itself after a full pass), so a
+        rejected trial swap is not re-timed to be undone.
     """
 
     def __init__(
@@ -383,6 +411,8 @@ class VectorTimingAnalyzer:
         self._order = graph.names
         self._is_seq = dict(zip(graph.names, graph.is_seq.tolist()))
         self._state = None
+        #: What the last forward pass overwrote, for ``revert_trial``.
+        self._undo = None
         self._moved_pending: set = set()
         self._geometry_full()
 
@@ -586,9 +616,9 @@ class VectorTimingAnalyzer:
         slew_in = np.where(valid, st["out_slew"][src], self.input_slew)
         best_arr, best_slew = lex_max_reduce(arr_in, slew_in, starts_local, seg_local)
         vids = st["vids"][ids]
-        ld = st["loads"][ids]
-        dly = _bilinear(d_tab[vids], sax[vids], lax[vids], best_slew, ld)
-        slw = _bilinear(s_tab[vids], sax[vids], lax[vids], best_slew, ld)
+        w = _bilinear_weights(sax[vids], lax[vids], best_slew, st["loads"][ids])
+        dly = _bilinear_gather(d_tab, vids, *w)
+        slw = _bilinear_gather(s_tab, vids, *w)
         st["arrival"][ids] = best_arr + dly
         st["gate_delay"][ids] = dly
         st["in_slew"][ids] = best_slew
@@ -657,6 +687,17 @@ class VectorTimingAnalyzer:
         st = self._state
         d_tab, s_tab, sax, lax, cap_v, setup_v = g.stack.arrays()
         cap = cap_v[vids]
+        ld_ids = np.fromiter(load_dirty, dtype=np.int64, count=len(load_dirty))
+        pos_all = np.sort(
+            g.pos_of[np.fromiter(dirty, dtype=np.int64, count=len(dirty))]
+        )
+        cone = g.perm[pos_all]
+        # the undo log: vids/cap are replaced below, not written into,
+        # so the old arrays are kept as they are
+        self._undo = (
+            "cone", st["vids"], st["cap"], ld_ids, st["loads"][ld_ids], cone,
+            [(key, st[key][cone]) for key in _CONE_KEYS],
+        )
         st["vids"] = vids.copy()
         st["cap"] = cap
         loads = st["loads"]
@@ -669,8 +710,7 @@ class VectorTimingAnalyzer:
                 v = v + self.po_load
             loads[gid] = v
         if dirty:
-            pos_all = np.sort(g.pos_of[np.fromiter(dirty, dtype=np.int64)])
-            levels = g.level[g.perm[pos_all]]
+            levels = g.level[cone]
             stacks = (d_tab, s_tab, sax, lax)
             for lv in np.unique(levels):
                 pos = pos_all[levels == lv]
@@ -687,17 +727,41 @@ class VectorTimingAnalyzer:
     def _ensure_forward(self, vids):
         from repro.obs import metrics
 
-        if self._state is None:
-            metrics.inc("sta.full_retime")
-            self._forward_full(vids)
-            return
-        dirty, load_dirty = self._dirty_cone(vids)
+        dirty = None
+        if self._state is not None:
+            dirty, load_dirty = self._dirty_cone(vids)
         if dirty is None:
             metrics.inc("sta.full_retime")
+            # a full pass builds a new state dict: the old one is the log
+            self._undo = ("full", self._state)
             self._forward_full(vids)
         else:
             metrics.inc("sta.incremental_retime")
             self._forward_incremental(vids, dirty, load_dirty)
+
+    def revert_trial(self) -> None:
+        """Undo the last forward pass (``trial_mct``, ``mct``, ``analyze``).
+
+        Restores the cached timing state to what it was before that pass
+        and drops pending placement updates.  Call it after putting the
+        moved cells back and refreshing their geometry with
+        ``update_placement``: the restored state is then the one a
+        re-timing pass would compute, without the pass.  One pass can be
+        undone once.
+        """
+        undo, self._undo = self._undo, None
+        if undo is None:
+            raise RuntimeError("revert_trial: no forward pass to undo")
+        if undo[0] == "full":
+            self._state = undo[1]
+        else:
+            _kind, vids, cap, ld_ids, loads, cone, saved = undo
+            st = self._state
+            st["vids"], st["cap"] = vids, cap
+            st["loads"][ld_ids] = loads
+            for key, values in saved:
+                st[key][cone] = values
+        self._moved_pending = set()
 
     # ------------------------------------------------------------------
     # endpoints / backward

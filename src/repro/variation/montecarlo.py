@@ -107,11 +107,8 @@ def gate_dose_shift_nm(ctx, dose_map) -> np.ndarray:
     names = ctx.timing_graph.names
     if dose_map is None:
         return np.zeros(len(names))
-    lib = ctx.library
-    place = ctx.placement
-    return np.array(
-        [lib.dose_to_dl(dose_map.dose_of_gate(place, g)) for g in names]
-    )
+    doses = dose_map.doses_of_gates(ctx.placement, names)
+    return np.array([ctx.library.dose_to_dl(d) for d in doses.tolist()])
 
 
 def check_dl(dl_nm, n_gates: int) -> np.ndarray:

@@ -194,3 +194,31 @@ class TestTelemetry:
         cert = [e for e in events if e["event"] == "certify"]
         assert len(cert) == 1
         assert cert[0]["ok"] is True and cert[0]["mode"] == "qcp"
+
+
+class TestNonFiniteDoseMap:
+    """A NaN dose must fail the range and smoothness families (``nan >
+    worst`` is False, so a plain max would miss it)."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_range_and_smoothness_flag_non_finite(self, ctx, bad):
+        from repro.core.certify import _check_dose_range, _check_smoothness
+        from repro.dosemap import DoseMap, GridPartition
+
+        die = ctx.placement.die
+        dm = DoseMap(GridPartition(die.width, die.height, 20.0))
+        dm.values[1, 0] = bad
+        maps = [("poly", dm)]
+        for check in (
+            _check_dose_range(maps, 5.0),
+            _check_smoothness(maps, 2.0, []),
+        ):
+            assert not check.ok
+            assert check.worst == float("inf")
+            assert "poly grid (1,0)" in check.detail
+
+    def test_certify_refuses_nan_map(self, ctx):
+        res = optimize_dose_map(ctx, 30.0, mode="qcp")
+        res.dose_map_poly.values[0, 0] = float("nan")
+        with pytest.raises(ValueError, match="NaN"):
+            certify_result(ctx, res)

@@ -202,3 +202,92 @@ class TestProfiles:
             fit_actuators(np.zeros((4, 4)), slit_order=9)
         with pytest.raises(ValueError):
             fit_actuators(np.zeros(4))
+
+class TestNonFinite:
+    """A NaN/inf dose must never read as an in-range, smooth map."""
+
+    def _partition(self):
+        return GridPartition(width=40.0, height=30.0, g=10.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects(self, bad):
+        p = self._partition()
+        vals = np.zeros((p.m, p.n))
+        vals[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DoseMap(p, values=vals)
+
+    def test_from_flat_rejects(self):
+        dm = DoseMap(self._partition())
+        flat = dm.flat()
+        flat[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            dm.from_flat(flat)
+
+    def test_mutated_map_is_infeasible(self):
+        dm = DoseMap(self._partition())
+        dm.values[0, 0] = np.nan
+        assert dm.range_violations() == np.inf
+        assert dm.smoothness_violations() == np.inf
+        assert not dm.is_feasible()
+
+
+class TestVectorLookup:
+    """``grid_of``/``dose_at`` take coordinate arrays with the scalar
+    semantics: truncation toward the lower grid, clamped to the field."""
+
+    @staticmethod
+    def _reference_grid_of(p, x, y):
+        j = min(p.n - 1, max(0, int(x / p.cell_width)))
+        i = min(p.m - 1, max(0, int(y / p.cell_height)))
+        return i, j
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(-100.0, 200.0),
+                    st.sampled_from([0.0, 12.5, 25.0, 87.5, 100.0, -0.0]),
+                    st.floats(-1e300, 1e300),
+                ),
+                st.one_of(
+                    st.floats(-50.0, 100.0),
+                    st.sampled_from([0.0, 7.5, 15.0, 45.0, 60.0]),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_arrays_match_scalar_reference(self, points):
+        p = GridPartition(width=100.0, height=60.0, g=12.5)
+        xs = np.array([x for x, _ in points])
+        ys = np.array([y for _, y in points])
+        ii, jj = p.grid_of(xs, ys)
+        for k, (x, y) in enumerate(points):
+            ref = self._reference_grid_of(p, x, y)
+            assert (int(ii[k]), int(jj[k])) == ref
+            got = p.grid_of(x, y)
+            assert got == ref and all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        p = GridPartition(width=100.0, height=60.0, g=12.5)
+        with pytest.raises(ValueError, match="finite"):
+            p.grid_of(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            p.grid_of(np.array([1.0, 2.0]), np.array([1.0, bad]))
+
+    def test_doses_of_gates(self):
+        p = GridPartition(width=20.0, height=3.6, g=5.0)
+        die = Die(width=20.0, height=3.6, row_height=1.8, site_width=0.2)
+        pl = Placement(die)
+        for k, x in enumerate((0.0, 5.0, 12.0, 20.0)):
+            pl.place(f"g{k}", x, 1.8 * (k % 2))
+        dm = DoseMap(p, values=np.arange(p.n_grids, dtype=float).reshape(
+            p.m, p.n))
+        names = ["g3", "g0", "g2", "g1"]
+        doses = dm.doses_of_gates(pl, names)
+        assert doses.tolist() == [dm.dose_of_gate(pl, g) for g in names]
+        assert dm.doses_of_gates(pl, []).shape == (0,)

@@ -227,6 +227,128 @@ class TestIncrementalRetiming:
             vec.trial_mct()
 
 
+_STATE_KEYS = ("arrival", "out_slew", "gate_delay", "in_slew", "loads",
+               "vids", "cap")
+
+
+def _state_equal(vec, fresh):
+    for key in _STATE_KEYS:
+        assert np.array_equal(vec._state[key], fresh._state[key]), key
+
+
+def _largest_cone_gate(graph):
+    """The gate whose combinational fanout cone is largest."""
+    best, best_size = None, -1
+    for gid in range(graph.n):
+        seen, stack = set(), [gid]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(graph.comb_fanout[v])
+        if len(seen) > best_size:
+            best, best_size = gid, len(seen)
+    return graph.names[best], best_size
+
+
+def _swap_accept_reject(nl, lib, pl, seed, n_steps, big_cone_every=0,
+                        wide_every=0):
+    """Random swap + dose trials, each accepted or reverted; after every
+    step the cached state equals a from-scratch pass bit for bit.
+
+    Every ``big_cone_every``-th swap moves the gate with the largest
+    fanout cone; every ``wide_every``-th trial also re-doses 40 % of the
+    gates, past the incremental engine's full-pass limit.  Returns the
+    kind of each trial pass ("cone" or "full")."""
+    rng = random.Random(seed)
+    placed = [g for g in nl.gates if pl.is_placed(g)]
+    doses = random_doses(nl, lib, seed=seed, fraction=0.5)
+    vec = VectorTimingAnalyzer(nl, lib, pl)
+    vec.mct(doses)
+    big, _size = _largest_cone_gate(vec.graph)
+    kinds = []
+    for step in range(n_steps):
+        if big_cone_every and step % big_cone_every == 0 and big in placed:
+            a = big
+            b = rng.choice([g for g in placed if g != big])
+        else:
+            a, b = rng.sample(placed, 2)
+        pl.swap(a, b)
+        wide = wide_every and step % wide_every == 1
+        upd = {
+            g: (lib.snap_dose(rng.uniform(-6, 6)), 0.0)
+            for g in nl.gates
+            if g in (a, b) and rng.random() < 0.8
+            or wide and rng.random() < 0.4
+        }
+        vec.update_placement((a, b))
+        vec.trial_mct(upd)
+        kinds.append(vec._undo[0])
+        if rng.random() < 0.5:  # accept
+            doses.update(upd)
+        else:  # reject: put the cells back, drop the pass
+            pl.swap(a, b)
+            vec.update_placement((a, b))
+            vec.revert_trial()
+        fresh = VectorTimingAnalyzer(nl, lib, pl, graph=vec.graph)
+        fresh.mct(doses)
+        _state_equal(vec, fresh)  # before any further pass on ``vec``
+        assert vec.mct(doses) == fresh.mct(doses), step
+    return kinds
+
+
+class TestTrialRevert:
+    """``revert_trial`` restores exactly the state a re-timing pass over
+    the undone move would compute."""
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000), n_gates=st.integers(8, 60))
+    def test_random_dags(self, lib65, seed, n_gates):
+        nl, pl = random_dag(seed, n_gates, lib65)
+        if sum(pl.is_placed(g) for g in nl.gates) < 2:
+            return
+        kinds = _swap_accept_reject(nl, lib65, pl, seed, 12,
+                                    big_cone_every=3)
+        big, size = _largest_cone_gate(CompiledTimingGraph(nl, lib65))
+        if pl.is_placed(big) and size > 0.35 * len(nl.gates):
+            assert "full" in kinds
+
+    def test_design_with_full_pass_fallback(self, lib65):
+        bundle = make_design("AES-65", scale=0.3)
+        nl, lib = bundle.netlist, bundle.library
+        pl = place_design(bundle, seed=7)
+        kinds = _swap_accept_reject(nl, lib, pl, 5, 24, big_cone_every=4,
+                                    wide_every=4)
+        assert {"full", "cone"} <= set(kinds)
+
+    def test_revert_after_full_dose_change(self, lib65):
+        bundle = make_design("AES-65", scale=0.2)
+        nl, lib = bundle.netlist, bundle.library
+        pl = place_design(bundle, seed=7)
+        vec = VectorTimingAnalyzer(nl, lib, pl)
+        m0 = vec.mct()
+        before = {k: vec._state[k].copy() for k in _STATE_KEYS}
+        vec.trial_mct({name: (2.5, 0.0) for name in nl.gates})
+        assert vec._undo[0] == "full"
+        vec.revert_trial()
+        assert vec.trial_mct() == m0
+        for key in _STATE_KEYS:
+            assert np.array_equal(vec._state[key], before[key]), key
+
+    def test_revert_needs_a_pass(self, lib65):
+        bundle = make_design("AES-65", scale=0.2)
+        pl = place_design(bundle, seed=7)
+        vec = VectorTimingAnalyzer(bundle.netlist, bundle.library, pl)
+        with pytest.raises(RuntimeError):
+            vec.revert_trial()
+        vec.mct()
+        vec.trial_mct({next(iter(bundle.netlist.gates)): (1.0, 0.0)})
+        vec.revert_trial()
+        with pytest.raises(RuntimeError):  # one pass is undone once
+            vec.revert_trial()
+
+
 class TestTieBreak:
     def test_lex_max_kernel(self):
         # segment 0: equal arrivals -> larger slew wins
