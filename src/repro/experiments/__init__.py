@@ -11,10 +11,9 @@ from repro.experiments.figures import (
     fig6_leakage_vs_width,
     fig10_slack_profiles,
 )
-from repro.experiments.harness import TableResult
+from repro.experiments.harness import TableResult, get_context
 from repro.experiments.tables import (
     GRID_SIZES,
-    get_context,
     table2,
     table3,
     table4,

@@ -16,8 +16,7 @@ from repro.core import (
     optimize_dose_map,
     run_dosepl,
 )
-from repro.experiments.harness import TableResult
-from repro.experiments.tables import get_context
+from repro.experiments.harness import TableResult, get_context
 from repro.library import CellLibrary
 from repro.tech import device, get_node
 

@@ -5,16 +5,21 @@ or :mod:`repro.experiments.figures` returning a :class:`TableResult` whose
 rows can be printed, asserted on in benchmarks, and diffed against the
 paper's published numbers in :data:`repro.experiments.paper_data`.
 
-The table drivers' DMopt cells -- independent (design, grid, mode,
-dose-range) evaluations -- can be fanned across processes with
-:func:`run_dmopt_cells`.  Determinism guarantee: each worker rebuilds
-its design context from the same seeds the serial path uses and results
-are gathered in input order, so a parallel run produces byte-identical
-rows to a serial run of the same cells.  A worker that crashes or is
-killed mid-cell is retried serially in the parent (see
-:func:`parallel_map`), so the result list is hole-free even on a lossy
-pool.  Worker count comes from the ``REPRO_JOBS`` environment variable
-or the experiment CLI's ``--jobs`` flag (see :func:`resolve_jobs`).
+Tables IV-VI run every DMopt cell -- an independent (design, grid,
+mode, dose-range) evaluation -- through :func:`run_dmopt_cells`, at any
+worker count.  With one worker and no deadline it is an in-process
+loop; otherwise cells run in worker processes.  Determinism
+guarantee: a worker builds its design context from the same seeds as
+the parent and results are gathered in input order, so a parallel run
+produces byte-identical rows to a serial run of the same cells.  A
+worker that crashes or is killed mid-cell is retried serially in the
+parent (see :func:`repro.resilience.watchdog.supervised_map`), so the
+result list is hole-free even on a lossy pool.  Worker count comes from
+the ``REPRO_JOBS`` environment variable or the experiment CLI's
+``--jobs`` flag (see :func:`resolve_jobs`).
+
+:func:`get_context` is the one design-context cache: the table drivers
+in the parent and the cell workers read the same per-process LRU.
 """
 
 from __future__ import annotations
@@ -124,35 +129,6 @@ def resolve_jobs(jobs: int = None) -> int:
     return max(1, jobs)
 
 
-def parallel_map(fn, items, jobs: int = None,
-                 retry_serial: bool = True) -> list:
-    """Map ``fn`` over ``items``, optionally across processes.
-
-    Results always come back in input order, so callers see identical
-    output whether the run was serial or parallel.  ``jobs <= 1``
-    short-circuits to a plain loop with zero multiprocessing overhead;
-    ``fn`` and each item must be picklable otherwise.
-
-    With ``retry_serial`` (default), an item whose worker raised is
-    re-run serially in the parent (with bounded exponential backoff)
-    instead of poisoning the run, and a broken pool (OOM kill, hard
-    crash) is recreated once for the remaining items before degrading
-    to serial -- so the result list is hole-free and deterministic even
-    on a lossy pool.  Each retry is a ``worker_retry`` telemetry event
-    and each pool recreation a ``pool_restart`` event; an item that
-    fails again in the parent raises normally (a real bug, not a worker
-    casualty).
-
-    This is a thin veneer over
-    :func:`repro.resilience.watchdog.supervised_map`, which adds
-    per-item watchdog deadlines for callers that need them
-    (:func:`run_dmopt_cells`).
-    """
-    items = list(items)
-    jobs = min(resolve_jobs(jobs), max(len(items), 1))
-    return supervised_map(fn, items, jobs, retry_serial=retry_serial)
-
-
 @dataclass(frozen=True)
 class DMoptCell:
     """One independent DMopt evaluation of a table/sweep driver."""
@@ -168,30 +144,33 @@ class DMoptCell:
     method: str = "ipm"
 
 
-#: Per-process LRU context cache so one worker serving many cells of
-#: the same design characterizes it once (mirrors tables._CTX_CACHE)
-#: without letting a long multi-design sweep grow worker memory without
-#: bound.  A characterized context is tens of MB; four covers every
-#: table driver's working set.
-_CELL_CTX_MAX = 4
-_CELL_CTX: OrderedDict = OrderedDict()
+#: The per-process LRU design-context cache behind :func:`get_context`.
+#: A characterized context is tens of MB, so the cache is bounded; eight
+#: holds all four designs x both ``fit_width`` values, which covers the
+#: six keys a full ``python -m repro.experiments`` run touches (four
+#: would rebuild four contexts in ``table7``).
+_CONTEXTS_MAX = 8
+_CONTEXTS: OrderedDict = OrderedDict()
 
 
-def _cell_context(design: str, scale: float, fit_width: bool):
-    key = (design, float(scale), bool(fit_width))
-    ctx = _CELL_CTX.get(key)
+def get_context(design: str, fit_width: bool = False, scale: float = 1.0):
+    """Shared, cached design context (placement + baseline + fitters).
+
+    Keyed by ``(design, fit_width, scale)``; the least recently used
+    context is dropped once :data:`_CONTEXTS_MAX` are held.
+    """
+    key = (design, bool(fit_width), float(scale))
+    ctx = _CONTEXTS.get(key)
     if ctx is not None:
-        _CELL_CTX.move_to_end(key)
+        _CONTEXTS.move_to_end(key)
         return ctx
     from repro.core import DesignContext
     from repro.netlist import make_design
 
-    ctx = DesignContext(
-        make_design(design, scale=scale), fit_width=fit_width
-    )
-    _CELL_CTX[key] = ctx
-    while len(_CELL_CTX) > _CELL_CTX_MAX:
-        _CELL_CTX.popitem(last=False)
+    ctx = DesignContext(make_design(design, scale=scale), fit_width=fit_width)
+    _CONTEXTS[key] = ctx
+    while len(_CONTEXTS) > _CONTEXTS_MAX:
+        _CONTEXTS.popitem(last=False)
     return ctx
 
 
@@ -202,10 +181,10 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
                    time_limit: float = None) -> dict:
     """Evaluate one cell; returns a small picklable result dict.
 
-    Runs in a worker process under :func:`run_dmopt_cells`; the context
-    is rebuilt deterministically (same design generator and placer
-    seeds as the serial path), so the golden numbers are identical to a
-    serial evaluation.
+    Runs under :func:`run_dmopt_cells`, in the parent or in a worker
+    process; either way the context comes from :func:`get_context`,
+    built from the same design generator and placer seeds, so the
+    golden numbers do not depend on where the cell ran.
 
     With ``certify`` the result is independently re-verified
     (:func:`repro.core.certify.certify_result`); the verdict and
@@ -218,8 +197,8 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
 
     with obs.span("cell", design=cell.design, grid=float(cell.grid_size),
                   mode=cell.mode):
-        ctx = _cell_context(
-            cell.design, cell.scale, cell.fit_width or cell.both_layers
+        ctx = get_context(
+            cell.design, cell.fit_width or cell.both_layers, cell.scale
         )
         res = optimize_dose_map(
             ctx,
@@ -322,14 +301,15 @@ def run_dmopt_cells(
     cell_timeout: float = None,
     certify: bool = False,
 ) -> list:
-    """Fan independent DMopt cells across processes.
+    """Run independent DMopt cells, fanned across processes if ``jobs > 1``.
 
     Returns one result dict per cell, in ``cells`` order regardless of
     worker scheduling.  With ``jobs=1`` (the default absent
-    ``REPRO_JOBS``) this is a plain serial loop.  A crashed or killed
-    worker does not hole the results: its cell is re-run serially in
-    the parent (one pool recreation first, if the whole pool died) and
-    the recovery is recorded in the telemetry manifest.
+    ``REPRO_JOBS``) and no cell timeout this is an in-process loop.  A
+    crashed or killed worker does not hole the results: its cell is
+    re-run serially in the parent (one pool recreation first, if the
+    whole pool died) and the recovery is recorded in the telemetry
+    manifest.
 
     Parameters
     ----------

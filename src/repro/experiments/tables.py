@@ -2,15 +2,17 @@
 
 Each ``tableN`` function runs the corresponding experiment on the
 synthetic testcases and returns a :class:`~repro.experiments.harness.TableResult`
-with the same row/column structure the paper reports.  Design contexts
-are cached per (design, fit_width) so a full run characterizes each
-library once.
+with the same row/column structure the paper reports.  Tables IV-VI
+build their DMopt cells and run them through
+:func:`~repro.experiments.harness.run_dmopt_cells` at any ``jobs``; the
+other drivers read design contexts from
+:func:`~repro.experiments.harness.get_context`, the same cache the
+cells use, so a full run characterizes each (design, fit_width) once.
 """
 
 from __future__ import annotations
 
 from repro.core import (
-    DesignContext,
     DoseplConfig,
     optimize_dose_map,
     run_dosepl,
@@ -19,31 +21,16 @@ from repro.core import (
 from repro.experiments.harness import (
     DMoptCell,
     TableResult,
-    resolve_jobs,
+    get_context,
     run_dmopt_cells,
 )
-from repro.netlist import make_design
+from repro.netlist.designs import design_node
 
 #: Grid sizes per node, as in the paper (coarsest differs by node).
 GRID_SIZES = {"65nm": (5.0, 10.0, 30.0), "90nm": (5.0, 10.0, 50.0)}
 
-_CTX_CACHE: dict = {}
-
-
-def get_context(design: str, fit_width: bool = False,
-                sta_backend: str = None) -> DesignContext:
-    """Shared, cached design context (placement + baseline + fitters).
-
-    ``sta_backend`` selects the STA engine ("vector" | "reference");
-    contexts are cached per backend so differential experiments can hold
-    both alive side by side.
-    """
-    key = (design, fit_width, sta_backend)
-    if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = DesignContext(
-            make_design(design), fit_width=fit_width, sta_backend=sta_backend
-        )
-    return _CTX_CACHE[key]
+#: The four paper testcases.
+DESIGNS = ("AES-65", "JPEG-65", "AES-90", "JPEG-90")
 
 
 def _sweep_table(exp_id: str, design: str) -> TableResult:
@@ -90,103 +77,59 @@ def table3() -> TableResult:
     return _sweep_table("Table III", "AES-90")
 
 
-def _node_grid_sizes(design: str) -> tuple:
-    """Default grid sizes for a design without building its context."""
-    node = design.rsplit("-", 1)[1] + "nm"
-    return GRID_SIZES[node]
+def _dmopt_cells(designs, grid_sizes, variants, **run_kwargs) -> list:
+    """Run every (design, grid, variant) DMopt cell of a table.
 
-
-def _use_cell_runner(jobs, checkpoint, cell_timeout, certify) -> bool:
-    """Route through :func:`run_dmopt_cells` instead of the plain loop?
-
-    Parallelism is the historical trigger; checkpointing, watchdog
-    deadlines, and certification also live in the cell runner, so any of
-    them forces the cells path even at ``jobs=1`` (results are identical
-    either way -- that is the cell runner's determinism guarantee).
+    ``designs`` and ``grid_sizes`` may be any iterables; each is read
+    once.  ``grid_sizes=None`` means the paper's grids for each design's
+    node.  An unknown design raises before any cell runs.  ``variants``
+    are :class:`DMoptCell` keyword dicts; ``run_kwargs`` go to
+    :func:`run_dmopt_cells`.  Returns ``(design, grid, results)`` per
+    design x grid pair, ``results`` in ``variants`` order.
     """
-    return (
-        resolve_jobs(jobs) > 1
-        or checkpoint is not None
-        or cell_timeout is not None
-        or certify
+    designs = list(designs)
+    nodes = [design_node(design) for design in designs]
+    grids = None if grid_sizes is None else list(grid_sizes)
+    pairs = [
+        (design, g)
+        for design, node in zip(designs, nodes)
+        for g in (GRID_SIZES[node] if grids is None else grids)
+    ]
+    cells = [DMoptCell(d, g, **v) for d, g in pairs for v in variants]
+    results = iter(run_dmopt_cells(cells, **run_kwargs))
+    return [(d, g, [next(results) for _ in variants]) for d, g in pairs]
+
+
+def _both_layer_variants(mode: str) -> tuple:
+    """Poly-only then both-layer cells of tables V/VI."""
+    return tuple(
+        dict(mode=mode, both_layers=bl, fit_width=True)
+        for bl in (False, True)
     )
 
 
-def table4(designs=None, grid_sizes=None, jobs=None, checkpoint=None,
+def table4(designs=DESIGNS, grid_sizes=None, jobs=None, checkpoint=None,
            resume=True, cell_timeout=None, certify=False) -> TableResult:
     """Table IV: DMopt on the poly layer, QP and QCP, per grid size.
 
     QP minimizes leakage under the baseline-MCT bound; QCP minimizes MCT
     under a no-leakage-increase budget (smoothness delta = 2, range
-    +/-5 %), exactly the paper's settings.  ``jobs`` (or ``REPRO_JOBS``)
-    > 1 fans the (design, grid, mode) cells across processes with
-    identical results (see :func:`repro.experiments.harness.run_dmopt_cells`,
-    which also documents ``checkpoint``/``resume``, ``cell_timeout``,
-    and ``certify``).
+    +/-5 %), exactly the paper's settings.  Tables IV-VI run their cells
+    through :func:`repro.experiments.harness.run_dmopt_cells`, which
+    documents ``jobs`` (or ``REPRO_JOBS``), ``checkpoint``/``resume``,
+    ``cell_timeout`` and ``certify``; any ``jobs`` gives identical rows.
     """
-    if designs is None:
-        designs = ("AES-65", "JPEG-65", "AES-90", "JPEG-90")
-    pairs = [
-        (design, g)
-        for design in designs
-        for g in (grid_sizes or _node_grid_sizes(design))
-    ]
-    rows = []
-    if _use_cell_runner(jobs, checkpoint, cell_timeout, certify):
-        cells = [
-            DMoptCell(design, g, mode=mode)
-            for design, g in pairs
-            for mode in ("qp", "qcp")
-        ]
-        out = dict(zip(((c.design, c.grid_size, c.mode) for c in cells),
-                       run_dmopt_cells(cells, jobs=jobs,
-                                       checkpoint=checkpoint, resume=resume,
-                                       cell_timeout=cell_timeout,
-                                       certify=certify)))
-        for design, g in pairs:
-            qp = out[(design, g, "qp")]
-            qcp = out[(design, g, "qcp")]
-            rows.append(
-                [
-                    design,
-                    f"{g:.0f}x{g:.0f}",
-                    qp["mct"],
-                    qp["mct_improvement_pct"],
-                    qp["leakage"],
-                    qp["leakage_improvement_pct"],
-                    qp["runtime"],
-                    qcp["mct"],
-                    qcp["mct_improvement_pct"],
-                    qcp["leakage"],
-                    qcp["leakage_improvement_pct"],
-                    qcp["runtime"],
-                ]
-            )
-        return _table4_result(rows)
-    for design, g in pairs:
-        ctx = get_context(design)
-        qp = optimize_dose_map(ctx, g, mode="qp")
-        qcp = optimize_dose_map(ctx, g, mode="qcp")
-        rows.append(
-            [
-                design,
-                f"{g:.0f}x{g:.0f}",
-                qp.mct,
-                qp.mct_improvement_pct,
-                qp.leakage,
-                qp.leakage_improvement_pct,
-                qp.runtime,
-                qcp.mct,
-                qcp.mct_improvement_pct,
-                qcp.leakage,
-                qcp.leakage_improvement_pct,
-                qcp.runtime,
-            ]
+    cols = ("mct", "mct_improvement_pct", "leakage",
+            "leakage_improvement_pct", "runtime")
+    rows = [
+        [design, f"{g:.0f}x{g:.0f}"]
+        + [qp[c] for c in cols] + [qcp[c] for c in cols]
+        for design, g, (qp, qcp) in _dmopt_cells(
+            designs, grid_sizes, (dict(mode="qp"), dict(mode="qcp")),
+            jobs=jobs, checkpoint=checkpoint, resume=resume,
+            cell_timeout=cell_timeout, certify=certify,
         )
-    return _table4_result(rows)
-
-
-def _table4_result(rows) -> TableResult:
+    ]
     return TableResult(
         exp_id="Table IV",
         title="DMopt on poly layer (gate length modulation), delta=2, +/-5%",
@@ -199,71 +142,23 @@ def _table4_result(rows) -> TableResult:
     )
 
 
-def _both_layer_cells(designs, grid_sizes, mode, jobs, checkpoint=None,
-                      resume=True, cell_timeout=None, certify=False):
-    """Parallel (poly, both) result-dict pairs for tables V/VI."""
-    cells = [
-        DMoptCell(design, g, mode=mode, both_layers=bl, fit_width=True)
-        for design in designs
-        for g in grid_sizes
-        for bl in (False, True)
-    ]
-    out = run_dmopt_cells(cells, jobs=jobs, checkpoint=checkpoint,
-                          resume=resume, cell_timeout=cell_timeout,
-                          certify=certify)
-    return {
-        (c.design, c.grid_size, c.both_layers): r
-        for c, r in zip(cells, out)
-    }
-
-
-def table5(designs=("AES-65", "JPEG-65"), grid_sizes=(5.0, 10.0, 30.0),
-           jobs=None, checkpoint=None, resume=True, cell_timeout=None,
+def table5(designs=("AES-65", "JPEG-65"), grid_sizes=None, jobs=None,
+           checkpoint=None, resume=True, cell_timeout=None,
            certify=False) -> TableResult:
     """Table V: QCP for improved timing, poly-only vs both layers."""
-    rows = []
-    if _use_cell_runner(jobs, checkpoint, cell_timeout, certify):
-        out = _both_layer_cells(designs, grid_sizes, "qcp", jobs,
-                                checkpoint=checkpoint, resume=resume,
-                                cell_timeout=cell_timeout, certify=certify)
-        for design in designs:
-            for g in grid_sizes:
-                poly = out[(design, g, False)]
-                both = out[(design, g, True)]
-                rows.append(
-                    [
-                        design,
-                        f"{g:.0f}x{g:.0f}",
-                        poly["mct"],
-                        poly["mct_improvement_pct"],
-                        both["mct"],
-                        both["mct_improvement_pct"],
-                        poly["leakage"],
-                        both["leakage"],
-                    ]
-                )
-        return _table5_result(rows)
-    for design in designs:
-        ctx_w = get_context(design, fit_width=True)
-        for g in grid_sizes:
-            poly = optimize_dose_map(ctx_w, g, mode="qcp", both_layers=False)
-            both = optimize_dose_map(ctx_w, g, mode="qcp", both_layers=True)
-            rows.append(
-                [
-                    design,
-                    f"{g:.0f}x{g:.0f}",
-                    poly.mct,
-                    poly.mct_improvement_pct,
-                    both.mct,
-                    both.mct_improvement_pct,
-                    poly.leakage,
-                    both.leakage,
-                ]
-            )
-    return _table5_result(rows)
-
-
-def _table5_result(rows) -> TableResult:
+    rows = [
+        [
+            design, f"{g:.0f}x{g:.0f}",
+            poly["mct"], poly["mct_improvement_pct"],
+            both["mct"], both["mct_improvement_pct"],
+            poly["leakage"], both["leakage"],
+        ]
+        for design, g, (poly, both) in _dmopt_cells(
+            designs, grid_sizes, _both_layer_variants("qcp"),
+            jobs=jobs, checkpoint=checkpoint, resume=resume,
+            cell_timeout=cell_timeout, certify=certify,
+        )
+    ]
     return TableResult(
         exp_id="Table V",
         title="QCP timing optimization: gate length vs length+width modulation",
@@ -278,53 +173,23 @@ def _table5_result(rows) -> TableResult:
     )
 
 
-def table6(designs=("AES-65", "JPEG-65"), grid_sizes=(5.0, 10.0, 30.0),
-           jobs=None, checkpoint=None, resume=True, cell_timeout=None,
+def table6(designs=("AES-65", "JPEG-65"), grid_sizes=None, jobs=None,
+           checkpoint=None, resume=True, cell_timeout=None,
            certify=False) -> TableResult:
     """Table VI: QP for improved leakage, poly-only vs both layers."""
-    rows = []
-    if _use_cell_runner(jobs, checkpoint, cell_timeout, certify):
-        out = _both_layer_cells(designs, grid_sizes, "qp", jobs,
-                                checkpoint=checkpoint, resume=resume,
-                                cell_timeout=cell_timeout, certify=certify)
-        for design in designs:
-            for g in grid_sizes:
-                poly = out[(design, g, False)]
-                both = out[(design, g, True)]
-                rows.append(
-                    [
-                        design,
-                        f"{g:.0f}x{g:.0f}",
-                        poly["leakage"],
-                        poly["leakage_improvement_pct"],
-                        both["leakage"],
-                        both["leakage_improvement_pct"],
-                        poly["mct"],
-                        both["mct"],
-                    ]
-                )
-        return _table6_result(rows)
-    for design in designs:
-        ctx_w = get_context(design, fit_width=True)
-        for g in grid_sizes:
-            poly = optimize_dose_map(ctx_w, g, mode="qp", both_layers=False)
-            both = optimize_dose_map(ctx_w, g, mode="qp", both_layers=True)
-            rows.append(
-                [
-                    design,
-                    f"{g:.0f}x{g:.0f}",
-                    poly.leakage,
-                    poly.leakage_improvement_pct,
-                    both.leakage,
-                    both.leakage_improvement_pct,
-                    poly.mct,
-                    both.mct,
-                ]
-            )
-    return _table6_result(rows)
-
-
-def _table6_result(rows) -> TableResult:
+    rows = [
+        [
+            design, f"{g:.0f}x{g:.0f}",
+            poly["leakage"], poly["leakage_improvement_pct"],
+            both["leakage"], both["leakage_improvement_pct"],
+            poly["mct"], both["mct"],
+        ]
+        for design, g, (poly, both) in _dmopt_cells(
+            designs, grid_sizes, _both_layer_variants("qp"),
+            jobs=jobs, checkpoint=checkpoint, resume=resume,
+            cell_timeout=cell_timeout, certify=certify,
+        )
+    ]
     return TableResult(
         exp_id="Table VI",
         title="QP leakage optimization: gate length vs length+width modulation",
@@ -337,7 +202,7 @@ def _table6_result(rows) -> TableResult:
     )
 
 
-def table7(designs=None) -> TableResult:
+def table7(designs=DESIGNS) -> TableResult:
     """Table VII: fraction of timing endpoints within 95/90/80 % of MCT.
 
     The paper counts critical *paths*; at our testcase scale raw path
@@ -348,8 +213,6 @@ def table7(designs=None) -> TableResult:
     testcases have a near-critical "hill", 90 nm testcases do not) is
     what the benchmark checks.
     """
-    if designs is None:
-        designs = ("AES-65", "JPEG-65", "AES-90", "JPEG-90")
     rows = []
     for design in designs:
         ctx = get_context(design)

@@ -101,6 +101,20 @@ def design_names():
     return list(_SPECS)
 
 
+def _spec(name: str) -> tuple:
+    try:
+        return _SPECS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown design {name!r}; available: {design_names()}"
+        ) from None
+
+
+def design_node(name: str) -> str:
+    """Technology node of a testcase (e.g. ``"65nm"``), without building it."""
+    return _spec(name)[1]
+
+
 def make_design(name: str, scale: float = 1.0) -> DesignBundle:
     """Generate a named testcase.
 
@@ -112,12 +126,7 @@ def make_design(name: str, scale: float = 1.0) -> DesignBundle:
         Structural scale factor (>1 grows lane/channel counts toward the
         paper's full-size instances; the default keeps the suite fast).
     """
-    try:
-        generator, node_name, kwargs = _SPECS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown design {name!r}; available: {design_names()}"
-        ) from None
+    generator, node_name, kwargs = _spec(name)
     kwargs = dict(kwargs)
     if scale != 1.0:
         for key in ("n_lanes", "n_channels"):

@@ -1,8 +1,8 @@
 """Supervised process-pool map with per-item watchdog deadlines.
 
-:func:`supervised_map` is the engine behind
-:func:`repro.experiments.harness.parallel_map`.  Beyond plain fan-out
-it provides the recovery paths a long table run needs:
+:func:`supervised_map` runs the DMopt cells of
+:func:`repro.experiments.harness.run_dmopt_cells`.  Beyond plain
+fan-out it provides the recovery paths a long table run needs:
 
 * **Watchdog deadlines** -- each item gets a wall-clock budget
   (``timeout``, or the ``REPRO_CELL_TIMEOUT`` environment variable via
@@ -100,7 +100,6 @@ def supervised_map(
     items,
     jobs: int,
     timeout: float = None,
-    retry_serial: bool = True,
     on_result=None,
     timeout_result=None,
     stats: MapStats = None,
@@ -118,9 +117,6 @@ def supervised_map(
         used anyway, because only a separate process can be killed.
     timeout:
         Per-item wall-clock budget in seconds (None = no watchdog).
-    retry_serial:
-        Recover from worker failures (see module docstring).  When
-        False the first worker exception propagates.
     on_result:
         ``on_result(index, result)`` called the moment an item's result
         is final (checkpointing hook); call order follows completion,
@@ -192,14 +188,10 @@ def supervised_map(
                 idx, _ = inflight.pop(fut)
                 try:
                     finish(idx, fut.result())
-                except BrokenProcessPool as exc:
-                    if not retry_serial:
-                        raise
+                except BrokenProcessPool:
                     pool_broken = True
                     pending.appendleft(idx)
                 except Exception as exc:
-                    if not retry_serial:
-                        raise
                     to_serial(idx, exc)
             if pool_broken:
                 requeue_inflight()

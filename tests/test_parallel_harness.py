@@ -11,11 +11,11 @@ import pytest
 
 from repro.experiments.harness import (
     DMoptCell,
-    parallel_map,
     resolve_jobs,
     run_dmopt_cell,
     run_dmopt_cells,
 )
+from repro.resilience.watchdog import supervised_map
 
 
 def _square(x):
@@ -67,19 +67,21 @@ class TestResolveJobs:
 
 
 class TestParallelMap:
+    """supervised_map as a plain parallel map: input order, any size."""
+
     def test_serial_path(self):
-        assert parallel_map(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
+        assert supervised_map(_square, [3, 1, 2], 1) == [9, 1, 4]
 
     def test_parallel_preserves_input_order(self):
         items = list(range(20))
-        assert parallel_map(_square, items, jobs=2) == [x * x for x in items]
+        assert supervised_map(_square, items, 2) == [x * x for x in items]
 
     def test_empty(self):
-        assert parallel_map(_square, [], jobs=4) == []
+        assert supervised_map(_square, [], 4) == []
 
     def test_jobs_capped_by_items(self):
         # must not spawn 8 workers for 2 items; just check correctness
-        assert parallel_map(_square, [5, 6], jobs=8) == [25, 36]
+        assert supervised_map(_square, [5, 6], 8) == [25, 36]
 
 
 class TestGracefulDegradation:
@@ -89,7 +91,7 @@ class TestGracefulDegradation:
         import os
 
         items = [(x, os.getpid()) for x in range(6)]
-        out = parallel_map(_square_or_raise, items, jobs=2)
+        out = supervised_map(_square_or_raise, items, 2)
         assert out == [x * x for x in range(6)]
 
     def test_worker_crash_retried_serially(self):
@@ -99,16 +101,8 @@ class TestGracefulDegradation:
         # pending future raises BrokenProcessPool, and all items must
         # still come back, in order, via the parent's serial retry
         items = [(x, os.getpid()) for x in range(6)]
-        out = parallel_map(_square_or_die, items, jobs=2)
+        out = supervised_map(_square_or_die, items, 2)
         assert out == [x * x for x in range(6)]
-
-    def test_retry_disabled_raises(self):
-        import os
-
-        items = [(x, os.getpid()) for x in range(3)]
-        with pytest.raises(Exception):
-            parallel_map(_square_or_raise, items, jobs=2,
-                         retry_serial=False)
 
     def test_parent_failure_still_raises(self):
         # an item that fails in the parent too is a real bug: surface it
@@ -116,7 +110,7 @@ class TestGracefulDegradation:
             raise ValueError("deterministic failure")
 
         with pytest.raises(ValueError, match="deterministic failure"):
-            parallel_map(boom, [1], jobs=1)
+            supervised_map(boom, [1], 1)
 
     def test_retries_recorded_in_manifest(self, tmp_path, monkeypatch):
         import os
@@ -129,7 +123,7 @@ class TestGracefulDegradation:
         telemetry.reset()
         try:
             items = [(x, os.getpid()) for x in range(4)]
-            out = parallel_map(_square_or_raise, items, jobs=2)
+            out = supervised_map(_square_or_raise, items, 2)
             assert out == [x * x for x in range(4)]
         finally:
             telemetry.reset()

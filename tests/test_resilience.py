@@ -297,16 +297,23 @@ class TestResolveJobsError:
 
 
 class TestContextCacheLRU:
-    def test_bounded(self):
+    def test_bounded(self, monkeypatch):
+        from collections import OrderedDict
+
         from repro.experiments import harness
 
-        harness._CELL_CTX.clear()
-        for i, scale in enumerate(np.linspace(0.1, 0.2, 6)):
-            harness._cell_context("AES-65", float(scale), False)
-            assert len(harness._CELL_CTX) <= harness._CELL_CTX_MAX
+        # a private cache: the session's shared contexts stay warm
+        monkeypatch.setattr(harness, "_CONTEXTS", OrderedDict())
+        scales = [float(s) for s in
+                  np.linspace(0.1, 0.2, harness._CONTEXTS_MAX + 2)]
+        for scale in scales:
+            harness.get_context("AES-65", scale=scale)
+            assert len(harness._CONTEXTS) <= harness._CONTEXTS_MAX
         # most recently used survive
-        assert len(harness._CELL_CTX) == harness._CELL_CTX_MAX
-        harness._CELL_CTX.clear()
+        assert len(harness._CONTEXTS) == harness._CONTEXTS_MAX
+        assert list(harness._CONTEXTS) == [
+            ("AES-65", False, s) for s in scales[-harness._CONTEXTS_MAX:]
+        ]
 
 
 # ----------------------------------------------------------------------
