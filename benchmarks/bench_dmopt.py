@@ -6,10 +6,10 @@ so the perf trajectory is tracked across PRs (companion to
 ``BENCH_sta.json``):
 
 ``assembly``
-    ``build_formulation`` wall clock, reference loop builder vs the
-    vectorized block-COO builder.  ``vector_cold`` includes the one-time
-    per-design array extraction; ``vector_warm`` is the steady-state
-    rebuild cost (what sweeps and retries actually pay).
+    ``build_formulation`` wall clock of the block-COO builder.
+    ``vector_cold`` includes the one-time per-design array extraction;
+    ``vector_warm`` is the steady-state rebuild cost (what sweeps and
+    retries actually pay).
 ``solve_warm``
     One DMopt solve cold vs re-solved warm-started from the cold
     solution (same formulation cache + IPM workspace), per mode.
@@ -40,11 +40,7 @@ import time
 from pathlib import Path
 
 from repro.core import DesignContext, dmopt_dose_range_sweep, optimize_dose_map
-from repro.core.formulate import (
-    BACKEND_REFERENCE,
-    BACKEND_VECTOR,
-    build_formulation,
-)
+from repro.core.formulate import build_formulation
 from repro.experiments.harness import DMoptCell, run_dmopt_cells
 from repro.netlist.designs import make_design
 
@@ -72,17 +68,9 @@ def bench_assembly(design: str, scale: float, grid: float,
     # cold: the very first vectorized build pays the per-design array
     # extraction (cached on the context afterwards)
     t0 = time.perf_counter()
-    build_formulation(ctx, grid, backend=BACKEND_VECTOR)
+    build_formulation(ctx, grid)
     out["vector_cold"] = time.perf_counter() - t0
-    out["vector_warm"] = _time(
-        lambda: build_formulation(ctx, grid, backend=BACKEND_VECTOR), repeats
-    )
-    out["reference"] = _time(
-        lambda: build_formulation(ctx, grid, backend=BACKEND_REFERENCE),
-        max(2, repeats // 2),
-    )
-    out["speedup_warm"] = out["reference"] / out["vector_warm"]
-    out["speedup_cold"] = out["reference"] / out["vector_cold"]
+    out["vector_warm"] = _time(lambda: build_formulation(ctx, grid), repeats)
     return out
 
 
@@ -180,10 +168,8 @@ def main(argv=None) -> int:
     for design, scale in designs:
         r = bench_assembly(design, scale, grid, repeats)
         print(f"assembly    {design:8s} ({r['n_gates']} gates): "
-              f"ref {r['reference'] * 1e3:.1f}ms  "
-              f"vec {r['vector_warm'] * 1e3:.1f}ms warm "
-              f"({r['vector_cold'] * 1e3:.1f}ms cold)  "
-              f"{r['speedup_warm']:.1f}x")
+              f"{r['vector_warm'] * 1e3:.1f}ms warm "
+              f"({r['vector_cold'] * 1e3:.1f}ms cold)")
         report["assembly"].append(r)
     for design, scale in designs:
         r = bench_solve_warm(design, scale, grid)

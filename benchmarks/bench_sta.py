@@ -1,21 +1,21 @@
 #!/usr/bin/env python
-"""STA engine benchmark: vector vs reference backend.
+"""STA engine benchmark.
 
-Times three workloads on the AES-like and JPEG-like designs and writes
-``BENCH_sta.json`` at the repo root so the perf trajectory is tracked
-across PRs:
+Times three workloads of the compiled STA engine on the AES-like and
+JPEG-like designs and writes ``BENCH_sta.json`` at the repo root so the
+perf trajectory is tracked across PRs (each time is under the key
+``vector``):
 
 ``full_sta``
     One golden STA pass (random snapped per-gate doses) from a cold
     analyzer state.
 ``trial_swap``
     Per-swap trial timing inside a dosePl-style loop: swap two cells,
-    re-time, undo.  Reference backend = full re-analysis; vector
-    backend = ``update_placement`` + incremental ``trial_mct``, undone
-    with ``update_placement`` + ``revert_trial`` as dosePl undoes a
-    rejected swap.
+    ``update_placement`` + incremental ``trial_mct``, undone with
+    ``update_placement`` + ``revert_trial`` as dosePl undoes a rejected
+    swap.
 ``dosepl_e2e``
-    The dosePl pass end-to-end on a scaled-down design, per backend.
+    The dosePl pass end-to-end on a scaled-down design.
 
 Usage::
 
@@ -69,22 +69,17 @@ def bench_full_sta(design: str, scale: float, repeats: int) -> dict:
     placement = place_design(bundle, seed=7)
     doses = _random_doses(bundle.netlist, bundle.library, seed=5)
 
-    out = {"design": design, "n_gates": bundle.netlist.n_gates}
-    for backend in ("reference", "vector"):
-        eng = make_analyzer(
-            bundle.netlist, bundle.library, placement, backend=backend
-        )
-        eng.analyze(doses=doses)  # warm caches / compile once
-        if backend == "vector":
-            # cold per-call state: a fresh rebind each run, so the
-            # measurement includes geometry build + full propagation
-            out[backend] = _time(
-                lambda: eng.rebind(placement).analyze(doses=doses), repeats
-            )
-        else:
-            out[backend] = _time(lambda: eng.analyze(doses=doses), repeats)
-    out["speedup"] = out["reference"] / out["vector"]
-    return out
+    eng = make_analyzer(bundle.netlist, bundle.library, placement)
+    eng.analyze(doses=doses)  # warm caches / compile once
+    # cold per-call state: a fresh rebind each run, so the measurement
+    # includes geometry build + full propagation
+    return {
+        "design": design,
+        "n_gates": bundle.netlist.n_gates,
+        "vector": _time(
+            lambda: eng.rebind(placement).analyze(doses=doses), repeats
+        ),
+    }
 
 
 def bench_trial_swap(design: str, scale: float, n_swaps: int) -> dict:
@@ -96,16 +91,7 @@ def bench_trial_swap(design: str, scale: float, n_swaps: int) -> dict:
     gates = list(netlist.gates)
     swaps = [tuple(rng.sample(gates, 2)) for _ in range(n_swaps)]
 
-    ref = make_analyzer(netlist, library, placement, backend="reference")
-    ref.analyze(doses=doses)
-    t0 = time.perf_counter()
-    for a, b in swaps:
-        placement.swap(a, b)
-        ref.analyze(doses=doses).mct  # noqa: B018 - full re-time per swap
-        placement.swap(a, b)
-    t_ref = (time.perf_counter() - t0) / n_swaps
-
-    vec = make_analyzer(netlist, library, placement, backend="vector")
+    vec = make_analyzer(netlist, library, placement)
     vec.mct(doses)
     t0 = time.perf_counter()
     for a, b in swaps:
@@ -121,26 +107,21 @@ def bench_trial_swap(design: str, scale: float, n_swaps: int) -> dict:
         "design": design,
         "n_gates": netlist.n_gates,
         "n_swaps": n_swaps,
-        "reference": t_ref,
         "vector": t_vec,
-        "speedup": t_ref / t_vec,
     }
 
 
 def bench_dosepl(design: str, scale: float, rounds: int) -> dict:
-    out = {"design": design}
-    for backend in ("reference", "vector"):
-        ctx = DesignContext(
-            make_design(design, scale=scale), sta_backend=backend
-        )
-        qcp = optimize_dose_map(ctx, grid_size=5.0, mode="qcp")
-        cfg = DoseplConfig(top_k=200, rounds=rounds)
-        t0 = time.perf_counter()
-        res = run_dosepl(ctx, qcp.dose_map_poly, config=cfg)
-        out[backend] = time.perf_counter() - t0
-        out[f"{backend}_mct"] = res.mct
-    out["speedup"] = out["reference"] / out["vector"]
-    return out
+    ctx = DesignContext(make_design(design, scale=scale))
+    qcp = optimize_dose_map(ctx, grid_size=5.0, mode="qcp")
+    cfg = DoseplConfig(top_k=200, rounds=rounds)
+    t0 = time.perf_counter()
+    res = run_dosepl(ctx, qcp.dose_map_poly, config=cfg)
+    return {
+        "design": design,
+        "vector": time.perf_counter() - t0,
+        "vector_mct": res.mct,
+    }
 
 
 def main(argv=None) -> int:
@@ -176,18 +157,15 @@ def main(argv=None) -> int:
     for design, scale in designs:
         r = bench_full_sta(design, scale, repeats)
         print(f"full_sta    {design:8s} ({r['n_gates']} gates): "
-              f"ref {r['reference']:.4f}s  vec {r['vector']:.4f}s  "
-              f"{r['speedup']:.1f}x")
+              f"{r['vector']:.4f}s")
         report["full_sta"].append(r)
         r = bench_trial_swap(design, scale, n_swaps)
         print(f"trial_swap  {design:8s} ({r['n_gates']} gates): "
-              f"ref {r['reference']:.4f}s  vec {r['vector']:.4f}s  "
-              f"{r['speedup']:.1f}x")
+              f"{r['vector']:.4f}s")
         report["trial_swap"].append(r)
     for design, _scale in designs[:1]:
         r = bench_dosepl(design, dp_scale, dp_rounds)
-        print(f"dosepl_e2e  {design:8s}: ref {r['reference']:.2f}s  "
-              f"vec {r['vector']:.2f}s  {r['speedup']:.1f}x")
+        print(f"dosepl_e2e  {design:8s}: {r['vector']:.2f}s")
         report["dosepl_e2e"].append(r)
 
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -85,8 +85,7 @@ def _cmd_analyze(args) -> int:
     print(f"design {ctx.bundle.name}: {ctx.netlist.n_gates} gates, "
           f"die {ctx.placement.die.width:.0f}x"
           f"{ctx.placement.die.height:.0f} um\n")
-    print(report_timing(ctx.netlist, ctx.library, ctx.baseline,
-                        n_paths=args.paths))
+    print(report_timing(ctx.timing_graph, ctx.baseline, n_paths=args.paths))
     print(report_power(ctx.netlist, ctx.library))
     return 0
 

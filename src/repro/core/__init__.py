@@ -9,12 +9,7 @@ from repro.core.certify import (
 from repro.core.dmopt import DMoptResult, MODE_QCP, MODE_QP, optimize_dose_map
 from repro.core.dosepl import DoseplConfig, DoseplResult, run_dosepl
 from repro.core.flow import FlowResult, run_flow
-from repro.core.formulate import (
-    DEFAULT_FORMULATE_BACKEND,
-    Formulation,
-    build_formulation,
-    resolve_formulate_backend,
-)
+from repro.core.formulate import Formulation, build_formulation
 from repro.core.corners import (
     CornerAwareResult,
     corner_context,
@@ -45,8 +40,6 @@ __all__ = [
     "enforce_certificate",
     "Formulation",
     "build_formulation",
-    "resolve_formulate_backend",
-    "DEFAULT_FORMULATE_BACKEND",
     "optimize_dose_map",
     "DMoptResult",
     "MODE_QP",

@@ -12,13 +12,14 @@ Two driver modes, matching Section III:
 Both return golden-signoff numbers: the continuous dose solution is
 snapped to the characterized 0.5 %-step variant grid and re-evaluated
 with the full STA and the exact leakage model.  Signoff goes through
-``ctx.golden_eval``, i.e. the context's configured STA backend -- the
-compiled vector engine by default (see :mod:`repro.sta.compiled`).
+``ctx.golden_eval``, i.e. the compiled STA engine
+(:mod:`repro.sta.compiled`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro import obs, telemetry
 from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
-from repro.core.formulate import Formulation, build_formulation
+from repro.core.formulate import Formulation
 from repro.core.snap import SNAP_CEIL, SNAP_NEAREST, snap_dose_map
 from repro.solver import (
     METHOD_IPM,
@@ -113,6 +114,21 @@ class DMoptResult:
             f"{self.baseline_leakage:.1f}->{self.leakage:.1f} uW "
             f"({self.leakage_improvement_pct:+.2f}%))"
         )
+
+
+def _check_arguments(limits: dict) -> None:
+    """Raise ``ValueError`` naming the first bad bound or budget.
+
+    ``limits`` maps an argument name to ``(value, rule)``: every value
+    must be finite, and a rule of ``"> 0"`` or ``">= 0"`` also bounds it
+    below (``None``: finiteness only).
+    """
+    for name, (value, rule) in limits.items():
+        v = float(value)
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if (rule == "> 0" and v <= 0.0) or (rule == ">= 0" and v < 0.0):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _spanned(fn):
@@ -215,29 +231,33 @@ def optimize_dose_map(
         this call (fallback chain, QCP root search, guard retry).  On
         expiry the best iterate so far is signed off (or the failure
         path taken); the call never spins indefinitely.
+
+    ``grid_size`` and ``timing_bound`` must be finite and > 0,
+    ``dose_range`` and ``smoothness`` finite and >= 0, and
+    ``leakage_budget`` finite (a negative budget asks for a cut);
+    anything else raises :class:`ValueError` naming the argument.
     """
     if mode not in (MODE_QP, MODE_QCP):
         raise ValueError(f"mode must be 'qp' or 'qcp', got {mode!r}")
+    limits = {
+        "grid_size": (grid_size, "> 0"),
+        "dose_range": (dose_range, ">= 0"),
+        "smoothness": (smoothness, ">= 0"),
+        "leakage_budget": (leakage_budget, None),  # a cut may be negative
+    }
+    if timing_bound is not None:
+        limits["timing_bound"] = (timing_bound, "> 0")
+    _check_arguments(limits)
     if snap_mode is None:
         snap_mode = SNAP_CEIL if mode == MODE_QP else SNAP_NEAREST
     t_start = time.perf_counter()
-    if hasattr(ctx, "formulation_for"):
-        form = ctx.formulation_for(
-            grid_size,
-            both_layers=both_layers,
-            dose_range=dose_range,
-            smoothness=smoothness,
-            seam_smoothness=seam_smoothness,
-        )
-    else:
-        form = build_formulation(
-            ctx,
-            grid_size,
-            both_layers=both_layers,
-            dose_range=dose_range,
-            smoothness=smoothness,
-            seam_smoothness=seam_smoothness,
-        )
+    form = ctx.formulation_for(
+        grid_size,
+        both_layers=both_layers,
+        dose_range=dose_range,
+        smoothness=smoothness,
+        seam_smoothness=seam_smoothness,
+    )
     qp_kwargs = dict(qp_kwargs or {})
     # pattern workspaces survive in the formulation's shared dict, so
     # retargeted sweep siblings keep reusing them; QP and QCP rows have

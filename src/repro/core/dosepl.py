@@ -38,12 +38,9 @@ class DoseplConfig:
     hpwl_increase_limit: float = 0.20  # gamma_3
     leakage_increase_limit: float = 0.10  # gamma_4
     swaps_per_round: int = 1  # gamma_5
-    #: Gate each candidate swap on an incremental trial-STA pass (the
-    #: dirty fanout cone only) and keep it only if the trial MCT strictly
-    #: improves.  Needs a backend with ``trial_mct`` (the default vector
-    #: engine); silently skipped otherwise.
-    trial_sta: bool = True
-    #: Max trial-STA evaluations per round.  Once spent, remaining
+    #: Max trial-STA evaluations per round: each candidate swap is gated
+    #: on an incremental trial-STA pass (the dirty fanout cone only) and
+    #: kept only if the trial MCT strictly improves.  Once spent, remaining
     #: candidates fall back to the static (HPWL/leakage) filters only,
     #: bounding the extra work the filter may do in a round.
     trial_budget: int = 32
@@ -101,10 +98,8 @@ def _cell_leakage(ctx, gate_name: str, dose: float) -> float:
     ).leakage_uw
 
 
-def _try_round(
-    ctx, dose_map, trial, result, cfg, fixed, stats,
-    timer=None, trial_best=None,
-):
+def _try_round(ctx, dose_map, trial, result, cfg, fixed, stats, timer,
+               trial_best):
     """One round of cell swapping, applied to ``trial`` in place.
 
     ``timer``/``trial_best`` are the persistent incremental
@@ -122,7 +117,7 @@ def _try_round(
     """
     nl = ctx.netlist
     partition = dose_map.partition
-    paths = top_k_paths(nl, ctx.library, result, cfg.top_k)
+    paths = top_k_paths(ctx.timing_graph, result, cfg.top_k)
     if not paths:
         return 0, trial_best
     weights = _path_weights(paths, result.mct)
@@ -208,7 +203,7 @@ def _try_round(
                         trial.swap(cell, cand)  # undo
                         continue
                     # incremental trial-STA filter
-                    if timer is not None and trials_left > 0:
+                    if trials_left > 0:
                         trials_left -= 1
                         upd = {
                             cell: (ctx.library.snap_dose(d_cell_new), 0.0),
@@ -249,7 +244,7 @@ def _resync_trial_state(ctx, dose_map, work, target, timer):
     Only cells whose position differs are moved and re-timed, so the
     incremental engine state stays warm across rounds.
 
-    Returns the trial MCT at the resynced state (None without a timer).
+    Returns the trial MCT at the resynced state.
     """
     moved = [
         name
@@ -259,8 +254,6 @@ def _resync_trial_state(ctx, dose_map, work, target, timer):
     for name in moved:
         x, y = target.location(name)
         work.place(name, x, y)
-    if timer is None:
-        return None
     if not moved:
         return timer.trial_mct({})
     timer.update_placement(moved)
@@ -306,15 +299,12 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
     # state survive across rounds and are resynced by position diff on
     # accept/rollback instead of being rebuilt from scratch.
     work = place.copy()
-    timer = ctx.trial_timer(work) if cfg.trial_sta else None
-    work_mct = None
-    if timer is not None:
-        work_mct = timer.mct(ctx.gate_doses(dose_map, placement=work))
+    timer = ctx.analyzer_for(work)
+    work_mct = timer.mct(ctx.gate_doses(dose_map, placement=work))
 
     for rnd in range(1, cfg.rounds + 1):
         swaps_done, work_mct = _try_round(
-            ctx, dose_map, work, golden, cfg, fixed, stats,
-            timer=timer, trial_best=work_mct,
+            ctx, dose_map, work, golden, cfg, fixed, stats, timer, work_mct
         )
         if swaps_done == 0:
             history.append((rnd, best_mct, best_leak))

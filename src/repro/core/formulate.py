@@ -20,27 +20,17 @@ constraint:
 
     sum_p  alpha_p Ds^2 (d^P)^2  +  beta_p Ds d^P  +  gamma_p Ds d^A
 
-Two interchangeable assembly backends produce identical matrices:
-
-``vector`` (default)
-    Block-wise COO construction: per-gate coefficient/arc/endpoint
-    arrays are extracted once per design context (and cached on it),
-    then every constraint family is emitted as one concatenated triplet
-    batch and the leakage quadratic as ``np.bincount`` scatters.  The
-    program size depends on the grid count, not the gate count, so
-    assembly must not be the gate-bound step -- this backend keeps it
-    array-bound.
-``reference``
-    The original per-gate ``add_row`` loop, kept as the readable golden
-    model for differential testing (``tests/test_formulate_vectorized.py``).
-
-Pick one with the ``backend`` argument of :func:`build_formulation` or
-the ``REPRO_FORMULATE_BACKEND`` environment variable.
+Assembly is block-wise COO construction: per-gate coefficient/arc/
+endpoint arrays are extracted once per design context (and cached on
+it), then every constraint family is emitted as one concatenated triplet
+batch and the leakage quadratic as ``np.bincount`` scatters.  The
+program size depends on the grid count, not the gate count, so assembly
+must not be the gate-bound step.  The readable per-gate ``add_row``
+loop it must match entry for entry lives in ``tests/oracles/formulate.py``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,26 +41,6 @@ from repro.constants import (
     DEFAULT_SMOOTHNESS,
 )
 from repro.dosemap import DoseMap, GridPartition, LAYER_ACTIVE, LAYER_POLY
-
-BACKEND_VECTOR = "vector"
-BACKEND_REFERENCE = "reference"
-
-#: Assembly backend used when callers don't specify one.
-DEFAULT_FORMULATE_BACKEND = os.environ.get(
-    "REPRO_FORMULATE_BACKEND", BACKEND_VECTOR
-)
-
-
-def resolve_formulate_backend(backend: str = None) -> str:
-    """Normalize a backend name (None -> session default)."""
-    name = DEFAULT_FORMULATE_BACKEND if backend is None else backend
-    if name not in (BACKEND_VECTOR, BACKEND_REFERENCE):
-        raise ValueError(
-            f"unknown formulation backend {name!r}; expected "
-            f"'{BACKEND_VECTOR}' or '{BACKEND_REFERENCE}'"
-        )
-    return name
-
 
 @dataclass
 class Formulation:
@@ -107,7 +77,6 @@ class Formulation:
     seam_smoothness: bool = False
     n_range_rows: int = 0
     n_smooth_rows: int = 0
-    backend: str = BACKEND_VECTOR
     shared: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -182,7 +151,6 @@ def build_formulation(
     dose_range: float = DEFAULT_DOSE_RANGE,
     smoothness: float = DEFAULT_SMOOTHNESS,
     seam_smoothness: bool = False,
-    backend: str = None,
 ) -> Formulation:
     """Assemble the DMopt matrices for a design context.
 
@@ -200,22 +168,14 @@ def build_formulation(
         edges), so the per-die solution can be tiled over a multi-die
         exposure field without violating the scanner's smoothness limit
         (the paper's Section II-B multi-copy extension).
-    backend:
-        ``"vector"`` (block-wise COO, default) or ``"reference"`` (the
-        per-gate loop).  Both produce identical matrices.
     """
     if both_layers and not ctx.fit_width:
         raise ValueError(
             "both-layer formulation needs a DesignContext with fit_width=True"
         )
-    backend = resolve_formulate_backend(backend)
     place = ctx.placement
     partition = GridPartition(place.die.width, place.die.height, grid_size)
-    if backend == BACKEND_VECTOR:
-        assemble = _assemble_vector
-    else:
-        assemble = _assemble_reference
-    return assemble(
+    return _assemble_vector(
         ctx,
         partition,
         both_layers=both_layers,
@@ -226,166 +186,7 @@ def build_formulation(
 
 
 # ----------------------------------------------------------------------
-# reference backend: per-gate add_row loops (golden model)
-# ----------------------------------------------------------------------
-def _assemble_reference(
-    ctx,
-    partition: GridPartition,
-    both_layers: bool,
-    dose_range: float,
-    smoothness: float,
-    seam_smoothness: bool,
-) -> Formulation:
-    nl = ctx.netlist
-    lib = ctx.library
-    ds = lib.dose_sensitivity
-    place = ctx.placement
-    baseline = ctx.baseline
-
-    g = partition.n_grids
-    gate_grid = partition.assign_gates(place)
-
-    gate_order = list(nl.gates)
-    gate_idx = {name: i for i, name in enumerate(gate_order)}
-    n = len(gate_order)
-    off_active = g if both_layers else 0
-    off_arr = g + off_active
-    idx_T = off_arr + n
-    n_vars = idx_T + 1
-
-    rows, cols, vals = [], [], []
-    lo, hi = [], []
-    r = 0
-
-    def add_row(entries, lb, ub):
-        nonlocal r
-        for c, v in entries:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        lo.append(lb)
-        hi.append(ub)
-        r += 1
-
-    # ---- (3)/(8) dose correction range
-    n_layers = 2 if both_layers else 1
-    for layer in range(n_layers):
-        for k in range(g):
-            add_row([(layer * g + k, 1.0)], -dose_range, dose_range)
-    n_range_rows = r
-
-    # ---- (4)/(9) smoothness
-    for layer in range(n_layers):
-        for (i1, j1), (i2, j2) in partition.neighbor_pairs():
-            k1 = layer * g + partition.index_of(i1, j1)
-            k2 = layer * g + partition.index_of(i2, j2)
-            add_row([(k1, 1.0), (k2, -1.0)], -smoothness, smoothness)
-        if seam_smoothness:
-            for (i1, j1), (i2, j2) in _seam_pairs(partition):
-                k1 = layer * g + partition.index_of(i1, j1)
-                k2 = layer * g + partition.index_of(i2, j2)
-                add_row([(k1, 1.0), (k2, -1.0)], -smoothness, smoothness)
-    n_smooth_rows = r - n_range_rows
-
-    # ---- (5)/(10) arrival propagation
-    is_seq = {
-        name: lib.cell(gate.master).is_sequential
-        for name, gate in nl.gates.items()
-    }
-    seen_arcs = set()
-    inf = np.inf
-    for name in gate_order:
-        gate = nl.gates[name]
-        q_i = off_arr + gate_idx[name]
-        fit = ctx.delay_fit_for(name)
-        t0 = baseline.gate_delay[name]
-        grid_k = gate_grid[name]
-        # delay terms: t_q(d) - t_q0 = A*Ds*dP (+ B*Ds*dA)
-        delay_terms = [(grid_k, fit.a * ds)]
-        if both_layers:
-            delay_terms.append((g + grid_k, fit.b * ds))
-
-        if is_seq[name]:
-            # launch: t_q(d) <= a_q   (a_source = 0)
-            add_row(delay_terms + [(q_i, -1.0)], -inf, -t0)
-            continue
-        has_pi = any(nl.nets[net].driver is None for net in gate.inputs)
-        if has_pi:
-            add_row(delay_terms + [(q_i, -1.0)], -inf, -t0)
-        for net_name in gate.inputs:
-            drv = nl.nets[net_name].driver
-            if drv is None:
-                continue
-            arc = (drv, name)
-            if arc in seen_arcs:
-                continue
-            seen_arcs.add(arc)
-            wire = baseline.wire_delay.get(arc, 0.0)
-            r_i = off_arr + gate_idx[drv]
-            # a_r - a_q + (t_q(d) - t_q0) <= -t_q0 - wire
-            add_row(
-                [(r_i, 1.0), (q_i, -1.0)] + delay_terms, -inf, -t0 - wire
-            )
-
-    # ---- endpoint constraints: a <= T (PO), a + wire + setup <= T (FF D)
-    for name in gate_order:
-        gate = nl.gates[name]
-        r_i = off_arr + gate_idx[name]
-        if nl.nets[gate.output].is_primary_output:
-            add_row([(r_i, 1.0), (idx_T, -1.0)], -inf, 0.0)
-        for succ in set(nl.fanout_gates(name)):
-            if not is_seq[succ]:
-                continue
-            wire = baseline.wire_delay.get((name, succ), 0.0)
-            setup = lib.cell(nl.gate(succ).master).setup_ns
-            add_row([(r_i, 1.0), (idx_T, -1.0)], -inf, -wire - setup)
-
-    # ---- clock bound row (caller sets tau via formulation.row_clock)
-    row_clock = r
-    add_row([(idx_T, 1.0)], -inf, inf)
-
-    A = sp.csc_matrix(
-        (vals, (rows, cols)), shape=(r, n_vars)
-    )
-    l = np.array(lo)
-    u = np.array(hi)
-
-    # ---- delta-leakage quadratic (2)
-    p_diag = np.zeros(n_vars)
-    q_lin = np.zeros(n_vars)
-    for name in gate_order:
-        lfit = ctx.leakage_fit_for(name)
-        k = gate_grid[name]
-        p_diag[k] += 2.0 * lfit.alpha * ds * ds  # (1/2) x'Px convention
-        q_lin[k] += lfit.beta * ds
-        if both_layers:
-            q_lin[g + k] += lfit.gamma * ds
-    P_leak = sp.diags(p_diag, format="csc")
-
-    return Formulation(
-        partition=partition,
-        both_layers=both_layers,
-        n_gates=n,
-        A=A,
-        l=l,
-        u=u,
-        P_leak=P_leak,
-        q_leak=q_lin,
-        idx_T=idx_T,
-        row_clock=row_clock,
-        gate_grid=gate_grid,
-        gate_order=gate_order,
-        dose_range=dose_range,
-        smoothness=smoothness,
-        seam_smoothness=seam_smoothness,
-        n_range_rows=n_range_rows,
-        n_smooth_rows=n_smooth_rows,
-        backend=BACKEND_REFERENCE,
-    )
-
-
-# ----------------------------------------------------------------------
-# vector backend: cached per-design arrays + block-wise COO batches
+# assembly: cached per-design arrays + block-wise COO batches
 # ----------------------------------------------------------------------
 @dataclass
 class _DesignArrays:
@@ -439,8 +240,8 @@ def _design_arrays(ctx) -> _DesignArrays:
 
     # delay fits: batch the nearest-table-entry lookup per master, then
     # memoize the (master, i, j) -> DelayFit resolution so each distinct
-    # operating entry is fitted exactly once (same cache the reference
-    # path populates via ctx.delay_fit_for)
+    # operating entry is fitted exactly once (the cache
+    # ctx.delay_fit_for populates)
     slews = np.array([baseline.input_slew[name] for name in names])
     loads = np.array([baseline.load[name] for name in names])
     fit_a = np.empty(n)
@@ -729,5 +530,4 @@ def _assemble_vector(
         seam_smoothness=seam_smoothness,
         n_range_rows=n_range_rows,
         n_smooth_rows=n_smooth_rows,
-        backend=BACKEND_VECTOR,
     )

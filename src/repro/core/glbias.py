@@ -18,10 +18,10 @@ Comparing its results with DMopt quantifies what the dose map's
 equipment constraints cost -- and what skipping a mask respin buys.
 
 The golden re-analysis checkpoints hit ``ctx.analyzer.analyze`` with a
-slightly different dose dict each iteration; under the default vector
-STA backend those calls re-time incrementally (only the biased cells'
-fanout cones are re-propagated), which is what makes the per-cell greedy
-affordable at design scale.
+slightly different dose dict each iteration; the STA engine re-times
+those calls incrementally (only the biased cells' fanout cones are
+re-propagated), which is what makes the per-cell greedy affordable at
+design scale.
 """
 
 from __future__ import annotations

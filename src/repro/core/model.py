@@ -14,7 +14,7 @@ from repro.fitting import DelayFitter, LeakageFitter
 from repro.netlist.designs import DesignBundle, make_design
 from repro.placement import place_design
 from repro.power import total_leakage
-from repro.sta import CompiledTimingGraph, make_analyzer
+from repro.sta import make_analyzer
 
 
 class DesignContext:
@@ -31,13 +31,10 @@ class DesignContext:
     fit_width:
         When True, delay/leakage coefficients are fitted over the 2-D
         (dL, dW) variant space (needed for both-layer optimization).
-    sta_backend:
-        STA engine name ("vector" | "reference"); defaults to the
-        session-wide :data:`repro.sta.DEFAULT_STA_BACKEND`.
     """
 
     def __init__(self, bundle, placement=None, fit_width: bool = False,
-                 seed: int = 7, sta_backend: str = None):
+                 seed: int = 7):
         if isinstance(bundle, str):
             bundle = make_design(bundle)
         if not isinstance(bundle, DesignBundle):
@@ -55,15 +52,11 @@ class DesignContext:
         self.placement = placement if placement is not None else place_design(
             bundle, seed=seed
         )
-        self.sta_backend = sta_backend
         self.analyzer = make_analyzer(
-            self.netlist, self.library, self.placement, backend=sta_backend
+            self.netlist, self.library, self.placement
         )
-        #: The compiled timing DAG every analysis reads: the vector
-        #: analyzer's own, compiled here only on the reference backend.
-        self.timing_graph = getattr(self.analyzer, "graph", None) or (
-            CompiledTimingGraph(self.netlist, self.library)
-        )
+        #: The compiled timing DAG every analysis reads.
+        self.timing_graph = self.analyzer.graph
         #: Golden STA at nominal dose.
         self.baseline = self.analyzer.analyze()
         #: Golden total leakage (uW) at nominal dose.
@@ -78,7 +71,7 @@ class DesignContext:
     # ------------------------------------------------------------------
     def formulation_for(self, grid_size: float, both_layers: bool = False,
                         dose_range: float = None, smoothness: float = None,
-                        seam_smoothness: bool = False, backend: str = None):
+                        seam_smoothness: bool = False):
         """A DMopt formulation for this design, cached per structure.
 
         The constraint matrix ``A`` and leakage quadratic depend only on
@@ -105,7 +98,7 @@ class DesignContext:
         if form is not None and self._formulation_stale(form, grid_size,
                                                         both_layers):
             form = None
-        if form is None or (backend is not None and form.backend != backend):
+        if form is None:
             metrics.inc("formulation.cache_miss")
             form = build_formulation(
                 self,
@@ -114,7 +107,6 @@ class DesignContext:
                 dose_range=dose_range,
                 smoothness=smoothness,
                 seam_smoothness=seam_smoothness,
-                backend=backend,
             )
             self._formulation_cache[key] = form
         else:
@@ -195,27 +187,13 @@ class DesignContext:
     def analyzer_for(self, placement=None):
         """An STA engine bound to ``placement`` (the context's by default).
 
-        With the vector backend the compiled timing graph is shared, so
-        binding a trial placement costs only a geometry rebuild.
+        The compiled timing graph is shared, so binding another placement
+        costs only a geometry rebuild.  The engine re-times a mutable
+        placement incrementally (``update_placement`` + ``trial_mct``).
         """
         if placement is None or placement is self.placement:
             return self.analyzer
-        if hasattr(self.analyzer, "rebind"):
-            return self.analyzer.rebind(placement)
-        return make_analyzer(
-            self.netlist, self.library, placement, backend=self.sta_backend
-        )
-
-    def trial_timer(self, placement):
-        """Incremental trial timer for a mutable candidate placement.
-
-        Returns an analyzer bound to ``placement`` whose cached state
-        supports ``update_placement`` + ``trial_mct`` (vector backend),
-        or ``None`` when the active backend cannot re-time
-        incrementally -- callers then skip per-swap trial filtering.
-        """
-        eng = self.analyzer_for(placement)
-        return eng if hasattr(eng, "trial_mct") else None
+        return self.analyzer.rebind(placement)
 
     def __repr__(self):
         return (

@@ -78,7 +78,7 @@ def bias_critical_paths(ctx, k: int = 1000, dose: float = None):
     """
     if dose is None:
         dose = ctx.library.dose_range
-    paths = top_k_paths(ctx.netlist, ctx.library, ctx.baseline, k)
+    paths = top_k_paths(ctx.timing_graph, ctx.baseline, k)
     boosted = set()
     for p in paths:
         boosted.update(p.gates)

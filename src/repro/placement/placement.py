@@ -23,10 +23,12 @@ class Die:
     site_width: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("die dimensions must be positive")
-        if self.row_height <= 0 or self.site_width <= 0:
-            raise ValueError("row/site geometry must be positive")
+        for name in ("width", "height", "row_height", "site_width"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"die {name} must be finite and > 0, got {value!r}"
+                )
 
     @property
     def n_rows(self) -> int:

@@ -12,7 +12,7 @@ router over a gcell grid --
    (negotiation-style penalties).
 
 Outputs per-net routed lengths (consumable by the timer via
-``TimingAnalyzer(net_lengths=...)``), a congestion map, and overflow
+``VectorTimingAnalyzer(net_lengths=...)``), a congestion map, and overflow
 statistics.
 """
 

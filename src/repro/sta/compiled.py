@@ -1,12 +1,12 @@
-"""Compiled, array-backed STA engine.
+"""Compiled, array-backed STA engine: the flow's golden timer.
 
-The golden timer's hot path (:mod:`repro.sta.timing`) is exact but walks
-the netlist gate-by-gate in Python.  This module lowers the design into
-flat NumPy structures **once** -- topological levels, CSR fanin/fanout
-arc arrays, stacked NLDM delay/slew tables per characterized variant,
-wire-geometry coefficients -- and then propagates arrival/slew for one
-whole topological level per NumPy call (a vectorized bilinear
-interpolation over the stacked tables).
+The design is lowered into flat NumPy structures **once** -- topological
+levels, CSR fanin/fanout arc arrays, stacked NLDM delay/slew tables per
+characterized variant, wire-geometry coefficients -- and arrival/slew
+then propagate one whole topological level per NumPy call (a vectorized
+bilinear interpolation over the stacked tables).  Every analysis reads
+this one graph: golden STA, top-K paths, hold and ERC loads, Monte
+Carlo, SSTA, leakage Monte Carlo and GL-bias.
 
 On top of the full vectorized pass it supports **incremental re-timing**:
 after a placement move or a per-gate dose change, only the dirty fanout
@@ -14,10 +14,12 @@ cone is re-propagated and only the affected net loads are rebuilt, so a
 dosePl trial swap costs O(cone) instead of O(design), and a rejected
 swap is undone by ``revert_trial`` from the pass's undo log.
 
-Numerical contract: every arithmetic expression mirrors the reference
-engine operation-for-operation (same association order, same clamping,
-same tie-breaks), so both backends agree to the last ulp -- the
-differential tests in ``tests/test_sta_vectorized.py`` pin this down.
+Numerical contract: every arithmetic expression mirrors the per-gate
+reference timer operation-for-operation (same association order, same
+clamping, same tie-breaks), so the two agree to the last ulp.  The
+reference lives in ``tests/oracles/sta.py``; the differential tests in
+``tests/test_sta_vectorized.py`` and ``tests/test_oracles.py`` pin the
+agreement down.
 """
 
 from __future__ import annotations
@@ -75,9 +77,9 @@ def _bilinear_gather(tab, rows, i, j, fs, fc):
 def lex_max_reduce(arr, slew, starts, seg_of):
     """Per-segment lexicographic max of (arr, slew) pairs.
 
-    Implements the reference engine's worst-arrival selection including
-    its deterministic tie-break: within a segment the winner is the pair
-    with the largest arrival, and among equal arrivals the largest slew
+    The worst-arrival selection with its deterministic tie-break: within
+    a segment the winner is the pair with the largest arrival, and among
+    equal arrivals the largest slew
     (``arr > best or (arr == best and slew > best_slew)``).
 
     ``starts`` are the segment start offsets into ``arr``; ``seg_of``
@@ -363,10 +365,16 @@ class CompiledTimingGraph:
 
 
 class VectorTimingAnalyzer:
-    """Array-backed drop-in for :class:`repro.sta.timing.TimingAnalyzer`.
+    """The STA engine, bound to one placement of a compiled graph.
 
-    Same constructor signature and ``analyze`` contract as the reference
-    engine, same :class:`TimingResult` output, plus:
+    ``input_slew`` is the transition time (ns) at primary inputs and
+    clock pins, ``po_load`` the load (fF) on primary outputs, and
+    ``net_lengths`` optional per-net routed lengths (um) from a global
+    router; nets absent from it use HPWL estimates.  ``graph`` shares
+    an existing compilation of the same design.
+
+    ``analyze(doses, clock_period)`` returns a :class:`TimingResult`;
+    besides it:
 
     ``rebind(placement)``
         A new analyzer for another placement sharing this one's compiled
@@ -383,6 +391,8 @@ class VectorTimingAnalyzer:
         ids, pin caps and net loads it rebuilt, and the per-gate state
         of its cone; the previous state itself after a full pass), so a
         rejected trial swap is not re-timed to be undone.
+    ``output_loads(doses)``
+        Each gate's output-net load, for the hold and ERC checks.
     """
 
     def __init__(
@@ -407,33 +417,11 @@ class VectorTimingAnalyzer:
         elif graph.netlist is not netlist or graph.library is not library:
             raise ValueError("compiled graph belongs to a different design")
         self.graph = graph
-        # reference-compatible internals (used by hold/ERC analysis)
-        self._order = graph.names
-        self._is_seq = dict(zip(graph.names, graph.is_seq.tolist()))
         self._state = None
         #: What the last forward pass overwrote, for ``revert_trial``.
         self._undo = None
         self._moved_pending: set = set()
         self._geometry_full()
-
-    # -- reference-engine compatibility (hold / ERC duck typing) -------
-    def _variant(self, gate_name: str, doses):
-        master = self.netlist.gate(gate_name).master
-        if doses is None:
-            return self.library.nominal(master)
-        dp, da = doses.get(gate_name, (0.0, 0.0))
-        return self.library.characterized(master, dp, da)
-
-    def _net_loads(self, doses):
-        """Per-net capacitive loads dict (reference-compatible)."""
-        from repro.sta.timing import TimingAnalyzer
-
-        ref = TimingAnalyzer(
-            self.netlist, self.library, self.placement,
-            input_slew=self.input_slew, po_load=self.po_load,
-            net_lengths=self.net_lengths,
-        )
-        return ref._net_loads(doses)
 
     # ------------------------------------------------------------------
     # geometry
@@ -600,6 +588,15 @@ class VectorTimingAnalyzer:
         np.add.at(loads, g.ld_owner, cap[g.ld_sink])
         loads[g.is_po] += self.po_load
         return loads
+
+    def output_loads(self, doses=None) -> np.ndarray:
+        """Output-net load (fF) per gate, in graph order, under ``doses``.
+
+        Wire capacitance plus the sink pins' input caps (plus the PO
+        load): what the forward pass reads, without running it.
+        """
+        vids = self.graph.vids_for(doses)  # may register new variants
+        return self._loads_full(self.graph.stack.arrays()[4][vids])
 
     def _forward_level(self, st, pos, arc_idx, starts_local, seg_local, cap, stacks):
         """Propagate one level's (sub)set of gates given their arc gather."""
@@ -821,11 +818,15 @@ class VectorTimingAnalyzer:
     # public API
     # ------------------------------------------------------------------
     def analyze(self, doses=None, clock_period: float = None) -> TimingResult:
-        """One STA pass; same contract as the reference engine.
+        """One STA pass.
 
-        Consecutive calls on the same analyzer re-time incrementally:
-        only gates whose dose changed -- plus cells moved via
-        ``update_placement`` -- and their fanout cones are re-propagated.
+        ``doses`` maps gate name -> (poly dose %, active dose %); missing
+        gates are at nominal dose.  ``clock_period`` is the required-time
+        budget for slacks; it defaults to the computed MCT (so the worst
+        slack is exactly 0).  Consecutive calls on the same analyzer
+        re-time incrementally: only gates whose dose changed -- plus
+        cells moved via ``update_placement`` -- and their fanout cones
+        are re-propagated.
         """
         g = self.graph
         vids = g.vids_for(doses)

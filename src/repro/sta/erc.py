@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sta.hold import gate_variants
+
 
 @dataclass
 class ErcResult:
@@ -58,7 +60,7 @@ def check_electrical_rules(
     Parameters
     ----------
     analyzer:
-        A :class:`~repro.sta.timing.TimingAnalyzer`.
+        A :class:`~repro.sta.compiled.VectorTimingAnalyzer`.
     doses:
         Optional dose assignment (slower gates under negative dose).
     max_slew_ns:
@@ -73,10 +75,12 @@ def check_electrical_rules(
         max_slew_ns, _ = default_limits(lib)
     result = analyzer.analyze(doses=doses)
     loads = result.load
+    index = analyzer.graph.index
+    variants = gate_variants(lib, analyzer.graph, doses)
 
     erc = ErcResult(max_slew_ns=max_slew_ns, max_cap_ff=max_cap_ff or -1.0)
     for name in analyzer.netlist.gates:
-        cc = analyzer._variant(name, doses)
+        cc = variants[index[name]]
         slew = cc.slew_at(result.input_slew[name], loads[name])
         if slew > max_slew_ns:
             erc.slew_violations.append((name, float(slew), max_slew_ns))

@@ -45,28 +45,43 @@ class HoldResult:
         return [ep for ep, s in self.hold_slack.items() if s < 0]
 
 
-def analyze_hold(analyzer, doses=None, hold_ns: float = DEFAULT_HOLD_NS) -> HoldResult:
-    """Shortest-path (early-mode) timing over a TimingAnalyzer's design.
+def gate_variants(library, graph, doses=None) -> list:
+    """Characterized cell per gate, in graph order, under ``doses``."""
+    if doses is None:
+        return [library.nominal(m) for m in graph.masters]
+    return [
+        library.characterized(m, *doses.get(name, (0.0, 0.0)))
+        for name, m in zip(graph.names, graph.masters)
+    ]
 
-    Mirrors :meth:`repro.sta.timing.TimingAnalyzer.analyze` but
-    propagates the *minimum* arrival: for each gate the earliest input
-    transition plus the gate delay at that input's slew.  Sequential
-    cells launch at clk->q as in max-mode.
+
+def analyze_hold(analyzer, doses=None, hold_ns: float = DEFAULT_HOLD_NS) -> HoldResult:
+    """Shortest-path (early-mode) timing over an analyzer's design.
+
+    Mirrors the max-mode pass of
+    :class:`~repro.sta.compiled.VectorTimingAnalyzer` but propagates the
+    *minimum* arrival: for each gate the earliest input transition plus
+    the gate delay at that input's slew.  Sequential cells launch at
+    clk->q as in max-mode.  Gate order and net loads come from the
+    analyzer's compiled graph.
     """
+    graph = analyzer.graph
     nl = analyzer.netlist
     place = analyzer.placement
     node = analyzer.node
-    loads = analyzer._net_loads(doses)
+    loads = analyzer.output_loads(doses).tolist()
+    variants = gate_variants(analyzer.library, graph, doses)
+    is_seq = graph.is_seq.tolist()
 
     min_arrival: dict = {}
     out_slew: dict = {}
     hold_slack: dict = {}
 
-    for name in analyzer._order:
+    for i, name in enumerate(graph.names):
         gate = nl.gates[name]
-        cc = analyzer._variant(name, doses)
-        load = loads[gate.output]
-        if analyzer._is_seq[name]:
+        cc = variants[i]
+        load = loads[i]
+        if is_seq[i]:
             delay = cc.delay_at(analyzer.input_slew, load)
             min_arrival[name] = delay
             out_slew[name] = cc.slew_at(analyzer.input_slew, load)
@@ -95,11 +110,11 @@ def analyze_hold(analyzer, doses=None, hold_ns: float = DEFAULT_HOLD_NS) -> Hold
         out_slew[name] = cc.slew_at(best_slew, load)
 
     # hold endpoints: FF data pins driven by gates
-    for name in analyzer._order:
-        if not analyzer._is_seq[name]:
+    for i, name in enumerate(graph.names):
+        if not is_seq[i]:
             continue
         gate = nl.gates[name]
-        cc = analyzer._variant(name, doses)
+        cc = variants[i]
         for net_name in gate.inputs:
             net = nl.nets[net_name]
             if net.driver is None:

@@ -1,4 +1,4 @@
-"""Top-K critical path enumeration.
+"""Top-K critical path enumeration on the compiled timing graph.
 
 dosePl operates on "the top-K (e.g., K = 10,000) critical paths" from
 golden timing analysis (Section IV-A).  This module enumerates paths of
@@ -9,7 +9,14 @@ critical ones.
 
 The DAG mirrors the STA abstraction: node weight = gate delay, arc weight
 = interconnect delay, flip-flops act as sources (clk->q) and their D-pins
-as endpoints (+setup), primary outputs are endpoints.
+as endpoints (+setup), primary outputs are endpoints.  Its structure is
+read from :class:`~repro.sta.compiled.CompiledTimingGraph` once and
+cached there; each call reads only the result's gate and wire delays.
+
+Ties are broken by push order: sources in netlist order, and per gate
+its primary-output arc first, then one arc per sink pin of its output
+net in net order.  A gate driving two pins of the same successor thus
+yields each path through that pair twice.
 """
 
 from __future__ import annotations
@@ -18,9 +25,6 @@ import heapq
 from dataclasses import dataclass
 
 from repro.sta.timing import TimingResult
-
-_SOURCE = "__SRC__"
-_SINK = "__SNK__"
 
 
 @dataclass(frozen=True)
@@ -49,88 +53,130 @@ class TimingPath:
         return len(self.gates)
 
 
-def _build_dag(netlist, library, result: TimingResult):
-    """Adjacency: node -> list of (succ node, arc weight, endpoint label)."""
-    is_seq = {
-        name: library.cell(g.master).is_sequential
-        for name, g in netlist.gates.items()
-    }
-    adj: dict = {_SOURCE: []}
-    for name, gate in netlist.gates.items():
-        arcs = []
-        out_net = netlist.nets[gate.output]
-        if out_net.is_primary_output:
-            arcs.append((_SINK, 0.0, f"PO:{gate.output}"))
-        for succ, _pin in out_net.sinks:
-            wd = result.wire_delay.get((name, succ), 0.0)
-            if is_seq[succ]:
-                setup = library.cell(netlist.gate(succ).master).setup_ns
-                arcs.append((_SINK, wd + setup, f"FF:{succ}:{gate.output}"))
-            else:
-                arcs.append((succ, wd + result.gate_delay[succ], None))
-        adj[name] = arcs
-        if is_seq[name]:
-            adj[_SOURCE].append((name, result.gate_delay[name], None))
-        elif any(netlist.nets[n].driver is None for n in gate.inputs):
-            adj[_SOURCE].append((name, result.gate_delay[name], None))
-    adj[_SINK] = []
-    return adj
+class _PathArcs:
+    """The path DAG's arcs over a compiled graph's gate indices.
+
+    Arcs are grouped per driving gate (``lo``/``hi`` bound each group);
+    the sink is node ``n``.  ``wd_keys`` are the
+    ``TimingResult.wire_delay`` keys (a primary-output arc's key is
+    absent, so its wire delay reads 0) and ``setup`` is the capture
+    flop's setup time on an FF arc, else 0.
+    """
+
+    def __init__(self, graph):
+        nl, lib = graph.netlist, graph.library
+        index, n = graph.index, graph.n
+        self.lo, self.hi = [], []
+        self.succ, self.setup, self.labels, self.wd_keys = [], [], [], []
+        for name in graph.names:
+            out = nl.gates[name].output
+            net = nl.nets[out]
+            self.lo.append(len(self.succ))
+            if net.is_primary_output:
+                self._add(n, 0.0, f"PO:{out}", (name, None))
+            for sink, _pin in net.sinks:
+                sid = index[sink]
+                if graph.is_seq[sid]:
+                    setup = lib.cell(nl.gates[sink].master).setup_ns
+                    self._add(n, setup, f"FF:{sink}:{out}", (name, sink))
+                else:
+                    self._add(sid, 0.0, None, (name, sink))
+            self.hi.append(len(self.succ))
+        self.sources = [
+            index[name]
+            for name, gate in nl.gates.items()
+            if graph.is_seq[index[name]]
+            or any(nl.nets[net].driver is None for net in gate.inputs)
+        ]
+
+    def _add(self, succ, setup, label, wd_key):
+        self.succ.append(succ)
+        self.setup.append(setup)
+        self.labels.append(label)
+        self.wd_keys.append(wd_key)
 
 
-def _longest_to_sink(adj) -> dict:
-    """Longest-path distance from every node to the sink (DAG DP)."""
-    memo: dict = {_SINK: 0.0}
-    # iterative DFS to avoid recursion limits on deep designs
-    stack = [(_SOURCE, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node in memo:
-            continue
-        if expanded:
-            best = float("-inf")
-            for succ, w, _lbl in adj[node]:
-                if succ in memo:
-                    best = max(best, w + memo[succ])
-            memo[node] = best if adj[node] else float("-inf")
-        else:
-            stack.append((node, True))
-            for succ, _w, _lbl in adj[node]:
-                if succ not in memo:
-                    stack.append((succ, False))
-    return memo
+def _path_arcs(graph) -> _PathArcs:
+    arcs = graph.__dict__.get("_path_arcs")
+    if arcs is None:
+        arcs = graph._path_arcs = _PathArcs(graph)
+    return arcs
 
 
-def top_k_paths(netlist, library, result: TimingResult, k: int) -> list:
+def top_k_paths(graph, result: TimingResult, k: int) -> list:
     """The K most critical paths, in non-increasing delay order.
 
-    ``result`` must come from a :class:`TimingAnalyzer` pass on the same
-    netlist/library (its gate and wire delays define the DAG weights).
+    ``graph`` is the design's
+    :class:`~repro.sta.compiled.CompiledTimingGraph`; ``result`` must
+    come from an STA pass on the same design (its gate and wire delays
+    define the DAG weights).
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    adj = _build_dag(netlist, library, result)
-    down = _longest_to_sink(adj)
-    if down.get(_SOURCE, float("-inf")) == float("-inf"):
-        return []  # no endpoint reachable
+    arcs = _path_arcs(graph)
+    n, names = graph.n, graph.names
+    succ_of, labels, lo, hi = arcs.succ, arcs.labels, arcs.lo, arcs.hi
+    gate_delay = result.gate_delay
+    gd = [gate_delay[name] for name in names]
+    get = result.wire_delay.get
+    w = [
+        get(key, 0.0) + (gd[succ] if succ < n else setup)
+        for key, succ, setup in zip(arcs.wd_keys, succ_of, arcs.setup)
+    ]
+
+    # longest delay from every node to the sink (-inf: no endpoint), in
+    # one pass over the gates in reverse topological order
+    neg_inf = float("-inf")
+    down = [neg_inf] * n + [0.0]
+    for gid in range(n - 1, -1, -1):
+        best = neg_inf
+        for a in range(lo[gid], hi[gid]):
+            bound = w[a] + down[succ_of[a]]
+            if bound > best:
+                best = bound
+        down[gid] = best
+
+    # the source node's arcs, pushed in order (it is the first pop); a
+    # heap entry's prefix is a linked list (gate id, parent prefix), so
+    # a push costs O(1) and only an emitted path is materialized
+    heap = []
+    counter = 0  # tie-breaker so heapq never compares prefixes
+    for src in arcs.sources:
+        if down[src] == neg_inf:
+            continue
+        nd = 0.0 + gd[src]
+        counter += 1
+        heap.append((-(nd + down[src]), counter, src, nd, (src, None), None))
+    heapq.heapify(heap)
 
     paths = []
-    counter = 0  # tie-breaker so heapq never compares tuples of gates
-    heap = [(-down[_SOURCE], counter, _SOURCE, 0.0, (), None)]
-    while heap and len(paths) < k:
-        neg_bound, _cnt, node, dist, prefix, label = heapq.heappop(heap)
-        if node == _SINK:
-            paths.append(TimingPath(gates=prefix, delay=dist, endpoint=label))
-            continue
-        for succ, w, lbl in adj[node]:
-            if down.get(succ, float("-inf")) == float("-inf"):
-                continue
-            nd = dist + w
-            counter += 1
-            new_prefix = prefix if succ == _SINK else prefix + (succ,)
-            heapq.heappush(
-                heap,
-                (-(nd + down[succ]), counter, succ, nd, new_prefix, lbl or label),
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        _neg_bound, _cnt, node, dist, prefix, label = pop(heap)
+        if node == n:
+            gates = []
+            while prefix is not None:
+                gid, prefix = prefix
+                gates.append(names[gid])
+            gates.reverse()
+            paths.append(
+                TimingPath(gates=tuple(gates), delay=dist, endpoint=label)
             )
+            if len(paths) == k:
+                break
+            continue
+        for a in range(lo[node], hi[node]):
+            succ = succ_of[a]
+            bound = down[succ]
+            if bound == neg_inf:
+                continue
+            nd = dist + w[a]
+            counter += 1
+            if succ == n:
+                push(heap, (-(nd + bound), counter, n, nd, prefix, labels[a]))
+            else:
+                push(heap, (-(nd + bound), counter, succ, nd, (succ, prefix),
+                            label))
     return paths
 
 

@@ -13,15 +13,19 @@ from repro.sta.paths import top_k_paths
 
 
 def report_timing(
-    netlist,
-    library,
+    graph,
     result,
     n_paths: int = 3,
     clock_period: float = None,
 ) -> str:
-    """Top-N critical path report (per-gate incr/arrival columns)."""
+    """Top-N critical path report (per-gate incr/arrival columns).
+
+    ``graph`` is the design's compiled timing graph and ``result`` an
+    STA pass over it.
+    """
     period = result.mct if clock_period is None else float(clock_period)
-    paths = top_k_paths(netlist, library, result, n_paths)
+    netlist, library = graph.netlist, graph.library
+    paths = top_k_paths(graph, result, n_paths)
     lines = [
         "Timing report",
         f"  clock period : {period:.4f} ns",

@@ -15,6 +15,7 @@ from repro.core import DesignContext, optimize_dose_map
 from repro.library import CellLibrary
 from repro.netlist import Netlist, make_design
 from repro.netlist.designs import DesignBundle
+from repro.placement import Die
 from repro.solver import (
     FAMILY_TIMING,
     STATUS_INFEASIBLE,
@@ -137,3 +138,63 @@ class TestDMoptDegenerates:
             report.tau_min - tau, abs=1e-9
         )
         assert "tau" in report.summary()
+
+
+@pytest.fixture(scope="module")
+def small_ctx():
+    return DesignContext(make_design("AES-65", scale=0.2))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestArgumentValidation:
+    """Bad bounds and budgets fail at entry with the argument's name;
+    before, most of them solved silently to a wrong dose map."""
+
+    @pytest.mark.parametrize(
+        "mode, name, value",
+        [
+            ("qcp", "dose_range", NAN),
+            ("qcp", "dose_range", -1.0),
+            ("qcp", "dose_range", INF),
+            ("qcp", "smoothness", NAN),
+            ("qcp", "smoothness", -0.5),
+            ("qcp", "leakage_budget", NAN),
+            ("qcp", "leakage_budget", INF),
+            ("qcp", "leakage_budget", -INF),
+            ("qp", "timing_bound", -1.0),
+            ("qp", "timing_bound", 0.0),
+            ("qp", "timing_bound", NAN),
+            ("qp", "timing_bound", INF),
+        ],
+    )
+    def test_bad_bound_or_budget(self, small_ctx, mode, name, value):
+        with pytest.raises(ValueError, match=name):
+            optimize_dose_map(small_ctx, 30.0, mode=mode, **{name: value})
+
+    @pytest.mark.parametrize("grid_size", [NAN, INF, 0.0, -5.0])
+    def test_bad_grid_size(self, small_ctx, grid_size):
+        with pytest.raises(ValueError, match="grid_size"):
+            optimize_dose_map(small_ctx, grid_size, mode="qcp")
+
+    def test_negative_budget_and_zero_limits_are_legal(self, small_ctx):
+        res = optimize_dose_map(small_ctx, 30.0, mode="qcp",
+                                leakage_budget=-0.1)
+        assert res.solve is not None
+        res = optimize_dose_map(small_ctx, 30.0, mode="qp", dose_range=0.0,
+                                smoothness=0.0)
+        assert res.solve is not None
+        if res.ok:
+            assert np.allclose(res.dose_map_poly.values, 0.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("width", NAN), ("height", INF), ("row_height", 0.0),
+         ("site_width", -0.2)],
+    )
+    def test_degenerate_die(self, name, value):
+        geometry = dict(width=20.0, height=9.0, row_height=1.8, site_width=0.2)
+        geometry[name] = value
+        with pytest.raises(ValueError, match=name):
+            Die(**geometry)

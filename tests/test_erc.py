@@ -6,7 +6,11 @@ from repro.core import DesignContext, optimize_dose_map
 from repro.library import CellLibrary
 from repro.netlist import Netlist, make_design
 from repro.placement import Die, Placement
-from repro.sta import TimingAnalyzer, check_electrical_rules, default_limits
+from repro.sta import (
+    VectorTimingAnalyzer,
+    check_electrical_rules,
+    default_limits,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +30,7 @@ def _fanout_monster(lib, fanout=40):
     pl.place("drv", 0.0, 0.0)
     for i in range(fanout):
         pl.place(f"ld{i}", (i * 1.4) % 58.0, 1.8 * (1 + i // 40))
-    return TimingAnalyzer(nl, lib, pl)
+    return VectorTimingAnalyzer(nl, lib, pl)
 
 
 class TestERC:

@@ -1,11 +1,11 @@
-"""Differential tests: vectorized formulation assembly vs the loop builder.
+"""Differential tests: block-COO formulation assembly vs the loop builder.
 
-The block-wise COO backend (:func:`_assemble_vector`) must emit exactly
-the matrices the readable per-gate ``add_row`` reference emits -- same
-``A`` entries (compared as canonically sorted COO triplets), same
-bounds, same leakage quadratic, same row bookkeeping -- for any design,
-layer setting, and seam setting.  Plus the formulation cache/retarget
-contract and the ``REPRO_FORMULATE_BACKEND`` dispatch.
+The block-wise COO assembler (:func:`build_formulation`) must emit
+exactly the matrices the readable per-gate ``add_row`` reference in
+``tests/oracles/formulate.py`` emits -- same ``A`` entries (compared as
+canonically sorted COO triplets), same bounds, same leakage quadratic,
+same row bookkeeping -- for any design, layer setting, and seam
+setting.  Plus the formulation cache/retarget contract.
 """
 
 import numpy as np
@@ -14,17 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DesignContext
-from repro.core.formulate import (
-    BACKEND_REFERENCE,
-    BACKEND_VECTOR,
-    build_formulation,
-    resolve_formulate_backend,
-)
+from repro.core.formulate import build_formulation
 from repro.library import CellLibrary
-from repro.netlist import Netlist
-from repro.netlist.designs import DesignBundle
-
-import random
+from tests.oracles.formulate import (
+    assert_formulations_identical,
+    build_reference_formulation,
+)
+from tests.oracles.netlists import random_dag_context
 
 
 @pytest.fixture(scope="module")
@@ -42,36 +38,9 @@ def aes_ctx_w():
     return DesignContext("AES-65", fit_width=True)
 
 
-def canonical_coo(A):
-    """(row, col, val) triplets sorted row-major for exact comparison."""
-    c = A.tocoo()
-    order = np.lexsort((c.col, c.row))
-    return c.row[order], c.col[order], c.data[order]
-
-
-def assert_formulations_identical(ref, vec):
-    assert ref.A.shape == vec.A.shape
-    r1, c1, d1 = canonical_coo(ref.A)
-    r2, c2, d2 = canonical_coo(vec.A)
-    assert np.array_equal(r1, r2)
-    assert np.array_equal(c1, c2)
-    assert np.array_equal(d1, d2), "A values differ"
-    assert np.array_equal(ref.l, vec.l)
-    assert np.array_equal(ref.u, vec.u)
-    assert np.array_equal(ref.P_leak.toarray(), vec.P_leak.toarray())
-    assert np.array_equal(ref.q_leak, vec.q_leak)
-    assert ref.row_clock == vec.row_clock
-    assert ref.idx_T == vec.idx_T
-    assert ref.n_gates == vec.n_gates
-    assert ref.gate_grid == vec.gate_grid
-    assert ref.gate_order == vec.gate_order
-    assert ref.n_range_rows == vec.n_range_rows
-    assert ref.n_smooth_rows == vec.n_smooth_rows
-
-
-def both_backends(ctx, grid_size, **kwargs):
-    ref = build_formulation(ctx, grid_size, backend=BACKEND_REFERENCE, **kwargs)
-    vec = build_formulation(ctx, grid_size, backend=BACKEND_VECTOR, **kwargs)
+def both_builders(ctx, grid_size, **kwargs):
+    ref = build_reference_formulation(ctx, grid_size, **kwargs)
+    vec = build_formulation(ctx, grid_size, **kwargs)
     return ref, vec
 
 
@@ -79,61 +48,28 @@ class TestDifferentialFixedDesign:
     @pytest.mark.parametrize("seam", [False, True])
     @pytest.mark.parametrize("grid", [5.0, 10.0, 30.0])
     def test_poly_only(self, aes_ctx, grid, seam):
-        ref, vec = both_backends(aes_ctx, grid, seam_smoothness=seam)
+        ref, vec = both_builders(aes_ctx, grid, seam_smoothness=seam)
         assert_formulations_identical(ref, vec)
 
     @pytest.mark.parametrize("seam", [False, True])
     @pytest.mark.parametrize("both_layers", [False, True])
     def test_both_layers(self, aes_ctx_w, both_layers, seam):
-        ref, vec = both_backends(
+        ref, vec = both_builders(
             aes_ctx_w, 10.0, both_layers=both_layers, seam_smoothness=seam
         )
         assert_formulations_identical(ref, vec)
 
     def test_nondefault_bounds(self, aes_ctx):
-        ref, vec = both_backends(
+        ref, vec = both_builders(
             aes_ctx, 10.0, dose_range=3.5, smoothness=1.25
         )
         assert_formulations_identical(ref, vec)
 
     def test_small_dense_equality(self, lib65):
         """On a tiny DAG the dense matrices must match element-wise."""
-        ctx = _random_dag_context(seed=5, n_gates=25, lib=lib65)
-        ref, vec = both_backends(ctx, 10.0)
+        ctx = random_dag_context(seed=5, n_gates=25, lib=lib65)
+        ref, vec = both_builders(ctx, 10.0)
         assert np.array_equal(ref.A.toarray(), vec.A.toarray())
-
-
-def _random_dag_context(seed, n_gates, lib):
-    """A DesignContext over a random placed DAG (every cell placed)."""
-    rng = random.Random(seed)
-    comb = ["INVX1", "INVX2", "NAND2X1", "NOR2X1", "BUFX1"]
-    comb = [m for m in comb if m in lib.masters]
-    seq = lib.sequential_names[:1]
-    nl = Netlist(f"rand{seed}")
-    nl.add_primary_input("pi0")
-    nl.add_primary_input("pi1")
-    nets = ["pi0", "pi1"]
-    for i in range(n_gates):
-        out = f"n{i}"
-        if seq and rng.random() < 0.15:
-            nl.add_gate(f"g{i}", seq[0], [rng.choice(nets)], out)
-        else:
-            master = rng.choice(comb)
-            n_in = 2 if ("NAND" in master or "NOR" in master) else 1
-            ins = [rng.choice(nets) for _ in range(n_in)]
-            nl.add_gate(f"g{i}", master, ins, out)
-        nets.append(out)
-    for name, net in nl.nets.items():
-        if not net.sinks and not net.is_primary_input:
-            nl.add_primary_output(name)
-    bundle = DesignBundle(
-        name=f"rand{seed}",
-        netlist=nl,
-        library=lib,
-        die_width=60.0,
-        die_height=10.8,
-    )
-    return DesignContext(bundle)
 
 
 class TestDifferentialRandomDAGs:
@@ -148,34 +84,9 @@ class TestDifferentialRandomDAGs:
         seam=st.booleans(),
     )
     def test_random_dag(self, lib65, seed, n_gates, seam):
-        ctx = _random_dag_context(seed, n_gates, lib65)
-        ref, vec = both_backends(ctx, 5.0, seam_smoothness=seam)
+        ctx = random_dag_context(seed, n_gates, lib65)
+        ref, vec = both_builders(ctx, 5.0, seam_smoothness=seam)
         assert_formulations_identical(ref, vec)
-
-
-class TestBackendDispatch:
-    def test_resolve_names(self):
-        assert resolve_formulate_backend("vector") == BACKEND_VECTOR
-        assert resolve_formulate_backend("reference") == BACKEND_REFERENCE
-        with pytest.raises(ValueError):
-            resolve_formulate_backend("nope")
-
-    def test_default_follows_session_backend(self, aes_ctx):
-        from repro.core.formulate import DEFAULT_FORMULATE_BACKEND
-
-        form = build_formulation(aes_ctx, 30.0)
-        assert form.backend == resolve_formulate_backend(
-            DEFAULT_FORMULATE_BACKEND
-        )
-
-    def test_env_override(self, aes_ctx, monkeypatch):
-        import repro.core.formulate as formulate
-
-        monkeypatch.setattr(
-            formulate, "DEFAULT_FORMULATE_BACKEND", "reference"
-        )
-        form = build_formulation(aes_ctx, 30.0)
-        assert form.backend == BACKEND_REFERENCE
 
 
 class TestFormulationCacheRetarget:

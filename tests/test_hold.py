@@ -5,7 +5,7 @@ import pytest
 from repro.library import CellLibrary
 from repro.netlist import Netlist, make_design
 from repro.placement import Die, Placement, place_design
-from repro.sta import TimingAnalyzer, analyze_hold
+from repro.sta import VectorTimingAnalyzer, analyze_hold
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ class TestHoldAnalysis:
     def test_min_le_max_arrival(self, lib65):
         d = make_design("AES-65", scale=0.2)
         pl = place_design(d)
-        ta = TimingAnalyzer(d.netlist, d.library, pl)
+        ta = VectorTimingAnalyzer(d.netlist, d.library, pl)
         max_res = ta.analyze()
         hold = analyze_hold(ta)
         for g in d.netlist.gates:
@@ -49,27 +49,31 @@ class TestHoldAnalysis:
     def test_short_path_has_less_hold_slack(self, lib65):
         short = _reg_to_reg(1)
         long = _reg_to_reg(6)
-        h_short = analyze_hold(TimingAnalyzer(short, lib65, _place_all(short)))
-        h_long = analyze_hold(TimingAnalyzer(long, lib65, _place_all(long)))
+        h_short = analyze_hold(
+            VectorTimingAnalyzer(short, lib65, _place_all(short))
+        )
+        h_long = analyze_hold(
+            VectorTimingAnalyzer(long, lib65, _place_all(long))
+        )
         assert h_short.worst_hold_slack < h_long.worst_hold_slack
 
     def test_hold_endpoints_are_ff_dpins(self, lib65):
         nl = _reg_to_reg(2)
-        hold = analyze_hold(TimingAnalyzer(nl, lib65, _place_all(nl)))
+        hold = analyze_hold(VectorTimingAnalyzer(nl, lib65, _place_all(nl)))
         assert len(hold.hold_slack) == 1  # only ff_b's D pin (ff_a is PI-fed)
         (key,) = hold.hold_slack
         assert key.startswith("FF:ff_b:")
 
     def test_violation_with_huge_requirement(self, lib65):
         nl = _reg_to_reg(1)
-        ta = TimingAnalyzer(nl, lib65, _place_all(nl))
+        ta = VectorTimingAnalyzer(nl, lib65, _place_all(nl))
         hold = analyze_hold(ta, hold_ns=10.0)
         assert hold.worst_hold_slack < 0
         assert len(hold.violations) == 1
 
     def test_no_violation_with_zero_requirement(self, lib65):
         nl = _reg_to_reg(1)
-        ta = TimingAnalyzer(nl, lib65, _place_all(nl))
+        ta = VectorTimingAnalyzer(nl, lib65, _place_all(nl))
         hold = analyze_hold(ta, hold_ns=0.0)
         assert hold.worst_hold_slack > 0
         assert hold.violations == []
@@ -78,7 +82,7 @@ class TestHoldAnalysis:
         """The paper's Section I point: extra dose (shorter gates) makes
         short paths faster and thus hold-riskier."""
         nl = _reg_to_reg(2)
-        ta = TimingAnalyzer(nl, lib65, _place_all(nl))
+        ta = VectorTimingAnalyzer(nl, lib65, _place_all(nl))
         nominal = analyze_hold(ta)
         dosed = analyze_hold(
             ta, doses={g: (5.0, 0.0) for g in nl.gates}
@@ -103,6 +107,6 @@ class TestHoldAnalysis:
         nl.add_primary_input("a")
         nl.add_gate("u0", "INVX1", ["a"], "y")
         nl.add_primary_output("y")
-        hold = analyze_hold(TimingAnalyzer(nl, lib65, _place_all(nl)))
+        hold = analyze_hold(VectorTimingAnalyzer(nl, lib65, _place_all(nl)))
         assert hold.hold_slack == {}
         assert hold.worst_hold_slack == float("inf")

@@ -82,13 +82,13 @@ class TestLeakageMC:
 
 class TestReports:
     def test_timing_report(self, ctx):
-        text = report_timing(ctx.netlist, ctx.library, ctx.baseline, n_paths=2)
+        text = report_timing(ctx.timing_graph, ctx.baseline, n_paths=2)
         assert "Path 1:" in text and "Path 2:" in text
         assert f"{ctx.baseline.mct:.4f}" in text
         assert "worst slack  : +0.0000" in text
 
     def test_timing_report_path_sums_to_mct(self, ctx):
-        text = report_timing(ctx.netlist, ctx.library, ctx.baseline, n_paths=1)
+        text = report_timing(ctx.timing_graph, ctx.baseline, n_paths=1)
         # last arrival figure of path 1 equals the path delay = MCT
         numbers = [
             float(line.split()[-1])

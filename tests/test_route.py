@@ -7,7 +7,7 @@ from repro.netlist import Netlist, make_design
 from repro.placement import Die, Placement, net_hpwl, place_design
 from repro.route import GlobalRouter, RoutingGrid
 from repro.route.router import _l_paths
-from repro.sta import TimingAnalyzer
+from repro.sta import VectorTimingAnalyzer
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +139,8 @@ class TestSTAIntegration:
         """Routed lengths are gcell-quantized upper estimates of HPWL,
         so routed MCT lands above the HPWL MCT but in the same regime."""
         d, pl, result = routed_design
-        base = TimingAnalyzer(d.netlist, d.library, pl).analyze()
-        routed = TimingAnalyzer(
+        base = VectorTimingAnalyzer(d.netlist, d.library, pl).analyze()
+        routed = VectorTimingAnalyzer(
             d.netlist, d.library, pl, net_lengths=result.net_lengths
         ).analyze()
         assert routed.mct >= base.mct * 0.99

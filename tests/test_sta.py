@@ -6,7 +6,7 @@ from repro.library import CellLibrary
 from repro.netlist import Netlist, make_design
 from repro.placement import Die, Placement, place_design
 from repro.sta import (
-    TimingAnalyzer,
+    VectorTimingAnalyzer,
     criticality_histogram,
     net_wire_cap,
     top_k_paths,
@@ -44,28 +44,32 @@ def _chain(n=5, master="INVX1"):
 def aes():
     d = make_design("AES-65")
     pl = place_design(d)
-    ta = TimingAnalyzer(d.netlist, d.library, pl)
+    ta = VectorTimingAnalyzer(d.netlist, d.library, pl)
     return d, pl, ta, ta.analyze()
 
 
 class TestForwardPass:
     def test_chain_arrival_monotone(self, lib65):
         nl = _chain(5)
-        res = TimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
+        res = VectorTimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
         arr = [res.arrival[f"u{i}"] for i in range(5)]
         assert all(b > a for a, b in zip(arr, arr[1:]))
 
     def test_mct_is_max_endpoint(self, lib65):
         nl = _chain(5)
-        res = TimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
+        res = VectorTimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
         assert res.mct == pytest.approx(max(res.endpoint_arrival.values()))
         assert res.mct == pytest.approx(res.arrival["u4"])
 
     def test_longer_chain_longer_mct(self, lib65):
         short = _chain(3)
         long = _chain(9)
-        mct_s = TimingAnalyzer(short, lib65, _place_all(short)).analyze().mct
-        mct_l = TimingAnalyzer(long, lib65, _place_all(long)).analyze().mct
+        mct_s = VectorTimingAnalyzer(
+            short, lib65, _place_all(short)
+        ).analyze().mct
+        mct_l = VectorTimingAnalyzer(
+            long, lib65, _place_all(long)
+        ).analyze().mct
         assert mct_l > 2 * mct_s
 
     def test_ff_starts_and_ends_paths(self, lib65):
@@ -75,7 +79,7 @@ class TestForwardPass:
         nl.add_gate("ff", "DFFX1", ["d"], "q")
         nl.add_gate("u1", "INVX1", ["q"], "out")
         nl.add_primary_output("out")
-        res = TimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
+        res = VectorTimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
         # FF D endpoint includes setup; FF output launches at clk->q
         assert any(k.startswith("FF:ff") for k in res.endpoint_arrival)
         assert res.arrival["ff"] > 0  # clk->q
@@ -85,7 +89,7 @@ class TestForwardPass:
     def test_dose_speeds_up_timing(self, lib65):
         nl = _chain(6)
         pl = _place_all(nl)
-        ta = TimingAnalyzer(nl, lib65, pl)
+        ta = VectorTimingAnalyzer(nl, lib65, pl)
         base = ta.analyze().mct
         fast = ta.analyze(doses={f"u{i}": (5.0, 0.0) for i in range(6)}).mct
         slow = ta.analyze(doses={f"u{i}": (-5.0, 0.0) for i in range(6)}).mct
@@ -95,7 +99,7 @@ class TestForwardPass:
         """Gates missing from the dose dict stay at nominal."""
         nl = _chain(6)
         pl = _place_all(nl)
-        ta = TimingAnalyzer(nl, lib65, pl)
+        ta = VectorTimingAnalyzer(nl, lib65, pl)
         base = ta.analyze().mct
         partial = ta.analyze(doses={"u0": (5.0, 0.0)}).mct
         full = ta.analyze(doses={f"u{i}": (5.0, 0.0) for i in range(6)}).mct
@@ -110,7 +114,7 @@ class TestSlack:
     def test_slack_with_relaxed_clock(self, lib65):
         nl = _chain(4)
         pl = _place_all(nl)
-        ta = TimingAnalyzer(nl, lib65, pl)
+        ta = VectorTimingAnalyzer(nl, lib65, pl)
         mct = ta.analyze().mct
         res = ta.analyze(clock_period=mct + 1.0)
         assert res.worst_slack == pytest.approx(1.0, abs=1e-9)
@@ -146,44 +150,44 @@ class TestWireModel:
         for i in range(4):
             near.place(f"u{i}", float(i), 0.0)
             far.place(f"u{i}", (i % 2) * 38.0, 1.8 * (i % 5))
-        mct_near = TimingAnalyzer(nl, lib65, near).analyze().mct
-        mct_far = TimingAnalyzer(nl, lib65, far).analyze().mct
+        mct_near = VectorTimingAnalyzer(nl, lib65, near).analyze().mct
+        mct_far = VectorTimingAnalyzer(nl, lib65, far).analyze().mct
         assert mct_far > mct_near
 
 
 class TestPaths:
     def test_top1_matches_mct(self, aes):
-        d, _pl, _ta, res = aes
-        paths = top_k_paths(d.netlist, d.library, res, 1)
+        d, _pl, ta, res = aes
+        paths = top_k_paths(ta.graph, res, 1)
         assert len(paths) == 1
         assert paths[0].delay == pytest.approx(res.mct, rel=1e-9)
 
     def test_paths_sorted_nonincreasing(self, aes):
-        d, _pl, _ta, res = aes
-        paths = top_k_paths(d.netlist, d.library, res, 50)
+        d, _pl, ta, res = aes
+        paths = top_k_paths(ta.graph, res, 50)
         delays = [p.delay for p in paths]
         assert delays == sorted(delays, reverse=True)
         assert len(paths) == 50
 
     def test_paths_are_connected(self, aes):
-        d, _pl, _ta, res = aes
-        for p in top_k_paths(d.netlist, d.library, res, 5):
+        d, _pl, ta, res = aes
+        for p in top_k_paths(ta.graph, res, 5):
             for a, b in zip(p.gates, p.gates[1:]):
                 assert b in d.netlist.fanout_gates(a)
 
     def test_path_delay_consistent_with_dag(self, lib65):
         nl = _chain(5)
-        res = TimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
-        paths = top_k_paths(nl, lib65, res, 3)
+        ta = VectorTimingAnalyzer(nl, lib65, _place_all(nl))
+        paths = top_k_paths(ta.graph, ta.analyze(), 3)
         assert len(paths) == 1  # a chain has exactly one path
         assert paths[0].gates == tuple(f"u{i}" for i in range(5))
         assert paths[0].endpoint.startswith("PO:")
 
     def test_k_validation(self, lib65):
         nl = _chain(3)
-        res = TimingAnalyzer(nl, lib65, _place_all(nl)).analyze()
+        ta = VectorTimingAnalyzer(nl, lib65, _place_all(nl))
         with pytest.raises(ValueError, match="positive"):
-            top_k_paths(nl, lib65, res, 0)
+            top_k_paths(ta.graph, ta.analyze(), 0)
 
     def test_histogram(self):
         class P:

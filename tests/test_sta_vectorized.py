@@ -1,7 +1,8 @@
-"""Differential and property tests: vector STA engine vs the reference.
+"""Differential and property tests: the STA engine vs the reference oracle.
 
 The compiled engine (:mod:`repro.sta.compiled`) must be numerically
-indistinguishable from the per-gate dict engine -- same arrivals, slacks,
+indistinguishable from the per-gate dict engine kept in
+``tests/oracles/sta.py`` -- same arrivals, slacks,
 MCT, slews, loads, wire delays, endpoint labels -- for any design, dose
 assignment, and placement-mutation history.  These tests pin that down
 with fixed designs, hypothesis-randomized DAGs, and random swap
@@ -14,19 +15,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+import repro.sta
+from repro.core import DesignContext
 from repro.library import CellLibrary
 from repro.netlist import Netlist, make_design
 from repro.placement import Die, Placement, place_design
-import numpy as np
-
-from repro.sta import (
-    DEFAULT_STA_BACKEND,
-    TimingAnalyzer,
-    VectorTimingAnalyzer,
-    make_analyzer,
-)
+from repro.sta import VectorTimingAnalyzer, make_analyzer
 from repro.sta.compiled import CompiledTimingGraph, lex_max_reduce
-from repro.sta.timing import beats_worst_pin
+from tests.oracles.netlists import random_dag, random_doses
+from tests.oracles.sta import TimingAnalyzer, beats_worst_pin
 
 ATOL = 1e-9
 
@@ -54,53 +53,6 @@ def assert_equivalent(ref_res, vec_res, atol=ATOL):
         assert vec_res.endpoint_arrival[k] == pytest.approx(
             ref_res.endpoint_arrival[k], abs=atol
         ), ("endpoint", k)
-
-
-def random_doses(netlist, library, seed, fraction=1.0):
-    rng = random.Random(seed)
-    gates = list(netlist.gates)
-    if fraction < 1.0:
-        gates = gates[:: max(1, int(1 / fraction))]
-    return {
-        g: (
-            library.snap_dose(rng.uniform(-6.0, 6.0)),
-            library.snap_dose(rng.uniform(-6.0, 6.0)),
-        )
-        for g in gates
-    }
-
-
-def random_dag(seed, n_gates, lib):
-    """A random placed DAG mixing combinational and sequential cells."""
-    rng = random.Random(seed)
-    comb = ["INVX1", "INVX2", "NAND2X1", "NOR2X1", "BUFX1"]
-    comb = [m for m in comb if m in lib.masters]
-    seq = lib.sequential_names[:1]
-    nl = Netlist(f"rand{seed}")
-    nl.add_primary_input("pi0")
-    nl.add_primary_input("pi1")
-    nets = ["pi0", "pi1"]
-    for i in range(n_gates):
-        out = f"n{i}"
-        if seq and rng.random() < 0.15:
-            nl.add_gate(f"g{i}", seq[0], [rng.choice(nets)], out)
-        else:
-            master = rng.choice(comb)
-            n_in = 2 if ("NAND" in master or "NOR" in master) else 1
-            ins = [rng.choice(nets) for _ in range(n_in)]
-            nl.add_gate(f"g{i}", master, ins, out)
-        nets.append(out)
-    # every sink-less net becomes a primary output
-    for name, net in nl.nets.items():
-        if not net.sinks and not net.is_primary_input:
-            nl.add_primary_output(name)
-    die = Die(width=60.0, height=10.8, row_height=1.8, site_width=0.2)
-    pl = Placement(die)
-    for i, g in enumerate(nl.gates):
-        if rng.random() < 0.9:  # leave some cells unplaced
-            pl.place(g, round(rng.uniform(0, 58.0), 1),
-                     1.8 * rng.randrange(6))
-    return nl, pl
 
 
 class TestDifferentialFixedDesigns:
@@ -201,7 +153,7 @@ class TestIncrementalRetiming:
                 nl, lib, pl, graph=vec.graph
             ).mct(doses)
             assert m_inc == pytest.approx(m_scratch, abs=0.0), step
-        # and the final state still matches the reference engine exactly
+        # and the final state still matches the reference oracle exactly
         r = TimingAnalyzer(nl, lib, pl).analyze(doses)
         assert_equivalent(r, vec.analyze(doses))
 
@@ -410,7 +362,14 @@ class TestTieBreak:
 
 class TestBackendFactory:
     def test_default_backend_is_vector(self):
-        assert DEFAULT_STA_BACKEND in ("vector", "reference")
+        """Every engine the flow builds is the compiled one, on one graph;
+        no backend switch is left to default."""
+        ctx = DesignContext(make_design("AES-65", scale=0.2))
+        other = place_design(ctx.bundle, seed=11)
+        for eng in (ctx.analyzer, ctx.analyzer_for(other)):
+            assert isinstance(eng, VectorTimingAnalyzer)
+            assert eng.graph is ctx.timing_graph
+        assert not hasattr(repro.sta, "DEFAULT_STA_BACKEND")
 
     def test_make_analyzer_types(self, lib65):
         nl = Netlist("f")
@@ -420,15 +379,9 @@ class TestBackendFactory:
         die = Die(width=40.0, height=9.0, row_height=1.8, site_width=0.2)
         pl = Placement(die)
         pl.place("u", 1.0, 0.0)
-        assert isinstance(
-            make_analyzer(nl, lib65, pl, backend="reference"), TimingAnalyzer
-        )
-        assert isinstance(
-            make_analyzer(nl, lib65, pl, backend="vector"),
-            VectorTimingAnalyzer,
-        )
-        with pytest.raises(ValueError, match="unknown STA backend"):
-            make_analyzer(nl, lib65, pl, backend="nope")
+        assert isinstance(make_analyzer(nl, lib65, pl), VectorTimingAnalyzer)
+        with pytest.raises(TypeError):
+            make_analyzer(nl, lib65, pl, backend="vector")
 
     def test_graph_sharing_via_rebind(self, lib65):
         bundle = make_design("AES-65", scale=0.2)

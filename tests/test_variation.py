@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo timing-yield estimator."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.variation import (
     timing_yield,
     yield_curve,
 )
+from tests.oracles.sta import TimingAnalyzer
 
 
 @pytest.fixture(scope="module")
@@ -206,48 +209,60 @@ class TestYield:
         assert y_opt > y_base
 
 
+@functools.lru_cache(maxsize=None)
+def _design_ctx(design):
+    return DesignContext(make_design(design, scale=0.3))
+
+
 @pytest.fixture(
     scope="module",
     params=[
-        (design, backend)
+        (design, engine)
         for design in ("AES-65", "JPEG-65", "AES-90", "JPEG-90")
-        for backend in ("vector", "reference")
+        for engine in ("vector", "reference")
     ],
     ids=lambda p: f"{p[0]}-{p[1]}",
 )
-def backend_ctx(request):
-    design, backend = request.param
-    ctx = DesignContext(make_design(design, scale=0.3), sta_backend=backend)
-    return backend, ctx
+def engine_golden(request):
+    """A design context and one STA engine's golden baseline on it: the
+    context's own engine (``vector``) or the reference oracle's."""
+    design, engine = request.param
+    ctx = _design_ctx(design)
+    if engine == "vector":
+        return ctx, ctx.baseline
+    oracle = TimingAnalyzer(ctx.netlist, ctx.library, ctx.placement)
+    return ctx, oracle.analyze()
 
 
 class TestEnginesAgreeAtZeroVariation:
     """Without variation, Monte Carlo, SSTA and leakage Monte Carlo all
-    reproduce the golden baseline they linearize, on either STA backend."""
+    reproduce the golden baseline they linearize, as both the STA engine
+    and the reference oracle time it (leakage has one golden model)."""
 
-    def test_one_timing_graph_per_context(self, backend_ctx):
-        backend, ctx = backend_ctx
-        if backend == "vector":
-            assert ctx.timing_graph is ctx.analyzer.graph
-        # sample columns keep the netlist's topological order
+    def test_one_timing_graph_per_context(self, engine_golden):
+        ctx, golden = engine_golden
+        assert ctx.timing_graph is ctx.analyzer.graph
+        # sample columns keep the netlist's topological order, which is
+        # the order both engines report gates in
         assert ctx.timing_graph.names == ctx.netlist.topological_order(
             ctx.library
         )
+        assert list(golden.arrival) == ctx.timing_graph.names
 
-    def test_monte_carlo_nominal_is_golden(self, backend_ctx):
-        _backend, ctx = backend_ctx
+    def test_monte_carlo_nominal_is_golden(self, engine_golden):
+        ctx, golden = engine_golden
         assert TimingMonteCarlo(ctx).nominal_mct() == pytest.approx(
-            ctx.baseline.mct, rel=1e-12
+            golden.mct, rel=1e-12
         )
 
-    def test_ssta_without_variation_is_golden(self, backend_ctx):
-        _backend, ctx = backend_ctx
+    def test_ssta_without_variation_is_golden(self, engine_golden):
+        ctx, golden = engine_golden
         mct = SSTA(ctx, VariationModel(0, 0)).analyze()
-        assert mct.mean == pytest.approx(ctx.baseline.mct, rel=1e-12)
+        assert mct.mean == pytest.approx(golden.mct, rel=1e-12)
         assert mct.sigma == 0.0
 
-    def test_leakage_monte_carlo_nominal_is_golden(self, backend_ctx):
-        _backend, ctx = backend_ctx
+    def test_leakage_monte_carlo_nominal_is_golden(self, engine_golden):
+        ctx, _golden = engine_golden
         assert LeakageMonteCarlo(ctx).nominal_leakage() == pytest.approx(
             ctx.baseline_leakage, rel=1e-12
         )
