@@ -21,16 +21,8 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-import time
 
-from repro.core import (
-    DesignContext,
-    DoseplConfig,
-    FlowResult,
-    optimize_dose_map,
-    run_dosepl,
-    run_flow,
-)
+from repro.core import DesignContext, DoseplConfig, run_flow
 from repro.io import parse_def, parse_verilog, write_def, write_verilog
 from repro.library import CellLibrary
 from repro.netlist import design_names, make_design
@@ -90,82 +82,26 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _checkpointed_flow(ctx, args) -> FlowResult:
-    """The ``optimize`` flow with the DMopt stage checkpointed.
-
-    The dose-map solve -- the expensive stage -- is stored in (and with
-    ``--resume`` served from) an append-only JSONL checkpoint under a
-    content hash of the design fingerprint and the optimize settings,
-    so a re-run after an interruption skips straight to reporting (and
-    dosePl, which golden-verifies its own swaps and stays live).
-    """
-    from repro import telemetry
-    from repro.obs import metrics
-    from repro.resilience.checkpoint import (
-        CheckpointStore,
-        dmopt_result_from_payload,
-        dmopt_result_payload,
-        sweep_point_key,
-    )
-
-    t0 = time.perf_counter()
-    store = CheckpointStore(args.checkpoint, resume=args.resume)
-    key = sweep_point_key(
-        ctx, args.grid, args.mode, args.dose_range, False,
-        {"smoothness": args.smoothness, "both_layers": args.both_layers},
-    )
-    payload = store.get(key)
-    if payload is not None:
-        dmopt = dmopt_result_from_payload(payload)
-        metrics.inc("checkpoint.hits")
-        telemetry.emit("checkpoint_hit", key=key)
-        print(f"dose-map solve resumed from {args.checkpoint}")
-    else:
-        dmopt = optimize_dose_map(
-            ctx,
-            args.grid,
-            mode=args.mode,
-            both_layers=args.both_layers,
-            smoothness=args.smoothness,
-            dose_range=args.dose_range,
-        )
-        if dmopt.ok:
-            # failures are not recorded: they may be environmental
-            # (budget, chaos) and must re-run on resume
-            store.put(key, dmopt_result_payload(dmopt), kind="cli_optimize")
-    store.close()
-    dosepl = None
-    if args.dosepl:
-        dosepl = run_dosepl(
-            ctx, dmopt.dose_map_poly,
-            config=DoseplConfig(top_k=args.top_k),
-        )
-    return FlowResult(
-        ctx=ctx, dmopt=dmopt, dosepl=dosepl,
-        runtime=time.perf_counter() - t0,
-    )
-
-
 def _cmd_optimize(args) -> int:
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint")
     ctx = _load_context(args)
-    checkpoint = getattr(args, "checkpoint", None)
-    if checkpoint is None:
-        flow = run_flow(
-            ctx,
-            grid_size=args.grid,
-            mode=args.mode,
-            both_layers=args.both_layers,
-            with_dosepl=args.dosepl,
-            dosepl_config=(
-                DoseplConfig(top_k=args.top_k) if args.dosepl else None
-            ),
-            smoothness=args.smoothness,
-            dose_range=args.dose_range,
-        )
-    else:
-        flow = _checkpointed_flow(ctx, args)
+    flow = run_flow(
+        ctx,
+        grid_size=args.grid,
+        mode=args.mode,
+        both_layers=args.both_layers,
+        with_dosepl=args.dosepl,
+        dosepl_config=(
+            DoseplConfig(top_k=args.top_k) if args.dosepl else None
+        ),
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        smoothness=args.smoothness,
+        dose_range=args.dose_range,
+    )
+    if flow.dmopt.solve.info.get("resumed"):
+        print(f"dose-map solve resumed from {args.checkpoint}")
     if args.certify:
         from repro.core import certify_result, enforce_certificate
 
@@ -202,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         const=True,
         default=None,
         metavar="PATH",
-        help="write a JSONL run manifest (solver traces, stage timings); "
-        "optional PATH overrides the default "
+        help="write a JSONL run manifest (tracing spans, metrics, solver "
+        "events); optional PATH overrides the default "
         "(REPRO_TELEMETRY_PATH or repro_telemetry.jsonl)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

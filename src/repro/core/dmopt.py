@@ -135,9 +135,10 @@ def _spanned(fn):
     """Run a DMopt call under a ``dmopt`` tracing span (no-op when off).
 
     The span carries the design / grid / mode attributes and, on the
-    way out, the solve status -- so a run manifest shows one ``dmopt``
-    node per optimization with ``dmopt.solve`` / ``dmopt.signoff`` /
-    ``dmopt.diagnose`` children.
+    way out, the solve status with the golden ``mct`` and ``leakage``
+    (or, for a failed solve, the ``blocking`` constraint families) --
+    so a run manifest shows one ``dmopt`` node per optimization with
+    ``dmopt.solve`` / ``dmopt.signoff`` / ``dmopt.diagnose`` children.
     """
 
     @functools.wraps(fn)
@@ -154,6 +155,11 @@ def _spanned(fn):
             res = fn(ctx, grid_size, *args, **kwargs)
             if sp is not None:
                 sp["status"] = res.status
+                if res.infeasibility is not None:
+                    sp["blocking"] = res.infeasibility.blocking
+                else:
+                    sp["mct"] = res.mct
+                    sp["leakage"] = res.leakage
             return res
 
     return wrapper
@@ -355,14 +361,6 @@ def optimize_dose_map(
                 form, tau=tau, qp_kwargs=qp_kwargs
             )
         poly, active, _ = form.split(np.zeros(form.n_vars))
-        telemetry.emit(
-            "dmopt",
-            mode=mode,
-            status=solve.status,
-            grid_size=float(grid_size),
-            blocking=report.blocking,
-            seconds=time.perf_counter() - t_start,
-        )
         return DMoptResult(
             mode=mode,
             dose_map_poly=poly,
@@ -379,15 +377,6 @@ def optimize_dose_map(
             infeasibility=report,
         )
 
-    telemetry.emit(
-        "dmopt",
-        mode=mode,
-        status=solve.status,
-        grid_size=float(grid_size),
-        mct=golden.mct,
-        leakage=leak,
-        seconds=time.perf_counter() - t_start,
-    )
     return DMoptResult(
         mode=mode,
         dose_map_poly=poly,

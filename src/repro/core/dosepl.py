@@ -45,6 +45,29 @@ class DoseplConfig:
     #: bounding the extra work the filter may do in a round.
     trial_budget: int = 32
 
+    def __post_init__(self):
+        """Reject a setting that would silently disable a filter.
+
+        A NaN limit makes every comparison against it False (the filter
+        never fires), and a negative count runs zero rounds or swaps
+        while reporting a negative count; each raises ``ValueError``
+        naming the field instead.
+        """
+        if not self.top_k >= 1:
+            raise ValueError(f"top_k must be >= 1, got {self.top_k!r}")
+        for name in ("rounds", "swaps_per_path", "swaps_per_round",
+                     "trial_budget"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        for name in ("distance_factor", "hpwl_increase_limit",
+                     "leakage_increase_limit"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}"
+                )
+
     @classmethod
     def aggressive(cls) -> "DoseplConfig":
         """The TCAD version's "improved cell swapping strategy": more
@@ -308,16 +331,13 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
         )
         if swaps_done == 0:
             history.append((rnd, best_mct, best_leak))
-            telemetry.emit("dosepl_round", round=rnd, swaps=0,
-                           accepted=False, mct=best_mct)
             continue
         # legalize + "ECO route": parasitics recomputed from new geometry
         trial = legalize(work, ctx.netlist, ctx.library)
         trial_res, trial_leak = ctx.golden_eval(
             dose_map, placement=trial
         )
-        round_accepted = trial_res.mct < best_mct - 1e-12
-        if round_accepted:
+        if trial_res.mct < best_mct - 1e-12:
             place, golden = trial, trial_res
             best_mct, best_leak = trial_res.mct, trial_leak
             accepted += 1
@@ -329,8 +349,6 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
             ctx, dose_map, work, place, timer
         )
         history.append((rnd, best_mct, best_leak))
-        telemetry.emit("dosepl_round", round=rnd, swaps=swaps_done,
-                       accepted=round_accepted, mct=best_mct)
 
     telemetry.emit(
         "dosepl",
@@ -340,6 +358,7 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
         trial_rejected=stats["trial_rejected"],
         mct=best_mct,
         baseline_mct=baseline_mct,
+        history=history,
         seconds=time.perf_counter() - t_start,
     )
     return DoseplResult(

@@ -15,9 +15,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.dmopt import DMoptResult, optimize_dose_map
+from repro.core.dmopt import DEFAULT_DOSE_RANGE, DMoptResult, optimize_dose_map
 from repro.core.dosepl import DoseplConfig, DoseplResult, run_dosepl
 from repro.core.model import DesignContext
+from repro.resilience.checkpoint import (
+    CheckpointStore,
+    checkpointed_dmopt,
+    sweep_point_key,
+)
 
 
 @dataclass
@@ -67,6 +72,8 @@ def run_flow(
     both_layers: bool = False,
     with_dosepl: bool = False,
     dosepl_config: DoseplConfig = None,
+    checkpoint=None,
+    resume: bool = True,
     **dmopt_kwargs,
 ) -> FlowResult:
     """Run the full timing/leakage optimization flow on a design.
@@ -81,15 +88,43 @@ def run_flow(
     with_dosepl:
         Run the cell-swapping placement pass after DMopt (the paper runs
         it after the QCP timing optimization, Table VIII).
+    checkpoint:
+        Optional path to a JSONL checkpoint file.  A converged DMopt
+        solve -- the expensive stage -- is appended (fsync'd) under a
+        content hash of the design fingerprint and the settings; with
+        ``resume`` (default) a stored solve is served from the file
+        instead (``dmopt.solve.info["resumed"]`` is set).  dosePl
+        golden-verifies its own swaps and always runs live.
+    resume:
+        When False an existing checkpoint file is truncated first.
     """
     t_start = time.perf_counter()
     if isinstance(design, DesignContext):
         ctx = design
     else:
         ctx = DesignContext(design, fit_width=both_layers)
-    dmopt = optimize_dose_map(
-        ctx, grid_size, mode=mode, both_layers=both_layers, **dmopt_kwargs
-    )
+    store = key = None
+    if checkpoint is not None:
+        store = CheckpointStore(checkpoint, resume=resume)
+        key_kwargs = {k: v for k, v in dmopt_kwargs.items()
+                      if k != "dose_range"}
+        key_kwargs["both_layers"] = both_layers
+        key = sweep_point_key(
+            ctx, grid_size, mode,
+            dmopt_kwargs.get("dose_range", DEFAULT_DOSE_RANGE), key_kwargs,
+        )
+    try:
+        dmopt = checkpointed_dmopt(
+            store, key,
+            lambda: optimize_dose_map(
+                ctx, grid_size, mode=mode, both_layers=both_layers,
+                **dmopt_kwargs,
+            ),
+            kind="flow",
+        )
+    finally:
+        if store is not None:
+            store.close()
     dosepl = None
     if with_dosepl:
         dosepl = run_dosepl(

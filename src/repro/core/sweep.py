@@ -143,13 +143,11 @@ def dmopt_dose_range_sweep(
     Returns the list of :class:`~repro.core.dmopt.DMoptResult` in
     ``dose_ranges`` order.
     """
-    from repro import obs, telemetry
+    from repro import obs
     from repro.core.dmopt import optimize_dose_map
-    from repro.obs import metrics
     from repro.resilience.checkpoint import (
         CheckpointStore,
-        dmopt_result_from_payload,
-        dmopt_result_payload,
+        checkpointed_dmopt,
         sweep_point_key,
     )
 
@@ -165,50 +163,36 @@ def dmopt_dose_range_sweep(
     with obs.span("sweep.dose_range", mode=mode, grid=float(grid_size),
                   n_points=len(dose_ranges)):
         for dose_range in dose_ranges:
-            key = None
-            if store is not None:
-                key = sweep_point_key(
-                    ctx, grid_size, mode, float(dose_range), warm_start,
-                    dmopt_kwargs,
-                )
-                payload = store.get(key)
-                if payload is not None:
-                    res = dmopt_result_from_payload(payload)
-                    metrics.inc("checkpoint.hits")
-                    telemetry.emit("checkpoint_hit", key=key)
-                    results.append(res)
-                    # no iterate to seed from: the next point starts cold
-                    prev = None
-                    continue
-            # a failed neighbor is a poisonous seed: fall back to cold
+            dose_range = float(dose_range)
+            # a failed neighbor is a poisonous seed, and a resumed one
+            # carries no iterate: either way the solve starts cold
             seed = (
                 prev.solve
-                if (warm_start and prev is not None and prev.ok)
+                if (warm_start and prev is not None and prev.ok
+                    and not prev.solve.info.get("resumed"))
                 else None
             )
-            with obs.span("sweep.point", dose_range=float(dose_range)):
-                res = optimize_dose_map(
-                    ctx,
-                    grid_size,
-                    mode=mode,
-                    dose_range=float(dose_range),
-                    warm_start=seed,
-                    **dmopt_kwargs,
-                )
-            telemetry.emit(
-                "sweep_point",
-                dose_range=float(dose_range),
-                status=res.status,
-                mct=res.mct,
-                leakage=res.leakage,
-                warm=seed is not None,
+
+            def solve():
+                with obs.span("sweep.point", dose_range=dose_range,
+                              warm=seed is not None):
+                    return optimize_dose_map(
+                        ctx,
+                        grid_size,
+                        mode=mode,
+                        dose_range=dose_range,
+                        warm_start=seed,
+                        **dmopt_kwargs,
+                    )
+
+            key = (
+                sweep_point_key(ctx, grid_size, mode, dose_range,
+                                dmopt_kwargs)
+                if store is not None
+                else None
             )
-            if store is not None and res.ok:
-                # failed points are not recorded: a failure may be
-                # environmental (chaos, time budget) and must re-run
-                store.put(key, dmopt_result_payload(res), kind="sweep_point")
-            results.append(res)
-            prev = res
+            prev = checkpointed_dmopt(store, key, solve, kind="sweep_point")
+            results.append(prev)
     if store is not None:
         store.close()
     return results

@@ -196,7 +196,7 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
     from repro.core import optimize_dose_map
 
     with obs.span("cell", design=cell.design, grid=float(cell.grid_size),
-                  mode=cell.mode):
+                  mode=cell.mode) as sp:
         ctx = get_context(
             cell.design, cell.fit_width or cell.both_layers, cell.scale
         )
@@ -210,6 +210,8 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
             method=cell.method,
             time_limit=time_limit,
         )
+        if sp is not None:
+            sp["status"] = res.solve.status
     out = {
         "design": cell.design,
         "grid_size": cell.grid_size,
@@ -338,8 +340,6 @@ def run_dmopt_cells(
     t0 = time.perf_counter()
     timeout = resolve_cell_timeout(cell_timeout)
     jobs_resolved = resolve_jobs(jobs)
-    telemetry.emit("run_begin", run="dmopt_cells", n_cells=len(cells),
-                   jobs=jobs_resolved)
 
     with obs.span("harness.run_dmopt_cells", n_cells=len(cells),
                   jobs=jobs_resolved):
@@ -352,12 +352,8 @@ def run_dmopt_cells(
             todo = []
             for idx, cell in enumerate(cells):
                 keys[idx] = cell_key(cell, certify=certify)
-                payload = store.get(keys[idx])
-                if payload is not None:
-                    results[idx] = payload
-                    metrics.inc("checkpoint.hits")
-                    telemetry.emit("checkpoint_hit", key=keys[idx])
-                else:
+                results[idx] = store.serve(keys[idx])
+                if results[idx] is None:
                     todo.append(idx)
 
         stats = MapStats()
@@ -385,10 +381,6 @@ def run_dmopt_cells(
             )
         if store is not None:
             store.close()
-
-        for idx, (cell, res) in enumerate(zip(cells, results)):
-            telemetry.emit("cell_done", index=idx, design=cell.design,
-                           status=res["status"])
     telemetry.emit("run_end", run="dmopt_cells",
                    seconds=time.perf_counter() - t0,
                    retries=stats.retries,

@@ -2,8 +2,9 @@
 
 A multi-hour table run (Tables IV-VI fan out dozens of DMopt cells)
 must not restart from zero on an interruption.  Each completed unit of
-work -- a :class:`~repro.experiments.harness.DMoptCell` evaluation or a
-:func:`~repro.core.sweep.dmopt_dose_range_sweep` point -- is appended
+work -- a :class:`~repro.experiments.harness.DMoptCell` evaluation, a
+:func:`~repro.core.sweep.dmopt_dose_range_sweep` point or the DMopt
+stage of :func:`~repro.core.flow.run_flow` -- is appended
 to a checkpoint file as one JSON line, flushed and ``fsync``'d before
 the runner moves on, and keyed by a **content hash** of the work
 description, so a restarted run skips exactly the work whose inputs are
@@ -12,7 +13,7 @@ unchanged.
 Record format (one JSON object per line)::
 
     {"v": 1, "key": "<sha256 of the canonical work description>",
-     "kind": "dmopt_cell" | "sweep_point" | "cli_optimize",
+     "kind": "dmopt_cell" | "sweep_point" | "flow",
      "ts": <unix seconds>, "payload": {...}}
 
 Crash tolerance
@@ -37,6 +38,8 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
+from repro import telemetry
+from repro.obs import metrics
 from repro.resilience import chaos
 
 SCHEMA_VERSION = 1
@@ -64,12 +67,12 @@ def cell_key(cell, certify: bool = False) -> str:
 
 
 def sweep_point_key(ctx, grid_size: float, mode: str, dose_range: float,
-                    warm_start: bool, dmopt_kwargs: dict) -> str:
-    """Content hash of one dose-range sweep point.
+                    dmopt_kwargs: dict) -> str:
+    """Content hash of one DMopt solve (a sweep point or a flow's DMopt).
 
     The design context is fingerprinted by name, size, die and baseline
     golden numbers -- enough to invalidate records when the design or
-    its placement changes.  ``warm_start`` is *excluded*: warm starting
+    its placement changes.  Warm starting is not part of the key: it
     changes the inner solver's path, not the optimum, so cold and warm
     runs share records (the goldens are identical by contract).
     """
@@ -167,6 +170,18 @@ class CheckpointStore:
         """The stored payload for ``key``, or ``None``."""
         return self.records.get(key)
 
+    def serve(self, key: str):
+        """:meth:`get` for a runner about to skip the work on a hit.
+
+        Each hit is counted once: the ``checkpoint.hits`` metric and one
+        ``checkpoint_hit`` telemetry event.
+        """
+        payload = self.records.get(key)
+        if payload is not None:
+            metrics.inc("checkpoint.hits")
+            telemetry.emit("checkpoint_hit", key=key)
+        return payload
+
     def __contains__(self, key) -> bool:
         return key in self.records
 
@@ -216,8 +231,28 @@ class CheckpointStore:
 
 
 # ----------------------------------------------------------------------
-# DMoptResult (de)serialization for sweep-point records
+# DMoptResult records: sweep points and the flow's DMopt stage
 # ----------------------------------------------------------------------
+def checkpointed_dmopt(store, key: str, solve, kind: str):
+    """The DMoptResult stored under ``key``, else ``solve()``'s.
+
+    A hit is decoded by :func:`dmopt_result_from_payload` (its
+    ``solve.info["resumed"]`` is set).  On a miss ``solve()`` runs and
+    its result is appended under ``key`` only if it converged: a
+    failure may be environmental (time budget, chaos) and must re-run
+    on resume.  With ``store=None`` this is just ``solve()``.
+    """
+    if store is None:
+        return solve()
+    payload = store.serve(key)
+    if payload is not None:
+        return dmopt_result_from_payload(payload)
+    res = solve()
+    if res.ok:
+        store.put(key, dmopt_result_payload(res), kind=kind)
+    return res
+
+
 def dmopt_result_payload(res) -> dict:
     """JSON-safe payload capturing a DMoptResult's golden outcome.
 

@@ -1,10 +1,16 @@
-"""Structured run telemetry: stage timers, solver traces, JSONL manifests.
+"""Structured run telemetry: spans, metrics and solver events as JSONL.
 
-Every optimization entry point (the solvers, DMopt, dosePl, the sweep
-drivers, and the parallel harness) emits structured events through this
-module.  Telemetry is **off by default** and costs one early-returning
-function call per event when disabled, so the hot paths carry no
-measurable overhead (the ``make bench-dmopt`` criterion).
+A run manifest holds two kinds of record -- hierarchical tracing spans
+(``span`` events, :func:`repro.obs.span`) and per-process metrics
+flushes (``metrics`` events, :mod:`repro.obs.metrics`) -- plus the
+solver and harness-health events of :data:`EVENT_SCHEMA` (solves,
+fallbacks, infeasibility reports, retries, checkpoint hits, ...).  A
+run-level outcome, such as a DMopt call's status, MCT and leakage, is
+an attribute of the span that wraps the work, not an event of its own.
+
+Telemetry is **off by default** and costs one early-returning function
+call per event when disabled, so the hot paths carry no measurable
+overhead (the ``make bench-dmopt`` criterion).
 
 Enabling it
 -----------
@@ -33,10 +39,9 @@ Durations (``seconds`` fields) are always monotonic-clock deltas
 (``time.perf_counter``), never wall-clock differences, so an NTP step
 mid-run cannot produce negative timings.
 
-The hierarchical tracing layer (``span`` events) and the metrics
-registry (``metrics`` events) live in :mod:`repro.obs` and write
-through this sink; ``python -m repro.obs report`` analyzes the
-resulting manifest.
+The tracing layer and the metrics registry live in :mod:`repro.obs`
+and write through this sink; ``python -m repro.obs report`` analyzes
+the resulting manifest.
 """
 
 from __future__ import annotations
@@ -46,9 +51,8 @@ import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 ENV_FLAG = "REPRO_TELEMETRY"
 ENV_PATH = "REPRO_TELEMETRY_PATH"
@@ -57,19 +61,13 @@ DEFAULT_PATH = "repro_telemetry.jsonl"
 #: Required payload fields per event type (beyond the base fields
 #: ``v``/``ts``/``mono``/``pid``/``event``, required on every record).
 EVENT_SCHEMA = {
-    "run_begin": {"run"},
     "run_end": {"run", "seconds"},
-    "stage": {"stage", "seconds"},
     "solve": {"backend", "status", "iterations", "r_prim", "r_dual",
               "seconds"},
     "fallback": {"step", "backend", "status"},
     "qcp": {"status", "lam", "inner_solves"},
-    "dmopt": {"mode", "status", "grid_size"},
     "infeasibility": {"blocking"},
-    "dosepl_round": {"round", "swaps", "accepted", "mct"},
     "dosepl": {"rounds_run", "swaps_accepted", "swaps_attempted"},
-    "sweep_point": {"dose_range", "status"},
-    "cell_done": {"index", "design", "status"},
     "worker_retry": {"index", "error"},
     "pool_restart": {"reason"},
     "checkpoint_hit": {"key"},
@@ -175,27 +173,6 @@ def emit(event: str, **fields):
     }
     record.update(fields)
     _state.write(record)
-
-
-@contextmanager
-def stage(name: str, **fields):
-    """Time a named stage; emits one ``stage`` event on exit when on.
-
-    The duration is a ``time.perf_counter`` (monotonic) delta, so a
-    wall-clock step (NTP adjustment) during the stage cannot yield a
-    negative or inflated ``seconds`` value.  For hierarchical timing
-    (parent/child nesting, cross-process traces) use
-    :func:`repro.obs.span` instead.
-    """
-    if not _state.enabled:
-        yield
-        return
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        emit("stage", stage=name,
-             seconds=time.perf_counter() - t0, **fields)
 
 
 # ----------------------------------------------------------------------

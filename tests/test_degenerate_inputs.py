@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import DesignContext, optimize_dose_map
+from repro.core import DesignContext, DoseplConfig, optimize_dose_map
 from repro.library import CellLibrary
 from repro.netlist import Netlist, make_design
 from repro.netlist.designs import DesignBundle
@@ -198,3 +198,26 @@ class TestArgumentValidation:
         geometry[name] = value
         with pytest.raises(ValueError, match=name):
             Die(**geometry)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("top_k", 0), ("top_k", -3), ("rounds", -1),
+         ("swaps_per_path", -1), ("swaps_per_round", -2),
+         ("trial_budget", -1), ("distance_factor", NAN),
+         ("distance_factor", -1.0), ("hpwl_increase_limit", NAN),
+         ("hpwl_increase_limit", INF), ("hpwl_increase_limit", -0.1),
+         ("leakage_increase_limit", NAN), ("leakage_increase_limit", INF),
+         ("leakage_increase_limit", -0.5)],
+    )
+    def test_bad_dosepl_config(self, name, value):
+        """A NaN limit would make its filter never fire, and a negative
+        ``rounds`` would report ``rounds_run=-1``: both fail at entry."""
+        with pytest.raises(ValueError, match=name):
+            DoseplConfig(**{name: value})
+
+    def test_zero_dosepl_counts_are_legal(self):
+        cfg = DoseplConfig(top_k=1, rounds=0, swaps_per_path=0,
+                           swaps_per_round=0, trial_budget=0,
+                           distance_factor=0.0, hpwl_increase_limit=0.0,
+                           leakage_increase_limit=0.0)
+        assert cfg.rounds == 0

@@ -218,15 +218,31 @@ class TestKillAndResume:
         )
         assert back.solve.x.size == 0  # never a warm-start seed
 
-    def test_sweep_key_ignores_warm_start(self):
+    def test_sweep_point_key_format(self):
+        """The key hashes exactly the documented fields (warm starting
+        is not one of them), so records written by earlier versions of
+        the sweep and of ``optimize --checkpoint`` keep resuming."""
         from repro.core import DesignContext
         from repro.netlist import make_design
 
         ctx = DesignContext(make_design("AES-65", scale=0.3))
-        assert sweep_point_key(ctx, 30.0, "qcp", 5.0, True, {}) == \
-            sweep_point_key(ctx, 30.0, "qcp", 5.0, False, {})
-        assert sweep_point_key(ctx, 30.0, "qcp", 5.0, True, {}) != \
-            sweep_point_key(ctx, 30.0, "qp", 5.0, True, {})
+        kwargs = {"smoothness": 2.0, "both_layers": False}
+        die = ctx.placement.die
+        expected = content_key("sweep_point", {
+            "design": "AES-65",
+            "n_gates": ctx.netlist.n_gates,
+            "die": [float(die.width), float(die.height)],
+            "baseline_mct": float(ctx.baseline.mct),
+            "baseline_leakage": float(ctx.baseline_leakage),
+            "fit_width": False,
+            "grid_size": 20.0,
+            "mode": "qcp",
+            "dose_range": 5.0,
+            "kwargs": kwargs,
+        })
+        assert sweep_point_key(ctx, 20.0, "qcp", 5.0, kwargs) == expected
+        assert sweep_point_key(ctx, 20, "qcp", 5, dict(kwargs)) == expected
+        assert sweep_point_key(ctx, 20.0, "qp", 5.0, kwargs) != expected
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import telemetry
+from repro import obs, telemetry
 
 
 @pytest.fixture
@@ -29,29 +29,21 @@ class TestSink:
         telemetry.reset()
         try:
             assert not telemetry.enabled()
-            telemetry.emit("stage", stage="x", seconds=0.0)
-            with telemetry.stage("y"):
+            telemetry.emit("run_end", run="x", seconds=0.0)
+            with obs.span("y"):
                 pass
             assert not (tmp_path / "off.jsonl").exists()
         finally:
             telemetry.reset()
 
     def test_emit_writes_base_fields(self, manifest):
-        telemetry.emit("run_begin", run="unit")
+        telemetry.emit("run_end", run="unit", seconds=0.0)
         (event,) = _events(manifest)
-        assert event["event"] == "run_begin"
+        assert event["event"] == "run_end"
         assert event["run"] == "unit"
         assert event["v"] == telemetry.SCHEMA_VERSION
         assert isinstance(event["ts"], float)
         assert isinstance(event["pid"], int)
-
-    def test_stage_times_the_block(self, manifest):
-        with telemetry.stage("fit"):
-            pass
-        (event,) = _events(manifest)
-        assert event["event"] == "stage"
-        assert event["stage"] == "fit"
-        assert event["seconds"] >= 0.0
 
     def test_configure_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv(telemetry.ENV_FLAG, raising=False)
@@ -59,7 +51,7 @@ class TestSink:
         telemetry.reset()
         try:
             telemetry.configure(enabled=True, path=str(other))
-            telemetry.emit("run_begin", run="configured")
+            telemetry.emit("run_end", run="configured", seconds=0.0)
             assert len(_events(other)) == 1
             # configure mirrors to env so worker processes inherit it
             import os
@@ -83,7 +75,7 @@ class TestSink:
         killing the run; the healthy fields survive verbatim."""
         circular = []
         circular.append(circular)
-        telemetry.emit("run_begin", run="ok", loop=circular,
+        telemetry.emit("run_end", run="ok", seconds=0.0, loop=circular,
                        weird={(1, 2): "tuple-keyed"})
         (event,) = _events(manifest)
         assert event["run"] == "ok"  # healthy field intact
@@ -91,14 +83,14 @@ class TestSink:
         assert "tuple-keyed" in str(event["weird"])
 
     def test_emit_records_monotonic_base_field(self, manifest):
-        telemetry.emit("run_begin", run="mono")
+        telemetry.emit("run_end", run="mono", seconds=0.0)
         (event,) = _events(manifest)
         assert isinstance(event["mono"], float)
 
     def test_stage_duration_immune_to_wall_clock_step(self, manifest,
                                                       monkeypatch):
-        """An NTP step (wall clock jumping backwards mid-stage) must not
-        produce a negative duration: stage() times with perf_counter."""
+        """An NTP step (wall clock jumping backwards mid-span) must not
+        produce a negative duration: span() times with perf_counter."""
         import time as time_mod
 
         real_time = time_mod.time
@@ -106,16 +98,18 @@ class TestSink:
         monkeypatch.setattr(
             telemetry.time, "time", lambda: real_time() - 3600.0
         )
-        with telemetry.stage("ntp_step"):
+        with obs.span("ntp_step"):
             pass
         (event,) = _events(manifest)
+        assert event["name"] == "ntp_step"
         assert event["seconds"] >= 0.0
 
 
 class TestValidation:
     def test_valid_manifest_passes(self, manifest):
-        telemetry.emit("run_begin", run="v")
-        telemetry.emit("stage", stage="s", seconds=0.1)
+        telemetry.emit("checkpoint_hit", key="k")
+        with obs.span("s"):
+            pass
         telemetry.emit("run_end", run="v", seconds=0.2)
         n, errors = telemetry.validate_manifest(manifest)
         assert n == 3
@@ -139,7 +133,7 @@ class TestValidation:
         assert any("invalid JSON" in e for e in errors)
 
     def test_cli_validator_exit_codes(self, manifest, capsys):
-        telemetry.emit("run_begin", run="cli")
+        telemetry.emit("run_end", run="cli", seconds=0.0)
         telemetry.reset()  # flush/close before reading
         assert telemetry.main([str(manifest)]) == 0
         out = capsys.readouterr().out
@@ -151,7 +145,8 @@ class TestValidation:
         assert telemetry.main([str(empty)]) == 1
 
     def test_every_emitter_event_is_in_schema(self):
-        """The schema must cover every event the codebase emits."""
+        """The schema lists exactly the events the codebase emits: no
+        emitter outside it, and no entry without an emitter."""
         import pathlib
         import re
 
@@ -162,7 +157,7 @@ class TestValidation:
                 re.findall(r'telemetry\.emit\(\s*"(\w+)"', path.read_text())
             )
         assert emitted  # the grep found the call sites
-        assert emitted <= set(telemetry.EVENT_SCHEMA)
+        assert emitted == set(telemetry.EVENT_SCHEMA)
 
 
 class TestEndToEnd:
@@ -176,8 +171,14 @@ class TestEndToEnd:
         telemetry.reset()  # flush before validating
         n, errors = telemetry.validate_manifest(manifest)
         assert errors == []
-        kinds = {e["event"] for e in _events(manifest)}
+        events = _events(manifest)
+        kinds = {e["event"] for e in events}
         assert "solve" in kinds
         assert "fallback" in kinds
-        assert "dmopt" in kinds
-        assert "span" in kinds  # dmopt's stages are tracing spans now
+        # the run's outcome rides on the dmopt span, not an event
+        (span,) = [e for e in events
+                   if e["event"] == "span" and e["name"] == "dmopt"]
+        assert span["status"] == res.status
+        assert span["mct"] == res.mct
+        assert span["leakage"] == res.leakage
+        assert "blocking" not in span
