@@ -83,7 +83,6 @@ def optimize_dose_map_corners(
     leaky=None,
     leakage_budget: float = 0.0,
     leakage_guard: float = 0.01,
-    **qcp_kwargs,
 ) -> CornerAwareResult:
     """Minimize slow-corner MCT s.t. a leak-corner leakage budget.
 
@@ -124,8 +123,6 @@ def optimize_dose_map_corners(
         form_leak.P_leak,
         form_leak.q_leak,
         s=budget,
-        method="ipm",
-        **qcp_kwargs,
     )
     poly, _active, _t = form.split(solve.x)
     poly = snap_dose_map(poly, ctx.library, mode=SNAP_NEAREST)

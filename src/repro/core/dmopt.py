@@ -4,7 +4,7 @@ Two driver modes, matching Section III:
 
 * ``mode="qp"`` -- *minimize delta-leakage subject to a clock bound*
   (Section III-A-1 / III-B-1): quadratic objective, all-linear
-  constraints, solved by :func:`repro.solver.qp.solve_qp`.
+  constraints, solved by :func:`repro.solver.robust.solve_qp_robust`.
 * ``mode="qcp"`` -- *minimize clock period subject to a leakage budget*
   (Section III-A-2 / III-B-2): linear objective plus the quadratic
   delta-leakage constraint, solved by :func:`repro.solver.qcp.solve_qcp`.
@@ -30,7 +30,6 @@ from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
 from repro.core.formulate import Formulation
 from repro.core.snap import SNAP_CEIL, SNAP_NEAREST, snap_dose_map
 from repro.solver import (
-    METHOD_IPM,
     InfeasibilityReport,
     SolveResult,
     diagnose_infeasibility,
@@ -40,18 +39,6 @@ from repro.solver import (
 
 MODE_QP = "qp"
 MODE_QCP = "qcp"
-
-
-def _warm_state(solve: SolveResult) -> dict:
-    """Solver warm-start dict from a previous result (None passthrough)."""
-    if solve is None:
-        return None
-    state = {"x": solve.x}
-    for key in ("z", "y"):
-        val = solve.info.get(key)
-        if val is not None:
-            state[key] = val
-    return state
 
 
 @dataclass
@@ -178,9 +165,6 @@ def optimize_dose_map(
     timing_guard: float = 0.005,
     leakage_budget: float = 0.0,
     leakage_guard: float = 0.01,
-    method: str = METHOD_IPM,
-    snap_mode: str = None,
-    qp_kwargs: dict = None,
     warm_start: SolveResult = None,
     time_limit: float = None,
 ) -> DMoptResult:
@@ -219,14 +203,6 @@ def optimize_dose_map(
         budget to absorb the quadratic leakage model's underestimation
         of the true exponential (paper footnote 4) plus snap error, so
         golden leakage lands at or under the requested budget.
-    method:
-        Inner solver backend: ``"ipm"`` (default; fast interior point)
-        or ``"admm"`` (the OSQP-style first-order method).
-    snap_mode:
-        How continuous doses are rounded to characterized variants.
-        Defaults per mode: ``"ceil"`` for QP (snapping can only speed
-        gates up, so the clock bound survives signoff) and ``"nearest"``
-        for QCP (minimum leakage-model error around the budget).
     warm_start:
         Optional :class:`~repro.solver.SolveResult` of a structurally
         identical solve (an adjacent sweep point): its primal/dual state
@@ -238,10 +214,19 @@ def optimize_dose_map(
         expiry the best iterate so far is signed off (or the failure
         path taken); the call never spins indefinitely.
 
-    ``grid_size`` and ``timing_bound`` must be finite and > 0,
-    ``dose_range`` and ``smoothness`` finite and >= 0, and
-    ``leakage_budget`` finite (a negative budget asks for a cut);
-    anything else raises :class:`ValueError` naming the argument.
+    Every program is solved by the one solver chain
+    (:func:`repro.solver.solve_qp_robust`, inside
+    :func:`repro.solver.solve_qcp` for QCP mode).  Continuous doses are
+    snapped to characterized variants upward for QP (snapping can only
+    speed gates up, so the clock bound survives signoff) and to the
+    nearest variant for QCP (minimum leakage-model error around the
+    budget).
+
+    ``grid_size``, ``timing_bound`` and ``time_limit`` (the last two
+    when given) must be finite and > 0, ``dose_range`` and
+    ``smoothness`` finite and >= 0, and ``leakage_budget`` finite (a
+    negative budget asks for a cut); anything else raises
+    :class:`ValueError` naming the argument.
     """
     if mode not in (MODE_QP, MODE_QCP):
         raise ValueError(f"mode must be 'qp' or 'qcp', got {mode!r}")
@@ -253,9 +238,10 @@ def optimize_dose_map(
     }
     if timing_bound is not None:
         limits["timing_bound"] = (timing_bound, "> 0")
+    if time_limit is not None:
+        limits["time_limit"] = (time_limit, "> 0")
     _check_arguments(limits)
-    if snap_mode is None:
-        snap_mode = SNAP_CEIL if mode == MODE_QP else SNAP_NEAREST
+    snap_to = SNAP_CEIL if mode == MODE_QP else SNAP_NEAREST
     t_start = time.perf_counter()
     form = ctx.formulation_for(
         grid_size,
@@ -264,7 +250,6 @@ def optimize_dose_map(
         smoothness=smoothness,
         seam_smoothness=seam_smoothness,
     )
-    qp_kwargs = dict(qp_kwargs or {})
     # pattern workspaces survive in the formulation's shared dict, so
     # retargeted sweep siblings keep reusing them; QP and QCP rows have
     # different finiteness masks, hence separate slots
@@ -280,6 +265,7 @@ def optimize_dose_map(
         return max(solve_deadline - time.perf_counter(), 1e-3)
 
     def _solve_and_sign_off(tau, warm):
+        seed = warm.warm_state() if warm is not None else None
         with obs.span("dmopt.solve", mode=mode):
             if mode == MODE_QP:
                 u = form.u.copy()
@@ -290,9 +276,7 @@ def optimize_dose_map(
                     form.A,
                     form.l,
                     u,
-                    method=method,
-                    qp_kwargs=qp_kwargs,
-                    warm=_warm_state(warm),
+                    warm=seed,
                     workspace=solver_ws,
                     time_limit=_budget_left(),
                 )
@@ -310,9 +294,7 @@ def optimize_dose_map(
                     form.P_leak,
                     form.q_leak,
                     s=budget,
-                    method=method,
-                    qp_kwargs=qp_kwargs,
-                    warm=_warm_state(warm),
+                    warm=seed,
                     lam_hint=warm.info.get("lam") if warm is not None else None,
                     workspace=solver_ws,
                     time_limit=_budget_left(),
@@ -322,9 +304,9 @@ def optimize_dose_map(
             return solve, None, None, float("nan"), None, float("nan")
         with obs.span("dmopt.signoff"):
             poly, active, t_pred = form.split(solve.x)
-            poly = snap_dose_map(poly, ctx.library, mode=snap_mode)
+            poly = snap_dose_map(poly, ctx.library, mode=snap_to)
             if active is not None:
-                active = snap_dose_map(active, ctx.library, mode=snap_mode)
+                active = snap_dose_map(active, ctx.library, mode=snap_to)
             golden, leak = ctx.golden_eval(poly, active)
         return solve, poly, active, t_pred, golden, leak
 
@@ -357,9 +339,7 @@ def optimize_dose_map(
         # degrade gracefully: attribute the failure to a constraint
         # family, hand back the untouched baseline (zero delta doses)
         with obs.span("dmopt.diagnose"):
-            report = diagnose_infeasibility(
-                form, tau=tau, qp_kwargs=qp_kwargs
-            )
+            report = diagnose_infeasibility(form, tau=tau)
         poly, active, _ = form.split(np.zeros(form.n_vars))
         return DMoptResult(
             mode=mode,

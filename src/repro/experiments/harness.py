@@ -141,7 +141,6 @@ class DMoptCell:
     dose_range: float = DEFAULT_DOSE_RANGE
     smoothness: float = DEFAULT_SMOOTHNESS
     scale: float = 1.0
-    method: str = "ipm"
 
 
 #: The per-process LRU design-context cache behind :func:`get_context`.
@@ -207,7 +206,6 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
             both_layers=cell.both_layers,
             dose_range=cell.dose_range,
             smoothness=cell.smoothness,
-            method=cell.method,
             time_limit=time_limit,
         )
         if sp is not None:

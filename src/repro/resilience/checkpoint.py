@@ -57,9 +57,11 @@ def content_key(kind: str, payload: dict) -> str:
 def cell_key(cell, certify: bool = False) -> str:
     """Content hash of one DMopt cell (plus the certification setting).
 
-    ``certify`` is part of the key: a record produced without
-    certification must not satisfy a ``--certify`` run, which promises
-    every row was independently re-verified.
+    The key covers every field of the cell (``design``, ``grid_size``,
+    ``mode``, ``both_layers``, ``fit_width``, ``dose_range``,
+    ``smoothness``, ``scale``) and ``certify``: a record produced
+    without certification must not satisfy a ``--certify`` run, which
+    promises every row was independently re-verified.
     """
     fields = asdict(cell) if is_dataclass(cell) else dict(cell)
     fields["certify"] = bool(certify)

@@ -9,7 +9,7 @@ from repro.solver.diagnose import (
     min_achievable_tau,
 )
 from repro.solver.ipm import solve_qp_ipm
-from repro.solver.qcp import METHOD_ADMM, METHOD_IPM, solve_qcp
+from repro.solver.qcp import solve_qcp
 from repro.solver.qp import solve_qp
 from repro.solver.result import (
     FAILURE_STATUSES,
@@ -34,8 +34,6 @@ __all__ = [
     "FAMILY_DOSE_RANGE",
     "FAMILY_SMOOTHNESS",
     "FAMILY_TIMING",
-    "METHOD_ADMM",
-    "METHOD_IPM",
     "SolveResult",
     "diagnostic_result",
     "STATUS_SOLVED",

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import telemetry
-from repro.solver.robust import METHOD_IPM, solve_qp_robust
+from repro.solver.robust import solve_qp_robust
 
 #: Constraint family labels used in reports and probes.
 FAMILY_DOSE_RANGE = "dose_range"
@@ -95,7 +95,7 @@ def _relaxed_bounds(form, family, tau):
     return l, u
 
 
-def _feasibility_probe(form, l, u, qp_kwargs=None):
+def _feasibility_probe(form, l, u):
     """Solve a pure feasibility problem over the given bounds.
 
     A tiny ridge keeps the IPM's normal matrix positive definite; the
@@ -103,18 +103,10 @@ def _feasibility_probe(form, l, u, qp_kwargs=None):
     """
     n = form.n_vars
     ridge = sp.eye(n, format="csc") * 1e-8
-    return solve_qp_robust(
-        ridge,
-        np.zeros(n),
-        form.A,
-        l,
-        u,
-        method=METHOD_IPM,
-        qp_kwargs=qp_kwargs,
-    )
+    return solve_qp_robust(ridge, np.zeros(n), form.A, l, u)
 
 
-def min_achievable_tau(form, qp_kwargs: dict = None):
+def min_achievable_tau(form):
     """Tightest clock bound achievable under the non-timing constraints.
 
     Minimizes ``T`` subject to every constraint except the clock row.
@@ -128,18 +120,13 @@ def min_achievable_tau(form, qp_kwargs: dict = None):
     u = form.u.copy()
     u[form.row_clock] = np.inf
     ridge = sp.eye(n, format="csc") * 1e-10
-    res = solve_qp_robust(ridge, c, form.A, l, u, method=METHOD_IPM,
-                          qp_kwargs=qp_kwargs)
+    res = solve_qp_robust(ridge, c, form.A, l, u)
     if res.ok:
         return float(res.x[form.idx_T]), res
     return None, res
 
 
-def diagnose_infeasibility(
-    form,
-    tau: float = None,
-    qp_kwargs: dict = None,
-) -> InfeasibilityReport:
+def diagnose_infeasibility(form, tau: float = None) -> InfeasibilityReport:
     """Attribute an infeasible DMopt program to a constraint family.
 
     Parameters
@@ -150,8 +137,6 @@ def diagnose_infeasibility(
     tau:
         The clock bound in force during that solve (``None`` when the
         clock row was open, e.g. QCP mode).
-    qp_kwargs:
-        Forwarded to the probe solves.
 
     Returns
     -------
@@ -166,13 +151,13 @@ def diagnose_infeasibility(
         families = [FAMILY_DOSE_RANGE, FAMILY_SMOOTHNESS]
     for family in families:
         l, u = _relaxed_bounds(form, family, tau)
-        probe = _feasibility_probe(form, l, u, qp_kwargs=qp_kwargs)
+        probe = _feasibility_probe(form, l, u)
         report.probes[family] = probe.status
         if probe.ok:
             report.blocking.append(family)
 
     if tau is not None and FAMILY_TIMING in report.blocking:
-        tau_min, _ = min_achievable_tau(form, qp_kwargs=qp_kwargs)
+        tau_min, _ = min_achievable_tau(form)
         report.tau_min = tau_min
         if tau_min is not None:
             report.tau_slack_needed = max(0.0, tau_min - float(tau))

@@ -50,6 +50,9 @@ from repro.solver.result import (
     SolveResult,
 )
 
+#: Mehrotra iteration cap per solve.
+MAX_ITER = 60
+
 
 def _to_inequalities(A, l, u):
     """Stack finite-bound rows of l <= Ax <= u into G x <= h."""
@@ -265,9 +268,7 @@ def solve_qp_ipm(
     A,
     l,
     u,
-    max_iter: int = 60,
     tol: float = 1e-7,
-    x0=None,
     warm: dict = None,
     workspace: dict = None,
     reg: float = 1e-9,
@@ -275,11 +276,14 @@ def solve_qp_ipm(
 ) -> SolveResult:
     """Interior-point solve of ``min (1/2)x'Px + q'x s.t. l <= Ax <= u``.
 
-    Parameters mirror :func:`repro.solver.qp.solve_qp`.  ``x0`` is
-    accepted for API compatibility (equivalent to ``warm={"x": x0}``).
+    ``P``, ``q``, ``A``, ``l`` and ``u`` are as in
+    :func:`repro.solver.qp.solve_qp`.
 
     Parameters
     ----------
+    tol:
+        Convergence tolerance on the scaled primal and dual residuals
+        and on the complementarity ``mu``.
     warm:
         Optional previous solution state: ``{"x": ..., "z": ...}`` (the
         inequality duals ``z`` come from a previous result's
@@ -346,8 +350,6 @@ def solve_qp_ipm(
     # (iter, mu, r_prim, r_dual)), emitted only when telemetry is on
     trace = deque(maxlen=obs.TRACE_MAXLEN)
 
-    if warm is None and x0 is not None:
-        warm = {"x": x0}
     warm_started = False
     x = np.zeros(n)
     s = np.maximum(h - G @ x, 1.0)
@@ -376,9 +378,9 @@ def solve_qp_ipm(
         return min(1.0, float(np.min(-v[neg] / dv[neg])))
 
     status = STATUS_MAX_ITER
-    iters_done = max_iter
+    iters_done = MAX_ITER
     timed_out = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if (
             time_limit is not None
             and time.perf_counter() - t_start > time_limit

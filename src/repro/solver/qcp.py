@@ -13,13 +13,13 @@ h(lam) is non-increasing in lam.  The search first brackets the root
 geometrically: from ``lam_hint`` (or 1e-4) the multiplier grows tenfold
 until the constraint holds.  It then bisects the bracket -- in log
 space once its lower end is positive -- until the bracket is narrower
-than ``lam_tol`` relative to its upper end or h is within a tenth of
-the feasibility tolerance.  Each step is one inner QP solve; a cold
+than :data:`LAM_TOL` relative to its upper end or h is within a tenth
+of the feasibility tolerance.  Each step is one inner QP solve; a cold
 solve of a G=10 dose-map program (AES-65 or JPEG-65) takes 16.
 
-Two inner backends are available: the ADMM solver (warm-startable) and
-the interior-point solver (faster on the ill-conditioned dose-map
-programs; the default for DMopt).
+Every inner QP goes through the one solver chain,
+:func:`repro.solver.robust.solve_qp_robust` (IPM first, ADMM only as
+the cold last resort); there is no backend choice and no tuning.
 """
 
 from __future__ import annotations
@@ -32,8 +32,20 @@ import scipy.sparse as sp
 
 from repro import obs, telemetry
 from repro.obs import metrics
-from repro.solver.robust import METHOD_ADMM, METHOD_IPM, solve_qp_robust
+from repro.solver.robust import solve_qp_robust
 from repro.solver.result import STATUS_MAX_ITER, SolveResult
+
+#: Relative width of the multiplier bracket at which bisection stops.
+LAM_TOL = 1e-3
+
+#: Acceptance tolerance of the quadratic constraint: a point is accepted
+#: when ``h = (1/2)x'Qx + g'x - s <= FEAS_TOL * max(|h0|, 1, |s|)``, with
+#: ``h0`` the h of the lam = 0 solution (``info["brackets"][0]``).  The
+#: larger the lam = 0 violation, the larger the absolute one accepted.
+FEAS_TOL = 1e-4
+
+#: Cap on inner solves per root search (bracketing included).
+MAX_ROOT_STEPS = 30
 
 
 def _quad_value(Q, g, x) -> float:
@@ -48,11 +60,6 @@ def solve_qcp(
     Q,
     g,
     s,
-    lam_tol: float = 1e-3,
-    feas_tol: float = 1e-4,
-    max_root_steps: int = 30,
-    method: str = METHOD_ADMM,
-    qp_kwargs: dict = None,
     warm: dict = None,
     lam_hint: float = None,
     workspace: dict = None,
@@ -63,22 +70,16 @@ def solve_qcp(
     Parameters
     ----------
     c:
-        Linear objective (n,).
+        Linear objective (n,), with ``n = A.shape[1]``.
     A, l, u:
         Linear constraints.
     Q, g, s:
-        The convex quadratic constraint (Q PSD).
-    lam_tol:
-        Relative tolerance on the multiplier bracket.
-    feas_tol:
-        Acceptable relative violation of the quadratic constraint,
-        measured against ``max(1, |s|)``.
-    method:
-        Inner QP backend: ``"admm"`` or ``"ipm"``.
+        The convex quadratic constraint (Q PSD, (n, n); g (n,); s
+        finite).  Its acceptance rule is stated on :data:`FEAS_TOL`.
     warm:
-        Optional previous solution state (``{"x": ...}``, plus ``"z"``
-        for IPM or ``"y"`` for ADMM) seeding the *first* inner solve;
-        later inner solves always chain from their predecessor.
+        Optional previous IPM solution state (``{"x": ..., "z": ...}``)
+        seeding the *first* inner solve; later inner solves always chain
+        from their predecessor.
     lam_hint:
         Optional previous optimal multiplier (``info["lam"]``): the
         bracket starts there instead of at 1e-4, so a neighbor problem's
@@ -97,14 +98,24 @@ def solve_qcp(
     SolveResult
         ``info`` carries the final multiplier ``lam``, the constraint
         value ``quad``, and the number of inner solves.
+
+    Raises
+    ------
+    ValueError
+        Naming the argument when ``s`` is not finite, ``c`` or ``g`` is
+        not shape ``(n,)``, or ``Q`` is not ``(n, n)``.
     """
     t_start = time.perf_counter()
-    qp_kwargs = dict(qp_kwargs or {})
-    if method not in (METHOD_ADMM, METHOD_IPM):
-        raise ValueError(f"method must be 'admm' or 'ipm', got {method!r}")
-    c = np.asarray(c, dtype=float).ravel()
-    g = np.asarray(g, dtype=float).ravel()
+    n = A.shape[1]
+    c = np.asarray(c, dtype=float)
+    g = np.asarray(g, dtype=float)
     Q = sp.csc_matrix(Q)
+    for name, shape, want in (("c", c.shape, (n,)), ("g", g.shape, (n,)),
+                              ("Q", Q.shape, (n, n))):
+        if shape != want:
+            raise ValueError(f"{name} must have shape {want}, got {shape}")
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
     scale = max(1.0, abs(float(s)))
 
     total_iters = 0
@@ -129,8 +140,6 @@ def solve_qcp(
             A,
             l,
             u,
-            method=method,
-            qp_kwargs=qp_kwargs,
             warm=state or None,
             workspace=workspace,
             time_limit=(
@@ -139,19 +148,8 @@ def solve_qcp(
                 else None
             ),
         )
-        # chain state from whichever backend produced the result (the
-        # fallback chain may have switched: z is the IPM dual, y ADMM's)
-        state = {
-            k: v
-            for k, v in (
-                ("x", res.x),
-                ("z", res.info.get("z")),
-                ("y", res.info.get("y")),
-            )
-            if v is not None
-        }
-        if res.failed:
-            state = {}  # a failed iterate is a poisonous seed
+        # a failed iterate is a poisonous seed
+        state = {} if res.failed else res.warm_state()
         total_iters += res.iterations
         return res
 
@@ -211,7 +209,7 @@ def solve_qcp(
             + res_lo.info.get("note", res_lo.status),
         )
     h0 = h_of(res_lo, 0.0)
-    if h0 <= feas_tol * scale:
+    if h0 <= FEAS_TOL * scale:
         return _package(res_lo, 0.0, steps)
     h_scale = max(abs(h0), scale)
 
@@ -229,7 +227,7 @@ def solve_qcp(
     res_hi = inner(lam_hi)
     h_hi = h_of(res_hi, lam_hi)
     steps += 1
-    while h_hi > feas_tol * h_scale:
+    while h_hi > FEAS_TOL * h_scale:
         if out_of_time():
             return _package(
                 res_hi,
@@ -261,9 +259,9 @@ def solve_qcp(
     # which is non-increasing in lam
     best, best_lam = res_hi, lam_hi
     while (
-        steps < max_root_steps
-        and (lam_hi - lam_lo) > lam_tol * max(lam_hi, 1e-9)
-        and abs(h_hi) > 0.1 * feas_tol * h_scale
+        steps < MAX_ROOT_STEPS
+        and (lam_hi - lam_lo) > LAM_TOL * max(lam_hi, 1e-9)
+        and abs(h_hi) > 0.1 * FEAS_TOL * h_scale
     ):
         if out_of_time():
             return _package(
@@ -282,7 +280,7 @@ def solve_qcp(
         if res_mid.failed:
             break  # keep the best bracketed iterate found so far
         h_mid = h_of(res_mid, lam_mid)
-        if h_mid <= feas_tol * h_scale:
+        if h_mid <= FEAS_TOL * h_scale:
             lam_hi, h_hi, res_hi = lam_mid, h_mid, res_mid
             best, best_lam = res_mid, lam_mid
         else:

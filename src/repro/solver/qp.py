@@ -40,9 +40,14 @@ _SIGMA = 1e-6
 _ALPHA = 1.6
 _RHO_EQ_SCALE = 1e3
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
+_RHO0 = 0.1
+_MAX_ITER = 20000
+_CHECK_EVERY = 25  # iterations between residual checkpoints
+_ADAPT_EVERY = 100  # iterations between adaptive rho updates
+_SCALING_ITERS = 10
 
 
-def _ruiz_equilibrate(P, q, A, l, u, iters: int = 10):
+def _ruiz_equilibrate(P, q, A, l, u):
     """Modified Ruiz equilibration of the stacked KKT data.
 
     Returns scaled (P, q, A, l, u) plus the scalings (d, e, c) such that
@@ -57,7 +62,7 @@ def _ruiz_equilibrate(P, q, A, l, u, iters: int = 10):
     q = q.copy()
     l = l.copy()
     u = u.copy()
-    for _ in range(iters):
+    for _ in range(_SCALING_ITERS):
         # column norms of [P; A] give the x-variable scaling
         pc = np.abs(P).max(axis=0).toarray().ravel() if P.nnz else np.zeros(n)
         ac = np.abs(A).max(axis=0).toarray().ravel() if A.nnz else np.zeros(n)
@@ -117,18 +122,15 @@ def solve_qp(
     A,
     l,
     u,
-    max_iter: int = 20000,
     eps_abs: float = 1e-5,
     eps_rel: float = 1e-5,
-    rho0: float = 0.1,
-    check_every: int = 25,
-    adapt_every: int = 100,
-    scaling_iters: int = 10,
-    x0=None,
-    y0=None,
     time_limit: float = None,
 ) -> SolveResult:
-    """Solve the QP (see module docstring).
+    """Solve the QP (see module docstring), always from a cold start.
+
+    In the solver chain ADMM is the cold last resort
+    (:func:`repro.solver.robust.solve_qp_robust`); tests also use it,
+    at tight tolerances, as an independent oracle.
 
     Parameters
     ----------
@@ -141,11 +143,8 @@ def solve_qp(
     l, u:
         (m,) lower/upper constraint bounds; use ``-np.inf``/``np.inf``
         for one-sided constraints and ``l == u`` for equalities.
-    x0:
-        Optional warm-start point.
-    y0:
-        Optional dual warm start (a previous result's ``info["y"]``);
-        pairs with ``x0`` when chaining sweep points.
+    eps_abs, eps_rel:
+        Absolute and relative residual tolerances of the stopping rule.
     time_limit:
         Optional wall-clock budget in seconds, checked at every residual
         checkpoint; on expiry the best iterate comes back with status
@@ -172,9 +171,7 @@ def solve_qp(
         return short_circuit
     P = 0.5 * (P + P.T)
 
-    Ps, qs, As, ls, us, d, e, c = _ruiz_equilibrate(
-        P, q, A, l, u, iters=scaling_iters
-    )
+    Ps, qs, As, ls, us, d, e, c = _ruiz_equilibrate(P, q, A, l, u)
 
     def rho_vector(rho_scalar: float) -> np.ndarray:
         rho = np.full(m, rho_scalar)
@@ -182,29 +179,24 @@ def solve_qp(
         rho[eq] *= _RHO_EQ_SCALE
         return np.clip(rho, _RHO_MIN, _RHO_MAX)
 
-    rho_scalar = rho0
+    rho_scalar = _RHO0
     rho = rho_vector(rho_scalar)
     kkt = _KKT(Ps, As, _SIGMA, rho)
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float) / d
+    x = np.zeros(n)
     z = np.clip(As @ x, ls, us)
     # duals live in the scaled space: y_unscaled = e * y / c
-    y = (
-        np.zeros(m)
-        if y0 is None
-        else np.asarray(y0, dtype=float) * c / e
-    )
-    warm_started = x0 is not None or y0 is not None
+    y = np.zeros(m)
 
     r_prim_u = r_dual_u = np.inf
-    iters_done = max_iter
+    iters_done = _MAX_ITER
     diverged = False
     timed_out = False
     finite_snapshot = None
     # per-checkpoint convergence trace (ring buffer; entries are
     # (iter, r_prim, r_dual, rho)), attached to info["trace"]
     trace = deque(maxlen=obs.TRACE_MAXLEN)
-    for k in range(1, max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         rhs = np.concatenate([_SIGMA * x - qs, z - y / rho])
         x_tilde, nu = kkt.solve(rhs)
         z_tilde = z + (nu - y) / rho
@@ -214,7 +206,7 @@ def solve_qp(
         y = y + rho * (z_relax - z_new)
         z = z_new
 
-        if k % check_every == 0 or k == max_iter:
+        if k % _CHECK_EVERY == 0 or k == _MAX_ITER:
             if not (
                 np.all(np.isfinite(x))
                 and np.all(np.isfinite(z))
@@ -257,7 +249,7 @@ def solve_qp(
                 timed_out = True
                 iters_done = k
                 break
-            if k % adapt_every == 0 and k < max_iter:
+            if k % _ADAPT_EVERY == 0 and k < _MAX_ITER:
                 # adaptive rho (OSQP heuristic)
                 num = r_prim_u / max(eps_p, 1e-12)
                 den = r_dual_u / max(eps_d, 1e-12)
@@ -276,10 +268,10 @@ def solve_qp(
     elif timed_out:
         status = STATUS_MAX_ITER
     else:
-        status = STATUS_SOLVED if iters_done < max_iter or (
+        status = STATUS_SOLVED if iters_done < _MAX_ITER or (
             r_prim_u <= eps_abs + eps_rel and r_dual_u <= eps_abs + eps_rel
         ) else STATUS_MAX_ITER
-    # the break sets iters_done < max_iter only on convergence; a final-
+    # the break sets iters_done < _MAX_ITER only on convergence; a final-
     # iteration convergence is caught by the residual check above
     if status == STATUS_MAX_ITER and r_prim_u < np.inf:
         x_u2 = d * x
@@ -312,7 +304,6 @@ def solve_qp(
         r_dual=r_dual_u,
         solve_time=time.perf_counter() - t_start,
         info=info,
-        warm_started=warm_started,
     )
     _emit_solve(result)
     return result
@@ -322,11 +313,7 @@ def _emit_solve(result: SolveResult):
     if not telemetry.enabled():
         return
     metrics.inc("solver.admm.solves")
-    metrics.observe(
-        "solver.admm.iterations."
-        + ("warm" if result.warm_started else "cold"),
-        result.iterations,
-    )
+    metrics.observe("solver.admm.iterations.cold", result.iterations)
     telemetry.emit(
         "solve",
         backend="admm",

@@ -38,7 +38,7 @@ class SolveResult:
     obj:
         Objective value at ``x``.
     iterations:
-        ADMM iterations used (summed over bisection steps for QCP).
+        Solver iterations used (summed over bisection steps for QCP).
     r_prim, r_dual:
         Final unscaled primal/dual residual infinity norms.
     solve_time:
@@ -70,6 +70,13 @@ class SolveResult:
     def failed(self) -> bool:
         """True for diagnostic statuses whose iterate must not be used."""
         return self.status in FAILURE_STATUSES
+
+    def warm_state(self) -> dict:
+        """IPM warm-start seed ``{"x": ..., "z": ...}`` from this result."""
+        state = {"x": self.x}
+        if self.info.get("z") is not None:
+            state["z"] = self.info["z"]
+        return state
 
     def __repr__(self):
         warm = ", warm" if self.warm_started else ""

@@ -1,27 +1,31 @@
-"""Solver fallback/retry chain: IPM -> regularized IPM -> ADMM.
+"""The one QP solve chain: IPM -> cold IPM check -> regularized IPM -> ADMM.
 
 The dose-map programs are usually well behaved, but a sweep can hit an
 ill-conditioned normal matrix (singular SuperLU factorization), a
 diverging Mehrotra step, or a warm-start seed that blows up the first
-scaling matrix.  :func:`solve_qp_robust` wraps the two QP backends in a
+scaling matrix.  :func:`solve_qp_robust` runs every QP through one fixed,
 status-driven chain so callers (:func:`repro.core.dmopt.optimize_dose_map`,
-the QCP bisection, dosePl) never see an uncaught exception for a
-recoverable numeric failure:
+the QCP root search, the infeasibility probes) never see an uncaught
+exception for a recoverable numeric failure.  There is no backend choice
+and no tuning: every step runs its solver's defaults.
 
-1. primary backend (IPM by default) with the caller's warm state;
-2. on ``diverged`` / ``ill_conditioned`` / ``max_iter``: a **cold,
-   diagonally regularized** retry of the IPM (``reg`` raised from 1e-9
-   to 1e-6 -- enough to factor rank-deficient normal systems without
-   visibly perturbing the optimum);
-3. on continued failure: the ADMM backend (first-order, factorization
-   of a quasi-definite KKT system -- immune to the normal-matrix
-   conditioning that stops the IPM), cold-started.
+1. ``ipm``: the interior-point solver with the caller's warm state and
+   pattern workspace;
+2. ``ipm-cold``: only after a *warm-started* ``infeasible`` verdict --
+   a pathological seed can blow up the duals and fake infeasibility,
+   so the verdict is confirmed cold once before it is reported;
+3. ``ipm-regularized``: on ``diverged`` / ``ill_conditioned`` /
+   ``max_iter``, a **cold, diagonally regularized** IPM (``reg`` raised
+   from 1e-9 to :data:`RETRY_REG` -- enough to factor rank-deficient
+   normal systems without visibly perturbing the optimum);
+4. ``admm``: the last resort, the cold first-order solver (it
+   factorizes a quasi-definite KKT system, immune to the normal-matrix
+   conditioning that stops the IPM).
 
-``infeasible`` is not retried across backends -- no solver can fix an
-infeasible problem -- but a warm-started infeasible verdict is
-re-checked cold once, since a bad seed can masquerade as dual blow-up.
-The full attempt trail is recorded in ``info["attempts"]`` and, when
-telemetry is on, as ``fallback`` events in the run manifest.
+A cold ``infeasible`` verdict ends the chain -- no solver can fix an
+infeasible problem.  The full attempt trail is recorded in
+``info["attempts"]`` and, when telemetry is on, as ``fallback`` events
+in the run manifest.
 """
 
 from __future__ import annotations
@@ -41,9 +45,6 @@ from repro.solver.result import (
     SolveResult,
 )
 
-METHOD_ADMM = "admm"
-METHOD_IPM = "ipm"
-
 #: Normal-matrix regularization used by the chain's IPM retry step.
 RETRY_REG = 1e-6
 
@@ -53,65 +54,32 @@ def _residual_score(res: SolveResult) -> float:
     return score if np.isfinite(score) else np.inf
 
 
-def _ipm(P, q, A, l, u, warm=None, workspace=None, qp_kwargs=None,
-         **overrides):
-    kwargs = dict(qp_kwargs or {})
-    kwargs.update(overrides)
-    return solve_qp_ipm(P, q, A, l, u, warm=warm, workspace=workspace,
-                        **kwargs)
-
-
-def _admm(P, q, A, l, u, warm, qp_kwargs, time_limit=None):
-    # Only forward kwargs ADMM understands; IPM-tuned ``max_iter``/
-    # ``tol`` values would cripple a first-order method.
-    kwargs = {
-        k: v
-        for k, v in qp_kwargs.items()
-        if k in ("eps_abs", "eps_rel", "rho0", "check_every",
-                 "adapt_every", "scaling_iters")
-    }
-    warm = warm or {}
-    return solve_qp(P, q, A, l, u, x0=warm.get("x"), y0=warm.get("y"),
-                    time_limit=time_limit, **kwargs)
-
-
 def solve_qp_robust(
     P,
     q,
     A,
     l,
     u,
-    method: str = METHOD_IPM,
-    qp_kwargs: dict = None,
     warm: dict = None,
     workspace: dict = None,
     time_limit: float = None,
 ) -> SolveResult:
-    """QP solve with the fallback/retry chain (see module docstring).
+    """QP solve through the fallback/retry chain (see module docstring).
 
     Parameters
     ----------
-    method:
-        Primary backend, ``"ipm"`` (default) or ``"admm"``.  The chain
-        always ends on the *other* backend, so a recoverable numeric
-        failure in one formulation of the KKT system is retried in the
-        other.
-    qp_kwargs:
-        Extra keyword arguments for the primary backend (only the
-        ADMM-compatible subset is forwarded on an ADMM fallback).
     warm:
-        Previous solution state ``{"x": ..., "z": ..., "y": ...}``;
-        superset of both backends' warm formats.  Retry steps always
-        run cold -- a bad seed is one of the failure modes the chain
-        exists to shed.
+        Previous IPM solution state ``{"x": ..., "z": ...}`` seeding the
+        first step.  Every later step runs cold -- a bad seed is one of
+        the failure modes the chain exists to shed.
     workspace:
-        IPM pattern workspace dict, shared across chain steps and calls.
+        IPM pattern workspace dict, shared by the first two steps and
+        across calls.
     time_limit:
         Wall-clock budget in seconds shared by the *whole* chain: each
-        step gets the remaining time, a timed-out backend yields to the
-        next step, and when the budget is exhausted the best attempt so
-        far is returned (status ``max_iter``) instead of starting
-        another backend.
+        step gets the remaining time, a timed-out step yields to the
+        next, and when the budget is exhausted the best attempt so far
+        is returned (status ``max_iter``) instead of starting another.
 
     Returns
     -------
@@ -121,9 +89,6 @@ def solve_qp_robust(
         ``info["attempts"]`` lists every step taken as
         ``{step, backend, status, iterations}`` dicts.
     """
-    if method not in (METHOD_ADMM, METHOD_IPM):
-        raise ValueError(f"method must be 'admm' or 'ipm', got {method!r}")
-    qp_kwargs = dict(qp_kwargs or {})
     attempts = []
     results = []
     deadline = (
@@ -138,7 +103,8 @@ def solve_qp_robust(
             return None
         return deadline - time.perf_counter()
 
-    def run(step: str, backend: str, **call_kwargs):
+    def run(step: str, **call_kwargs):
+        backend = "admm" if step == "admm" else "ipm"
         if chaos.solver_nan():
             # injected numeric failure: a fabricated diverged verdict,
             # exercising the same path as a real NaN blow-up
@@ -153,16 +119,13 @@ def solve_qp_robust(
                 info={"note": "chaos: injected solver NaN"},
             )
         else:
-            extra = {}
             rem = remaining()
             if rem is not None:
-                extra["time_limit"] = max(rem, 1e-3)
-            if backend == METHOD_IPM:
-                res = _ipm(P, q, A, l, u, qp_kwargs=qp_kwargs,
-                           **extra, **call_kwargs)
-            else:
-                res = _admm(P, q, A, l, u, call_kwargs.get("warm"),
-                            qp_kwargs, **extra)
+                call_kwargs["time_limit"] = max(rem, 1e-3)
+            # looked up by module-level name on every call, so tracing
+            # and tests can wrap either solver
+            solver = solve_qp if backend == "admm" else solve_qp_ipm
+            res = solver(P, q, A, l, u, **call_kwargs)
         attempts.append(
             {
                 "step": step,
@@ -171,9 +134,9 @@ def solve_qp_robust(
                 "iterations": res.iterations,
             }
         )
-        if telemetry.enabled() and step != primary:
-            # retries/backend switches only: the happy path is one
-            # primary attempt and no fallback activity
+        if telemetry.enabled() and step != "ipm":
+            # retries only: the happy path is one first attempt and no
+            # fallback activity
             metrics.inc("solver.fallback.attempts")
             metrics.inc(f"solver.fallback.step.{step}")
         telemetry.emit("fallback", step=step, backend=backend,
@@ -200,11 +163,7 @@ def solve_qp_robust(
         rem = remaining()
         return rem is not None and rem <= 0
 
-    primary, secondary = (
-        (METHOD_IPM, METHOD_ADMM) if method == METHOD_IPM
-        else (METHOD_ADMM, METHOD_IPM)
-    )
-    res = run(primary, primary, warm=warm, workspace=workspace)
+    res = run("ipm", warm=warm, workspace=workspace)
     if res.ok:
         return finish(res)
 
@@ -213,24 +172,20 @@ def solve_qp_robust(
             return finish(res)
         if out_of_time():
             return best_effort("solver time budget exhausted")
-        # a pathological seed can blow up the duals and fake an
-        # infeasibility verdict: confirm cold before reporting
-        res = run(f"{primary}-cold", primary, workspace=workspace)
+        res = run("ipm-cold", workspace=workspace)
         if res.ok or res.status == STATUS_INFEASIBLE:
             return finish(res)
 
     if out_of_time():
         return best_effort("solver time budget exhausted")
 
-    if primary == METHOD_IPM:
-        # diverged / ill-conditioned / max_iter: regularize and go cold
-        res = run("ipm-regularized", METHOD_IPM, reg=RETRY_REG)
-        if res.ok or res.status == STATUS_INFEASIBLE:
-            return finish(res)
-        if out_of_time():
-            return best_effort("solver time budget exhausted")
+    res = run("ipm-regularized", reg=RETRY_REG)
+    if res.ok or res.status == STATUS_INFEASIBLE:
+        return finish(res)
+    if out_of_time():
+        return best_effort("solver time budget exhausted")
 
-    res = run(secondary, secondary)
+    res = run("admm")
     if res.ok:
         return finish(res)
 

@@ -19,6 +19,7 @@ from repro.placement import Die
 from repro.solver import (
     FAMILY_TIMING,
     STATUS_INFEASIBLE,
+    solve_qcp,
     solve_qp,
     solve_qp_ipm,
     solve_qp_robust,
@@ -172,6 +173,30 @@ class TestArgumentValidation:
     def test_bad_bound_or_budget(self, small_ctx, mode, name, value):
         with pytest.raises(ValueError, match=name):
             optimize_dose_map(small_ctx, 30.0, mode=mode, **{name: value})
+
+    @pytest.mark.parametrize("time_limit", [NAN, INF, 0.0, -1.0])
+    def test_bad_time_limit(self, small_ctx, time_limit):
+        """A NaN budget would never expire; zero or negative ones
+        would only truncate the solve."""
+        with pytest.raises(ValueError, match="time_limit"):
+            optimize_dose_map(small_ctx, 30.0, mode="qcp",
+                              time_limit=time_limit)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("s", NAN), ("s", INF), ("s", -INF),
+         ("c", np.ones(3)), ("c", np.ones((2, 1))),
+         ("g", np.zeros(1)), ("Q", sp.eye(3)), ("Q", sp.eye(2, 3))],
+    )
+    def test_bad_qcp_budget_or_shape(self, name, value):
+        """A non-finite budget has no feasible point to return, and a
+        misshapen argument fails at entry, not deep in numpy."""
+        args = dict(c=np.array([-1.0, -1.0]), A=sp.eye(2, format="csc"),
+                    l=np.zeros(2), u=np.full(2, 2.0),
+                    Q=sp.eye(2, format="csc"), g=np.zeros(2), s=0.5)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} "):
+            solve_qcp(**args)
 
     @pytest.mark.parametrize("grid_size", [NAN, INF, 0.0, -5.0])
     def test_bad_grid_size(self, small_ctx, grid_size):

@@ -8,6 +8,7 @@ from repro.core.snap import SNAP_CEIL, SNAP_FLOOR, SNAP_NEAREST, snap_dose_map
 from repro.dosemap import DoseMap, GridPartition
 from repro.library import CellLibrary
 from repro.netlist import make_design
+from repro.solver import solve_qp
 
 
 @pytest.fixture(scope="module")
@@ -128,12 +129,20 @@ class TestModesAndOptions:
         assert both.mct == pytest.approx(poly.mct, rel=0.05)
 
     def test_admm_backend_matches_ipm(self, ctx):
-        ipm = optimize_dose_map(ctx, grid_size=30.0, mode="qp", method="ipm")
-        admm = optimize_dose_map(
-            ctx, grid_size=30.0, mode="qp", method="admm",
-            qp_kwargs={"eps_abs": 1e-5, "eps_rel": 1e-5, "max_iter": 30000},
-        )
-        assert admm.leakage == pytest.approx(ipm.leakage, rel=0.02)
+        """The chain's last resort, ADMM at its defaults, signs off the
+        guarded G=30 QP at the IPM's golden leakage."""
+        tau = ctx.baseline.mct * (1.0 - 0.005)  # the default timing guard
+        ipm = optimize_dose_map(ctx, grid_size=30.0, mode="qp",
+                                timing_bound=tau)
+        form = ipm.formulation
+        u = form.u.copy()
+        u[form.row_clock] = tau
+        admm = solve_qp(form.P_leak, form.q_leak, form.A, form.l, u)
+        assert admm.ok
+        poly, active, _ = form.split(admm.x)
+        poly = snap_dose_map(poly, ctx.library, mode=SNAP_CEIL)
+        _, leakage = ctx.golden_eval(poly, active)
+        assert leakage == pytest.approx(ipm.leakage, rel=0.02)
 
     def test_leakage_budget_relaxation_buys_speed(self, ctx):
         tight = optimize_dose_map(ctx, 10.0, mode="qcp", leakage_budget=0.0)

@@ -150,6 +150,24 @@ class TestCheckpointStore:
         # a --certify run must not be satisfied by uncertified records
         assert cell_key(cell) != cell_key(cell, certify=True)
 
+    def test_cell_key_format(self):
+        """The key hashes exactly the documented cell fields plus the
+        certification setting."""
+        cell = DMoptCell("AES-65", 30.0, mode="qp", scale=0.3)
+        for certify in (False, True):
+            expected = content_key("dmopt_cell", {
+                "design": "AES-65",
+                "grid_size": 30.0,
+                "mode": "qp",
+                "both_layers": False,
+                "fit_width": False,
+                "dose_range": 5.0,
+                "smoothness": 2.0,
+                "scale": 0.3,
+                "certify": certify,
+            })
+            assert cell_key(cell, certify) == expected
+
 
 # ----------------------------------------------------------------------
 # kill-and-resume (the acceptance test)

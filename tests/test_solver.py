@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
-from repro.solver import STATUS_SOLVED, solve_qcp, solve_qp
+from repro.solver import STATUS_SOLVED, solve_qcp, solve_qp, solve_qp_robust
+from repro.solver.qcp import FEAS_TOL
 
 
 def _scipy_qp(P, q, A, l, u, x0):
@@ -31,6 +32,70 @@ def _scipy_qp(P, q, A, l, u, x0):
     res = minimize(f, x0, constraints=cons, method="SLSQP",
                    options={"maxiter": 500, "ftol": 1e-10})
     return res.x, res.fun
+
+
+def _scipy_qcp(c, A, l, u, Q, g, s, x0):
+    """Dense SLSQP reference for ``min c'x  s.t.  l <= Ax <= u,
+    (1/2)x'Qx + g'x <= s``."""
+    A = A.toarray()
+    Q = Q.toarray()
+    up, lo = np.isfinite(u), np.isfinite(l)
+    G = np.vstack([-A[up], A[lo]])
+    h = np.concatenate([u[up], -l[lo]])
+    cons = [
+        {"type": "ineq", "fun": lambda x: h + G @ x, "jac": lambda x: G},
+        {"type": "ineq", "fun": lambda x: s - 0.5 * x @ Q @ x - g @ x,
+         "jac": lambda x: -(Q @ x + g)},
+    ]
+    return minimize(lambda x: c @ x, x0, jac=lambda x: c,
+                    constraints=cons, method="SLSQP",
+                    options={"maxiter": 500, "ftol": 1e-12})
+
+
+@st.composite
+def _random_qcps(draw):
+    """Small random QCPs ``(c, A, l, u, Q, g, s, binding)``.
+
+    The last variable plays the DMopt clock period ``T``: it has a zero
+    row and column in ``Q = B'B`` and no ``g`` term, like ``P_leak``.
+    ``B`` stacks a random square block on an identity, so ``Q`` is
+    positive definite on the other variables.  ``A`` is a box on ``x``
+    plus random sparse rows, some one-sided, cut around a random point
+    ``x_feas``.  A binding budget lies strictly between
+    ``quad(x_feas)`` and the quadratic at the ``lam = 0`` (linear
+    program) solution; a slack one lies above the latter.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    binding = draw(st.booleans())
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 5))
+    R = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+    A = sp.vstack([sp.eye(n), sp.csr_matrix(R)], format="csc")
+    x_feas = rng.uniform(-0.5, 0.5, n)
+    ax = A @ x_feas
+    width = rng.uniform(0.2, 2.0, n + m)
+    l, u = ax - width, ax + width
+    kind = rng.integers(0, 3, m)
+    l[n:][kind == 1] = -np.inf
+    u[n:][kind == 2] = np.inf
+    B = np.vstack([rng.standard_normal((n - 1, n - 1)), np.eye(n - 1)])
+    Q = np.zeros((n, n))
+    Q[:-1, :-1] = B.T @ B
+    Q = sp.csc_matrix(Q)
+    g = np.append(rng.standard_normal(n - 1), 0.0)
+    c = rng.standard_normal(n)
+
+    def quad(x):
+        return float(0.5 * x @ (Q @ x) + g @ x)
+
+    lp = solve_qp_robust(0.0 * Q, c, A, l, u)
+    q_lp, q_feas = quad(lp.x), quad(x_feas)
+    if binding:
+        s = q_feas + rng.uniform(0.05, 0.95) * (q_lp - q_feas)
+        assume(q_lp - s > 10 * FEAS_TOL * max(1.0, abs(s)))
+    else:
+        s = q_lp + rng.uniform(0.0, 1.0) * (1.0 + abs(q_lp))
+    return c, A, l, u, Q, g, s, binding
 
 
 class TestQPBasics:
@@ -90,19 +155,6 @@ class TestQPBasics:
         assert not res.ok
         assert res.info["n_bound_conflicts"] == 1
         assert "l > u" in res.info["note"]
-
-    def test_warm_start_converges_faster(self):
-        rng = np.random.default_rng(3)
-        n = 30
-        M = rng.normal(size=(n, n))
-        P = sp.csc_matrix(M @ M.T + np.eye(n))
-        q = rng.normal(size=n)
-        A = sp.eye(n)
-        l, u = -np.ones(n), np.ones(n)
-        cold = solve_qp(P, q, A, l, u)
-        warm = solve_qp(P, q, A, l, u, x0=cold.x)
-        assert warm.ok
-        assert warm.iterations <= cold.iterations
 
 
 class TestQPAgainstScipy:
@@ -184,28 +236,67 @@ class TestQCP:
         assert not res.ok
         assert "unattainable" in res.info.get("note", "")
 
-    @settings(deadline=None, max_examples=6)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_random_qcp_against_scipy(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 4
-        c = rng.normal(size=n)
-        A = np.eye(n)
-        l, u = -np.ones(n), np.ones(n)
-        Q = np.eye(n)
-        s = 0.5
+    @settings(deadline=None, max_examples=30)
+    @given(_random_qcps())
+    def test_random_qcp_against_scipy(self, problem):
+        """KKT conditions and the acceptance rule at the returned point.
 
-        res = solve_qcp(c, sp.csc_matrix(A), l, u, sp.csc_matrix(Q),
-                        np.zeros(n), s)
+        Complementary slackness holds only up to the root search's
+        stopping rule: bisection may stop on a multiplier bracket
+        narrower than ``LAM_TOL`` with ``h`` strictly negative, so the
+        duality gap ``lam * -h`` is bounded instead of ``lam`` being 0.
+        """
+        c, A, l, u, Q, g, s, binding = problem
+        res = solve_qcp(c, A, l, u, Q, g, s)
+        assert res.ok
 
-        def f(x):
-            return c @ x
+        x, lam = res.x, res.info["lam"]
+        ax = A @ x
+        assert np.all(ax >= l - 1e-6) and np.all(ax <= u + 1e-6)
 
-        cons = [{"type": "ineq", "fun": lambda x: s - 0.5 * x @ x}]
-        ref = minimize(f, np.zeros(n), bounds=[(-1, 1)] * n,
-                       constraints=cons, method="SLSQP")
-        assert res.obj <= ref.fun + 1e-2 * (1 + abs(ref.fun))
-        assert 0.5 * res.x @ res.x <= s + 1e-3
+        h = 0.5 * x @ (Q @ x) + g @ x - s
+        assert res.info["quad"] - s == pytest.approx(h, abs=1e-12)
+        first = res.info["brackets"][0]
+        assert first[1] == 0.0
+        h0 = first[2]
+        assert h <= FEAS_TOL * max(abs(h0), 1.0, abs(s)) + 1e-12
+
+        assert lam >= 0.0
+        assert (lam == 0.0) == (h0 <= FEAS_TOL * max(1.0, abs(s)))
+        assert (lam > 0.0) == binding
+        gap = lam * max(-h, 0.0)
+        assert gap <= 1e-2 * (1.0 + abs(res.obj))
+
+        # SLSQP's optimum lies between the dual bound lam certifies
+        # (obj + lam*h, weak duality) and our objective
+        ref = _scipy_qcp(c, A, l, u, Q, g, s, x0=np.zeros(c.size))
+        if ref.success:
+            tol = 1e-3 * (1.0 + abs(ref.fun))
+            assert res.obj + lam * h - tol <= ref.fun <= res.obj + tol
+
+        # Lagrangian optimality: x minimizes c'x + lam*(x'Qx/2 + g'x)
+        # over the polytope; an independent ADMM solve agrees.  A
+        # first-order method can stall on a degenerate program (about
+        # one in a thousand here); an unconverged oracle proves nothing.
+        ref_qp = solve_qp(lam * Q, c + lam * g, A, l, u,
+                          eps_abs=1e-7, eps_rel=1e-7)
+        assume(ref_qp.ok)
+        lagrangian = res.obj + lam * (h + s)
+        assert lagrangian == pytest.approx(ref_qp.obj, rel=1e-4, abs=1e-4)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="bisection stops on a LAM_TOL-narrow multiplier bracket, "
+        "not on complementary slackness: a nearly linear budget jumps "
+        "across the bracket and the feasible point returned is far from "
+        "optimal; a direct barrier solve of the QCP would reach it",
+    )
+    def test_nearly_linear_budget_reaches_optimum(self):
+        """min -x, 0<=x<=2, x + 5e-7 x^2 <= 1 -> x ~ 1, obj ~ -1."""
+        res = solve_qcp(np.array([-1.0]), sp.eye(1), np.zeros(1),
+                        np.full(1, 2.0), 1e-6 * sp.eye(1), np.ones(1), 1.0)
+        assert res.ok
+        assert res.obj == pytest.approx(-1.0, abs=1e-2)
 
 
 class TestResultAPI:

@@ -1,8 +1,7 @@
 """Warm-start regression tests: fewer iterations, same golden answers.
 
 Covers the whole warm-start chain: solver-level seeds (IPM ``warm``/
-``workspace``, ADMM ``x0``/``y0``), the QCP bisection's intra-solve
-state threading, and the DMopt-level ``warm_start=`` plumbing used by
+``workspace``), the QCP bisection's intra-solve state threading, and the DMopt-level ``warm_start=`` plumbing used by
 :func:`repro.core.dmopt_dose_range_sweep`.
 """
 
@@ -11,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import DesignContext, dmopt_dose_range_sweep, optimize_dose_map
-from repro.solver import solve_qcp, solve_qp, solve_qp_ipm
+from repro.solver import solve_qcp, solve_qp_ipm
 from repro.solver.ipm import IPMWorkspace
 
 ATOL = 1e-6
@@ -41,13 +40,6 @@ class TestIPMWarmStart:
         )
         assert warm.ok and warm.warm_started
         assert warm.iterations < cold.iterations
-        assert np.allclose(warm.x, cold.x, atol=ATOL)
-
-    def test_x0_compat_argument(self):
-        P, q, A, l, u = box_qp()
-        cold = solve_qp_ipm(P, q, A, l, u)
-        warm = solve_qp_ipm(P, q, A, l, u, x0=cold.x)
-        assert warm.ok and warm.warm_started
         assert np.allclose(warm.x, cold.x, atol=ATOL)
 
     def test_workspace_reused_across_solves(self):
@@ -109,17 +101,6 @@ class TestIPMWarmStart:
         np.testing.assert_allclose(via_dense.x, via_scatter.x, atol=1e-9)
 
 
-class TestADMMWarmStart:
-    def test_x0_y0_flag_and_answer(self):
-        P, q, A, l, u = box_qp(n=25, seed=11)
-        cold = solve_qp(P, q, A, l, u)
-        assert cold.ok and not cold.warm_started
-        warm = solve_qp(P, q, A, l, u, x0=cold.x, y0=cold.info["y"])
-        assert warm.ok and warm.warm_started
-        assert warm.iterations <= cold.iterations
-        assert np.allclose(warm.x, cold.x, atol=1e-4)
-
-
 class TestQCPWarmStart:
     def test_dmopt_qcp_warm_fewer_iterations(self, aes_ctx):
         cold = optimize_dose_map(aes_ctx, 10.0, mode="qcp")
@@ -141,11 +122,11 @@ class TestQCPWarmStart:
         Q = sp.eye(n, format="csc")
         g = np.zeros(n)
         s = 0.25 * n  # binding: ||x||^2/2 <= s < n/2
-        cold = solve_qcp(c, A, l, u, Q, g, s, method="ipm")
+        cold = solve_qcp(c, A, l, u, Q, g, s)
         assert cold.ok and not cold.warm_started
         assert cold.info["lam"] > 0
         warm = solve_qcp(
-            c, A, l, u, Q, g, s, method="ipm",
+            c, A, l, u, Q, g, s,
             warm={"x": cold.x}, lam_hint=cold.info["lam"],
         )
         assert warm.ok and warm.warm_started
