@@ -122,7 +122,7 @@ def dmopt_dose_range_sweep(
     only retargets the range/smoothness bounds between points) and, with
     ``warm_start=True`` (default), each solve is seeded from the
     previous point's solution and multiplier -- typically a large cut in
-    solver iterations (see ``BENCH_dmopt.json``) with golden signoff
+    solver iterations (``tests/test_warmstart.py``) with golden signoff
     numbers unchanged, since warm starting only changes the inner
     solver's starting iterate, not the optimum.
 

@@ -125,7 +125,10 @@ def make_design(name: str, scale: float = 1.0) -> DesignBundle:
     scale:
         Structural scale factor (>1 grows lane/channel counts toward the
         paper's full-size instances; the default keeps the suite fast).
+        Must be finite and > 0; small scales clamp at two lanes/channels.
     """
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
     generator, node_name, kwargs = _spec(name)
     kwargs = dict(kwargs)
     if scale != 1.0:

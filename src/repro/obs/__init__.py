@@ -10,8 +10,8 @@ Three pieces, all riding on the :mod:`repro.telemetry` manifest:
   at exit;
 * the analysis CLI (``python -m repro.obs``) with ``report`` (stage
   tree, top spans, solver convergence stats, cache-hit rates from a
-  manifest) and ``compare`` (perf-regression gate over two
-  ``BENCH_*.json`` files).
+  manifest) and ``compare`` (the perf-regression gate of a fresh
+  perfbench record against a committed ``BENCH_<workload>.json``).
 
 Everything is a no-op while telemetry is off (``REPRO_TELEMETRY`` /
 ``--trace`` / ``telemetry.configure``), so instrumented hot paths pay

@@ -3,9 +3,10 @@
 * ``report <manifest.jsonl>`` -- per-stage wall-time tree, top spans by
   self time, solver iteration statistics, and merged run-total metrics
   from one telemetry manifest (``--json`` for machine-readable output).
-* ``compare <baseline.json> <current.json>`` -- diff two BENCH_*.json
-  benchmark files and exit 1 when a time/speedup metric regressed
-  beyond ``--tol`` (the CI perf gate), 2 when either file is missing.
+* ``compare <baseline.json> <current.json>`` -- gate a fresh perfbench
+  record against a committed ``BENCH_<workload>.json``: exit 1 when a
+  work counter changed or a timer ran over 2x its baseline (the CI perf
+  gate), 2 when either file is missing.
 """
 
 from __future__ import annotations
@@ -29,16 +30,12 @@ def _cmd_report(args) -> int:
 
 def _cmd_compare(args) -> int:
     try:
-        result = compare_files(args.baseline, args.current, tol=args.tol,
-                               floor=args.floor)
+        n_baseline, failures = compare_files(args.baseline, args.current)
     except FileNotFoundError as exc:
         print(f"compare: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    print(format_comparison(result, verbose=args.verbose))
-    failed = bool(result["regressions"]) or (
-        bool(result["missing"]) and not args.allow_missing
-    )
-    return 1 if failed else 0
+    print(format_comparison(args.baseline, n_baseline, failures))
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,19 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=_cmd_report)
 
     p_cmp = sub.add_parser(
-        "compare", help="diff two BENCH_*.json files; exit 1 on regression"
+        "compare", help="gate a fresh perfbench record against a committed "
+        "one; exit 1 on a changed count or a 2x slower timer"
     )
-    p_cmp.add_argument("baseline", help="committed baseline BENCH_*.json")
-    p_cmp.add_argument("current", help="freshly measured BENCH_*.json")
-    p_cmp.add_argument("--tol", type=float, default=0.5,
-                       help="relative regression tolerance (0.5 = 50%%)")
-    p_cmp.add_argument("--floor", type=float, default=1e-3,
-                       help="ignore metrics below this absolute value")
-    p_cmp.add_argument("--allow-missing", action="store_true",
-                       help="do not fail when a baseline metric is absent "
-                       "from the current file")
-    p_cmp.add_argument("--verbose", "-v", action="store_true",
-                       help="also list unchanged/informational metrics")
+    p_cmp.add_argument("baseline", help="committed BENCH_<workload>.json")
+    p_cmp.add_argument("current", help="freshly recorded BENCH_<workload>.json")
     p_cmp.set_defaults(func=_cmd_compare)
     return parser
 

@@ -1,148 +1,68 @@
-"""Benchmark regression gate: diff two BENCH_*.json files.
+"""Benchmark regression gate: diff two ``BENCH_<workload>.json`` records.
 
-``python -m repro.obs compare <baseline.json> <current.json> --tol 0.5``
-flattens both files to dotted numeric leaves (``solve_warm[0].modes.qp.
-warm_time``), classifies each metric's *direction* from its name, and
-exits nonzero when any direction-bearing metric regressed beyond the
-relative tolerance:
+``python -m repro.obs compare <baseline.json> <current.json>`` reads the
+``metrics`` of two perfbench records (``{name: {"value", "unit"}}``, the
+last stdout line of ``perfbench/run.py``) and judges each baseline
+metric by its unit:
 
-* names containing ``speedup`` are **higher-better**;
-* time-like names (``*_time``, ``seconds``, ``reference``, ``vector*``,
-  ``serial*``, ``parallel*``) and iteration counts are **lower-better**;
-* everything else (gate counts, MCT values, dose ranges, ...) is
-  informational -- reported with ``--verbose`` but never a regression,
-  since correctness drift is the signoff tests' job, not the perf
-  gate's.
+* ``count`` metrics (iterations, LU fill, STA passes, ...) are
+  deterministic work counters and must be equal; an intended change
+  means re-recording the baseline with ``make bench``;
+* ``s`` metrics fail when the current value exceeds ``TIME_TOL`` times
+  the baseline, unless both are under ``FLOOR_S`` -- a 2x blip on a
+  200 us timer is noise, not signal;
+* every other unit (``%``, ``ratio``, ``MB``, ``B``, ``1/s``) is
+  informational: correctness drift is the tests' job, not the gate's.
 
-Tiny absolute values are noise, not signal: a metric whose baseline and
-current values are both under ``--floor`` seconds (default 1 ms) is
-skipped, so a 2x blip on a 200 us timer cannot fail CI.
+A baseline metric missing from the current record fails.
 """
 
 from __future__ import annotations
 
 import json
 
+#: A timer fails when it reads more than this many times its baseline.
+TIME_TOL = 2.0
 
-#: Name fragments marking a metric where *larger* is better.
-HIGHER_BETTER = ("speedup",)
-
-#: Name fragments marking a metric where *smaller* is better (times,
-#: iteration counts).  Checked on the leaf key, after HIGHER_BETTER.
-LOWER_BETTER = (
-    "_time", "time_", "seconds", "reference", "vector", "serial",
-    "parallel", "iterations", "runtime", "inner_solves",
-)
+#: Timers under this many seconds in both records are skipped.
+FLOOR_S = 1e-3
 
 
-def flatten(value, prefix: str = "") -> dict:
-    """``{dotted.path: float}`` over every numeric leaf of a JSON tree."""
-    out = {}
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            out.update(flatten(sub, path))
-    elif isinstance(value, list):
-        for idx, sub in enumerate(value):
-            out.update(flatten(sub, f"{prefix}[{idx}]"))
-    elif isinstance(value, bool):
-        pass  # bools are ints in python; they are flags, not metrics
-    elif isinstance(value, (int, float)):
-        out[prefix] = float(value)
-    return out
+def compare_metrics(baseline: dict, current: dict) -> list:
+    """Failing metrics of two ``{name: {"value", "unit"}}`` dicts.
 
-
-def direction_of(path: str) -> str:
-    """``"higher"`` | ``"lower"`` | ``"info"`` for one dotted metric path."""
-    leaf = path.rsplit(".", 1)[-1].lower()
-    if any(frag in leaf for frag in HIGHER_BETTER):
-        return "higher"
-    if any(frag in leaf for frag in LOWER_BETTER):
-        return "lower"
-    return "info"
-
-
-def compare_metrics(baseline: dict, current: dict, tol: float = 0.5,
-                    floor: float = 1e-3) -> dict:
-    """Diff two flattened metric dicts.
-
-    Returns ``{"regressions": [...], "improvements": [...], "info":
-    [...], "missing": [...]}`` where each entry is ``(path, base, cur,
-    rel_change)``; ``rel_change`` is signed so that positive always
-    means *worse* (slower, fewer speedups).
+    Returns ``[(name, why)]`` sorted by name, empty when the current
+    record passes the gate.
     """
-    regressions = []
-    improvements = []
-    info = []
-    missing = []
-    for path in sorted(baseline):
-        base = baseline[path]
-        if path not in current:
-            missing.append((path, base, None, None))
+    failures = []
+    for name in sorted(baseline):
+        base = baseline[name]["value"]
+        unit = baseline[name]["unit"]
+        if name not in current:
+            failures.append((name, f"{base:g} {unit} -> missing"))
             continue
-        cur = current[path]
-        direction = direction_of(path)
-        if direction == "info":
-            info.append((path, base, cur, None))
-            continue
-        if abs(base) < floor and abs(cur) < floor:
-            info.append((path, base, cur, None))
-            continue
-        denom = max(abs(base), floor)
-        if direction == "lower":
-            rel = (cur - base) / denom  # positive = slower = worse
-        else:
-            rel = (base - cur) / denom  # positive = less speedup = worse
-        entry = (path, base, cur, rel)
-        if rel > tol:
-            regressions.append(entry)
-        elif rel < -tol:
-            improvements.append(entry)
-        else:
-            info.append(entry)
-    return {
-        "regressions": regressions,
-        "improvements": improvements,
-        "info": info,
-        "missing": missing,
-    }
+        cur = current[name]["value"]
+        if unit == "count" and cur != base:
+            failures.append((name, f"{base:g} -> {cur:g} (counts must match)"))
+        elif (unit == "s" and max(base, cur) >= FLOOR_S
+              and cur > TIME_TOL * base):
+            failures.append(
+                (name, f"{base:g} s -> {cur:g} s (> {TIME_TOL:g}x)")
+            )
+    return failures
 
 
-def compare_files(baseline_path, current_path, tol: float = 0.5,
-                  floor: float = 1e-3) -> dict:
+def compare_files(baseline_path, current_path) -> tuple:
+    """``(n_baseline_metrics, failures)`` for two record files."""
     with open(baseline_path, encoding="utf-8") as fh:
-        baseline = flatten(json.load(fh))
+        baseline = json.load(fh)["metrics"]
     with open(current_path, encoding="utf-8") as fh:
-        current = flatten(json.load(fh))
-    result = compare_metrics(baseline, current, tol=tol, floor=floor)
-    result["n_baseline"] = len(baseline)
-    result["n_current"] = len(current)
-    return result
+        current = json.load(fh)["metrics"]
+    return len(baseline), compare_metrics(baseline, current)
 
 
-def _fmt(entry) -> str:
-    path, base, cur, rel = entry
-    line = f"{path}: {base:g} -> {'missing' if cur is None else f'{cur:g}'}"
-    if rel is not None:
-        line += f"  ({rel:+.0%})"
-    return line
-
-
-def format_comparison(result: dict, verbose: bool = False) -> str:
-    lines = []
-    for entry in result["regressions"]:
-        lines.append("REGRESSION  " + _fmt(entry))
-    for entry in result["missing"]:
-        lines.append("MISSING     " + _fmt(entry))
-    for entry in result["improvements"]:
-        lines.append("improved    " + _fmt(entry))
-    if verbose:
-        for entry in result["info"]:
-            lines.append("            " + _fmt(entry))
-    lines.append(
-        f"{result['n_baseline']} baseline metrics: "
-        f"{len(result['regressions'])} regressed, "
-        f"{len(result['missing'])} missing, "
-        f"{len(result['improvements'])} improved"
-    )
+def format_comparison(label, n_baseline: int, failures: list) -> str:
+    lines = [f"FAILED  {name}: {why}" for name, why in failures]
+    lines.append(f"{label}: {n_baseline} baseline metrics, "
+                 f"{len(failures)} failed")
     return "\n".join(lines)

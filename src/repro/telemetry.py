@@ -10,7 +10,7 @@ an attribute of the span that wraps the work, not an event of its own.
 
 Telemetry is **off by default** and costs one early-returning function
 call per event when disabled, so the hot paths carry no measurable
-overhead (the ``make bench-dmopt`` criterion).
+overhead.
 
 Enabling it
 -----------

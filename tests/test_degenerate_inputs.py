@@ -198,6 +198,14 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match=f"^{name} "):
             solve_qcp(**args)
 
+    @pytest.mark.parametrize("scale", [NAN, INF, 0.0, -1.0])
+    def test_bad_design_scale(self, scale):
+        """0 and -1 used to build a two-lane design silently (under a
+        cache key of their own), and NaN/Inf failed without naming
+        the argument."""
+        with pytest.raises(ValueError, match="scale"):
+            make_design("AES-65", scale=scale)
+
     @pytest.mark.parametrize("grid_size", [NAN, INF, 0.0, -5.0])
     def test_bad_grid_size(self, small_ctx, grid_size):
         with pytest.raises(ValueError, match="grid_size"):

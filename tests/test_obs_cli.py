@@ -1,14 +1,20 @@
 """Tests for the observability CLI (python -m repro.obs report/compare)."""
 
 import json
+import pathlib
 import time
 
 import pytest
 
 from repro import telemetry
 from repro.obs.__main__ import main as obs_main
-from repro.obs.compare import compare_metrics, direction_of, flatten
 from repro.obs.report import build_trees, load_manifest, summarize
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Workloads whose perfbench records are committed as BENCH_<w>.json.
+BENCH_WORKLOADS = ("table4_g10", "sweep_warm", "dosepl_yield")
 
 
 @pytest.fixture
@@ -114,89 +120,95 @@ class TestReport:
 
 
 class TestCompare:
-    def _bench(self):
+    def _record(self):
         return {
-            "smoke": True,
-            "solve": [{"design": "AES-65", "warm_time": 0.2,
-                       "cold_time": 0.6, "speedup": 3.0,
-                       "iterations": 50, "mct": 3.2}],
+            "correct": True, "attempted": 120, "failed": 0,
+            "metrics": {
+                "solver.lu_s": {"value": 0.5, "unit": "s"},
+                "solver.lu_count": {"value": 277, "unit": "count"},
+                "snap.s": {"value": 2e-4, "unit": "s"},
+                "sta.update_s": {"value": 3e-4, "unit": "s"},
+                "obs.coverage_pct": {"value": 99.0, "unit": "%"},
+            },
         }
 
+    def _run(self, tmp_path, base, cur):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(base))
+        b.write_text(json.dumps(cur))
+        return obs_main(["compare", str(a), str(b)])
+
+    def _scaled(self, name, factor):
+        cur = self._record()
+        cur["metrics"][name]["value"] *= factor
+        return cur
+
     def test_identical_files_pass(self, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        a.write_text(json.dumps(self._bench()))
-        assert obs_main(["compare", str(a), str(a), "--tol", "0.5"]) == 0
+        assert self._run(tmp_path, self._record(), self._record()) == 0
+        assert "5 baseline metrics, 0 failed" in capsys.readouterr().out
+
+    def test_count_changed_by_one_fails(self, tmp_path, capsys):
+        for delta in (1, -1):
+            cur = self._record()
+            cur["metrics"]["solver.lu_count"]["value"] += delta
+            assert self._run(tmp_path, self._record(), cur) == 1
+            assert "solver.lu_count" in capsys.readouterr().out
 
     def test_synthetic_2x_slowdown_fails(self, tmp_path, capsys):
-        base = self._bench()
-        slow = json.loads(json.dumps(base))
-        for row in slow["solve"]:
-            row["warm_time"] *= 2
-            row["cold_time"] *= 2
-            row["speedup"] /= 3
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(base))
-        b.write_text(json.dumps(slow))
-        assert obs_main(["compare", str(a), str(b), "--tol", "0.5"]) == 1
+        cur = self._scaled("solver.lu_s", 2.1)
+        assert self._run(tmp_path, self._record(), cur) == 1
         out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "warm_time" in out and "speedup" in out
+        assert "FAILED  solver.lu_s" in out and "1 failed" in out
+        assert self._run(tmp_path, self._record(),
+                         self._scaled("solver.lu_s", 1.9)) == 0
 
     def test_improvement_never_fails(self, tmp_path):
-        base = self._bench()
-        fast = json.loads(json.dumps(base))
-        for row in fast["solve"]:
-            row["warm_time"] /= 4
-            row["speedup"] *= 4
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(base))
-        b.write_text(json.dumps(fast))
-        assert obs_main(["compare", str(a), str(b), "--tol", "0.5"]) == 0
+        assert self._run(tmp_path, self._record(),
+                         self._scaled("solver.lu_s", 0.1)) == 0
 
-    def test_missing_metric_fails_unless_allowed(self, tmp_path):
-        base = self._bench()
-        partial = json.loads(json.dumps(base))
-        del partial["solve"][0]["warm_time"]
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(base))
-        b.write_text(json.dumps(partial))
-        assert obs_main(["compare", str(a), str(b)]) == 1
-        assert obs_main(["compare", str(a), str(b), "--allow-missing"]) == 0
+    def test_noise_floor_skips_tiny_timers(self, tmp_path):
+        cur = self._scaled("snap.s", 3.0)  # 200 us -> 600 us
+        cur["metrics"]["sta.update_s"]["value"] *= 3.0
+        assert self._run(tmp_path, self._record(), cur) == 0
+        # a sub-floor baseline still fails once the timer crosses it
+        assert self._run(tmp_path, self._record(),
+                         self._scaled("snap.s", 10.0)) == 1
 
-    def test_direction_classification(self):
-        assert direction_of("solve[0].speedup") == "higher"
-        assert direction_of("solve[0].warm_time") == "lower"
-        assert direction_of("sweep[0].parallel_all_cores") == "lower"
-        assert direction_of("solve[0].iterations") == "lower"
-        # correctness numbers are not perf regressions
-        assert direction_of("solve[0].mct") == "info"
-        assert direction_of("assembly[0].n_gates") == "info"
+    def test_other_units_are_informational(self, tmp_path):
+        assert self._run(tmp_path, self._record(),
+                         self._scaled("obs.coverage_pct", 0.5)) == 0
 
-    def test_flatten_paths_and_bool_exclusion(self):
-        flat = flatten(self._bench())
-        assert flat["solve[0].warm_time"] == 0.2
-        assert "smoke" not in flat  # bools are flags, not metrics
+    def test_missing_metric_fails(self, tmp_path, capsys):
+        cur = self._record()
+        del cur["metrics"]["obs.coverage_pct"]
+        assert self._run(tmp_path, self._record(), cur) == 1
+        assert "obs.coverage_pct" in capsys.readouterr().out
+        # a metric only the current record has is not a failure
+        assert self._run(tmp_path, cur, self._record()) == 0
 
-    def test_noise_floor_skips_tiny_timers(self):
-        base = {"a_time": 2e-4}
-        cur = {"a_time": 6e-4}  # 3x blip on a 200us timer
-        result = compare_metrics(flatten(base), flatten(cur), tol=0.5,
-                                 floor=1e-3)
-        assert result["regressions"] == []
+    def test_compare_has_no_options(self):
+        with pytest.raises(SystemExit):
+            obs_main(["compare", "a.json", "b.json", "--tol", "4.0"])
 
     def test_missing_baseline_exits_2_with_one_line(self, tmp_path,
                                                      capsys):
         cur = tmp_path / "cur.json"
-        cur.write_text(json.dumps(self._bench()))
+        cur.write_text(json.dumps(self._record()))
         missing = tmp_path / "BENCH_absent.json"
         assert obs_main(["compare", str(missing), str(cur)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(missing) in err
+        assert obs_main(["compare", str(cur), str(missing)]) == 2
 
-    def test_committed_smoke_baselines_self_compare(self):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        for name in ("BENCH_sta_smoke.json", "BENCH_dmopt_smoke.json"):
-            path = root / name
-            assert obs_main(["compare", str(path), str(path)]) == 0
+    @pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+    def test_committed_bench_records(self, workload):
+        """Each committed record is a passing perfbench run carrying
+        exactly the per-layer metrics BENCHMARK.json declares."""
+        path = ROOT / f"BENCH_{workload}.json"
+        record = json.loads(path.read_text())
+        assert record["correct"] is True
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        declared = {m["name"]: m["unit"] for m in spec["per_layer"]}
+        assert {name: m["unit"] for name, m in record["metrics"].items()} \
+            == declared
+        assert obs_main(["compare", str(path), str(path)]) == 0
