@@ -26,7 +26,7 @@ print(f"optimized: MCT {result.mct:.3f} ns "
       f"leakage {result.leakage:.1f} uW "
       f"({result.leakage_improvement_pct:+.2f}%)")
 print(f"solver   : {result.solve.status} in {result.runtime:.1f} s "
-      f"({result.solve.info.get('inner_solves', 1)} QP solves)")
+      f"({result.solve.iterations} solver iterations)")
 
 # 4. the dose map itself is a grid of delta-dose percentages
 dm = result.dose_map_poly

@@ -205,12 +205,11 @@ def optimize_dose_map(
         golden leakage lands at or under the requested budget.
     warm_start:
         Optional :class:`~repro.solver.SolveResult` of a structurally
-        identical solve (an adjacent sweep point): its primal/dual state
-        seeds the inner solver and, for QCP, its multiplier seeds the
-        bisection bracket.
+        identical solve (an adjacent sweep point): its primal/dual state,
+        and for QCP its multiplier, seeds the solver.
     time_limit:
         Optional wall-clock budget in seconds for *all* solver work in
-        this call (fallback chain, QCP root search, guard retry).  On
+        this call (fallback chain, QCP barrier, guard retry).  On
         expiry the best iterate so far is signed off (or the failure
         path taken); the call never spins indefinitely.
 
@@ -295,7 +294,6 @@ def optimize_dose_map(
                     form.q_leak,
                     s=budget,
                     warm=seed,
-                    lam_hint=warm.info.get("lam") if warm is not None else None,
                     workspace=solver_ws,
                     time_limit=_budget_left(),
                 )

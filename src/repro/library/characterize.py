@@ -71,20 +71,20 @@ class CharacterizedCell:
         return self.out_slew.lookup(slew_ns, load_ff)
 
 
-def _stage_r_c(node: TechNode, master: CellMaster, dl_nm: float, dw_nm: float):
-    """Effective (resistance, parasitic cap) of the master's output stage.
+def _stage_resistances(node: TechNode, master: CellMaster, length: float,
+                       widths) -> list:
+    """Effective resistance of stages given as ``(w_n, w_p)`` pairs.
 
     Averages the pull-up and pull-down networks (rise/fall averaging) and
-    applies the series-stack factors.
+    applies the series-stack factors.  One device call serves every
+    stage: Vth(L) and the drive term are evaluated once for the shared
+    length.
     """
-    length = node.l_nominal + dl_nm
-    w_n = master.w_n + dw_nm
-    w_p = master.w_p + dw_nm
-    r_down = float(device.on_resistance(node, length, w_n)) * master.stack_n
-    r_up = float(device.on_resistance(node, length, w_p)) * master.stack_p
-    r_eff = 0.5 * (r_down + r_up)
-    c_par = float(device.parasitic_cap(node, w_n + w_p))
-    return r_eff, c_par
+    r = device.on_resistance(node, length, np.array(widths).ravel())
+    return [
+        0.5 * (float(r_n) * master.stack_n + float(r_p) * master.stack_p)
+        for r_n, r_p in r.reshape(-1, 2)
+    ]
 
 
 def input_capacitance(node: TechNode, master: CellMaster, dw_nm: float = 0.0) -> float:
@@ -102,13 +102,13 @@ def cell_leakage(
     ``leak_states`` factor, with series stacks leaking proportionally less.
     """
     length = node.l_nominal + dl_nm
-    i_n = float(
-        device.leakage_current(node, length, master.w_n + dw_nm, stack=master.stack_n)
+    i_n, i_p = device.leakage_current(
+        node,
+        length,
+        np.array([master.w_n + dw_nm, master.w_p + dw_nm]),
+        stack=np.array([master.stack_n, master.stack_p]),
     )
-    i_p = float(
-        device.leakage_current(node, length, master.w_p + dw_nm, stack=master.stack_p)
-    )
-    return master.leak_states * 0.5 * (i_n + i_p) * node.vdd
+    return master.leak_states * 0.5 * (float(i_n) + float(i_p)) * node.vdd
 
 
 def characterize_cell(
@@ -138,7 +138,16 @@ def characterize_cell(
     if load_axis is None:
         load_axis = default_load_axis(input_capacitance(node, master))
 
-    r_out, c_par_out = _stage_r_c(node, master, dl_nm, dw_nm)
+    # the output stage, then (multi-stage cells) the internal one
+    w_n = master.w_n + dw_nm
+    w_p = master.w_p + dw_nm
+    widths = [(w_n, w_p)]
+    if master.stages > 1:
+        w_int_n = master.w_n * _INTERNAL_STAGE_SCALE + dw_nm
+        w_int_p = master.w_p * _INTERNAL_STAGE_SCALE + dw_nm
+        widths.append((w_int_n, w_int_p))
+    r_out, *r_internal = _stage_resistances(node, master, length, widths)
+    c_par_out = float(device.parasitic_cap(node, w_n + w_p))
     pin_cap = input_capacitance(node, master, dw_nm)
 
     slews = np.asarray(slew_axis, dtype=float)[:, None]  # (S, 1)
@@ -147,15 +156,11 @@ def characterize_cell(
     # Chain the internal stages (if any) before the output stage.  Internal
     # stages see a fixed load: the gate cap of the next (scaled) stage.
     delay = np.zeros((slews.size, loads.shape[1]))
-    cur_slew = np.broadcast_to(slews, (slews.size, loads.shape[1])).copy()
+    cur_slew = np.empty_like(delay)
+    cur_slew[...] = slews
     ln2 = np.log(2.0)
     for _stage in range(master.stages - 1):
-        w_int_n = master.w_n * _INTERNAL_STAGE_SCALE + dw_nm
-        w_int_p = master.w_p * _INTERNAL_STAGE_SCALE + dw_nm
-        r_int = 0.5 * (
-            float(device.on_resistance(node, length, w_int_n)) * master.stack_n
-            + float(device.on_resistance(node, length, w_int_p)) * master.stack_p
-        )
+        r_int = r_internal[0]
         c_int = float(device.parasitic_cap(node, w_int_n + w_int_p)) + pin_cap
         stage_d = ln2 * r_int * c_int * 1e-3 + device._SLEW_DELAY_FACTOR * cur_slew
         delay += stage_d + master.intrinsic_ns
@@ -168,8 +173,8 @@ def characterize_cell(
         + device._SLEW_DELAY_FACTOR * cur_slew
         + master.intrinsic_ns
     )
-    out_slew = device._SLEW_RC_FACTOR * r_out * c_total * 1e-3
-    out_slew = np.broadcast_to(out_slew, delay.shape).copy()
+    out_slew = np.empty_like(delay)
+    out_slew[...] = device._SLEW_RC_FACTOR * r_out * c_total * 1e-3
 
     if master.is_sequential:
         delay = delay + master.clk_q_extra_ns

@@ -10,7 +10,9 @@ in each delay table", Section IV-B).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,30 +46,42 @@ class NLDMTable:
             )
         if slew.size < 2 or load.size < 2:
             raise ValueError("axes need at least two points each")
-        if np.any(np.diff(slew) <= 0) or np.any(np.diff(load) <= 0):
-            raise ValueError("axes must be strictly increasing")
+        # np.diff's test on plain floats, without numpy's per-call
+        # overhead: a characterization builds two tables per variant
+        for axis in (slew.tolist(), load.tolist()):
+            if any(b - a <= 0 for a, b in zip(axis, axis[1:])):
+                raise ValueError("axes must be strictly increasing")
         object.__setattr__(self, "slew_axis", slew)
         object.__setattr__(self, "load_axis", load)
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def _grid(self) -> tuple:
+        """Axes and values as plain floats, for the scalar lookup."""
+        return (
+            self.slew_axis.tolist(), self.load_axis.tolist(),
+            self.values.tolist(),
+        )
+
     def lookup(self, slew_ns: float, load_ff: float) -> float:
         """Bilinear interpolation, clamped to the table window."""
-        s = float(np.clip(slew_ns, self.slew_axis[0], self.slew_axis[-1]))
-        c = float(np.clip(load_ff, self.load_axis[0], self.load_axis[-1]))
-        i = int(np.searchsorted(self.slew_axis, s, side="right") - 1)
-        j = int(np.searchsorted(self.load_axis, c, side="right") - 1)
-        i = min(i, self.slew_axis.size - 2)
-        j = min(j, self.load_axis.size - 2)
-        s0, s1 = self.slew_axis[i], self.slew_axis[i + 1]
-        c0, c1 = self.load_axis[j], self.load_axis[j + 1]
+        # scalar work on plain floats: the same IEEE operations as the
+        # numpy form, without its per-call overhead (the delay fitter
+        # makes thousands of these lookups per formulation)
+        slews, loads, v = self._grid
+        s = min(max(float(slew_ns), slews[0]), slews[-1])
+        c = min(max(float(load_ff), loads[0]), loads[-1])
+        i = min(bisect_right(slews, s) - 1, len(slews) - 2)
+        j = min(bisect_right(loads, c) - 1, len(loads) - 2)
+        s0, s1 = slews[i], slews[i + 1]
+        c0, c1 = loads[j], loads[j + 1]
         fs = (s - s0) / (s1 - s0)
         fc = (c - c0) / (c1 - c0)
-        v = self.values
         return float(
-            v[i, j] * (1 - fs) * (1 - fc)
-            + v[i + 1, j] * fs * (1 - fc)
-            + v[i, j + 1] * (1 - fs) * fc
-            + v[i + 1, j + 1] * fs * fc
+            v[i][j] * (1 - fs) * (1 - fc)
+            + v[i + 1][j] * fs * (1 - fc)
+            + v[i][j + 1] * (1 - fs) * fc
+            + v[i + 1][j + 1] * fs * fc
         )
 
     def nearest_index(self, slew_ns: float, load_ff: float) -> tuple:

@@ -18,15 +18,19 @@ conditioning, which makes this backend much faster than ADMM on the
 dose-map programs (whose arrival-time variables are cost-free and
 create flat directions that stall first-order methods).
 
-Repeated solves of structurally identical problems (the dose-map
-driver's sweep points, QCP root-search steps, and guard retries) share
-an :class:`IPMWorkspace`.  It computes the ordering once and holds the
-stacked ``G``, the symbolic sparsity of the permuted ``N`` and a
-precomputed scatter operator, so each iteration assembles the permuted
-normal matrix with a single SpMV and factors it in the natural order.
-Pass a mutable dict as ``workspace`` to carry it across calls; a
-``warm`` state (previous ``x``/``z``) typically cuts iteration counts
-roughly in half on adjacent sweep points.
+One convex quadratic row ``(1/2)x'Qx + g'x <= b`` may join the linear
+ones (the QCP's leakage budget, see :mod:`repro.solver.qcp`): it is one
+more barrier pair in the same loop, so the QCP is one solve.
+
+Repeated solves of structurally identical problems (dose-map sweep
+points and guard retries) share an :class:`IPMWorkspace`.  It computes
+the ordering once and holds the stacked ``G``, the symbolic sparsity of
+the permuted ``N`` and a precomputed scatter operator, so each
+iteration assembles the permuted normal matrix with a single SpMV and
+factors it in the natural order.  Pass a mutable dict as ``workspace``
+to carry it across calls; a ``warm`` state (previous ``x``/``z``)
+typically cuts iteration counts roughly in half on adjacent sweep
+points.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from repro.solver.result import (
     STATUS_MAX_ITER,
     STATUS_SOLVED,
     SolveResult,
+    diagnostic_result,
 )
 
 #: Mehrotra iteration cap per solve.
@@ -77,9 +82,10 @@ class IPMWorkspace:
     """Pattern-dependent precomputation shared across IPM solves.
 
     Valid for every problem with the same ``A`` (values and pattern),
-    the same bound-finiteness masks, and the same ``P`` sparsity pattern
-    -- exactly the re-solves of a retargeted dose-map formulation, where
-    only bound *values* and the quadratic's scale change.  Holds:
+    the same bound-finiteness masks, and the same ``P`` (and quadratic
+    row ``Q``) sparsity patterns -- exactly the re-solves of a
+    retargeted dose-map formulation, where only bound *values* change.
+    Holds:
 
     * the stacked one-sided ``G`` (and its transpose), so bound changes
       only re-gather ``h``;
@@ -88,7 +94,8 @@ class IPMWorkspace:
       and ``perm`` (old -> new).  Minimum degree on ``N + N'`` reads
       only the sparsity pattern, so it is computed once here and serves
       every iterate, every QCP inner solve, every bound retarget and
-      the regularized retry;
+      the regularized retry (the quadratic row's Hessian ``lam * Q``
+      joins ``P`` on the same pattern);
     * the symbolic sparsity (``N_indptr``/``N_indices``) of the
       *permuted* normal matrix ``N[order][:, order]``;
     * a scatter operator ``E`` of shape (nnz(N), m) with
@@ -106,7 +113,7 @@ class IPMWorkspace:
     #: nnz(N) (dense-ish constraint rows make E itself the bottleneck).
     MAX_EXPANSION_RATIO = 40.0
 
-    def __init__(self, P, A, l, u):
+    def __init__(self, P, A, l, u, Q=None):
         self.mask_u = np.isfinite(u)
         self.mask_l = np.isfinite(l)
         if not (self.mask_u.any() or self.mask_l.any()):
@@ -128,6 +135,9 @@ class IPMWorkspace:
         self._A_sig = (A.shape, A.nnz)
         self._P_indptr = P.indptr.copy()
         self._P_indices = P.indices.copy()
+        self._Q_pattern = (
+            None if Q is None else (Q.indptr.copy(), Q.indices.copy())
+        )
 
         # symbolic pattern of N = P + I + G'G (structural union)
         absG = self.Gcsc.copy()
@@ -137,6 +147,8 @@ class IPMWorkspace:
             (np.ones_like(M.data), M.indices, M.indptr), shape=M.shape
         )
         U = (ones(P) + ones(C) + sp.eye(self.n, format="csc")).tocsc()
+        if Q is not None:
+            U = (U + ones(Q)).tocsc()
         U.sort_indices()
         self.nnzN = U.nnz
 
@@ -168,6 +180,11 @@ class IPMWorkspace:
             P.indices,
             np.repeat(np.arange(self.n, dtype=np.int64), np.diff(P.indptr)),
         )
+        if Q is not None:
+            self.pos_Q = self._positions(
+                Q.indices,
+                np.repeat(np.arange(self.n, dtype=np.int64), np.diff(Q.indptr)),
+            )
         diag = np.arange(self.n, dtype=np.int64)
         self.pos_diag = self._positions(diag, diag)
 
@@ -214,8 +231,8 @@ class IPMWorkspace:
             shape=(self.nnzN, self.m),
         )
 
-    def matches(self, P, A, l, u) -> bool:
-        """Can this workspace serve (P, A, l, u)?"""
+    def matches(self, P, A, l, u, Q=None) -> bool:
+        """Can this workspace serve (P, A, l, u) and the row's Q?"""
         if A.shape != self._A_sig[0] or A.nnz != self._A_sig[1]:
             return False
         if not (
@@ -233,6 +250,13 @@ class IPMWorkspace:
                 return False
         if P.shape[0] != self.n:
             return False
+        if (Q is None) != (self._Q_pattern is None):
+            return False
+        if Q is not None and not (
+            np.array_equal(Q.indptr, self._Q_pattern[0])
+            and np.array_equal(Q.indices, self._Q_pattern[1])
+        ):
+            return False
         return np.array_equal(P.indptr, self._P_indptr) and np.array_equal(
             P.indices, self._P_indices
         )
@@ -242,24 +266,43 @@ class IPMWorkspace:
             [v for v in (u[self.mask_u], -l[self.mask_l]) if v.size]
         )
 
-    def normal(self, P, w_inv, reg):
+    def normal(self, P, w_inv, reg, Q=None, lam=0.0):
         """Assemble the permuted normal matrix ``N[order][:, order]``.
 
-        ``N = P + reg*I + G' diag(w_inv) G``, on the cached pattern.
+        ``N = P + lam*Q + reg*I + G' diag(w_inv) G``, on the cached
+        pattern (``Q`` is the quadratic row's, when there is one).
         """
         if self.E is None:
-            N = sp.csc_matrix(
-                P
-                + reg * sp.eye(self.n)
-                + self.Gt @ sp.diags(w_inv) @ self.Gcsc
-            )
+            N = P + reg * sp.eye(self.n)
+            if Q is not None:
+                N = N + lam * Q
+            N = sp.csc_matrix(N + self.Gt @ sp.diags(w_inv) @ self.Gcsc)
             return N[self.order][:, self.order].tocsc()
         data = self.E @ w_inv
         data[self.pos_P] += P.data
+        if Q is not None:
+            data[self.pos_Q] += lam * Q.data
         data[self.pos_diag] += reg
         return sp.csc_matrix(
             (data, self.N_indices, self.N_indptr), shape=(self.n, self.n)
         )
+
+
+def _symmetric(M):
+    """``(M + M')/2`` as CSC with summed duplicates and sorted indices."""
+    M = sp.csc_matrix(M)
+    M = 0.5 * (M + M.T)
+    M.sum_duplicates()
+    M.sort_indices()
+    return M
+
+
+def _max_step(v, dv):
+    """Largest step in (0, 1] keeping ``v + step * dv`` nonnegative."""
+    neg = dv < 0
+    if not np.any(neg):
+        return 1.0
+    return min(1.0, float(np.min(-v[neg] / dv[neg])))
 
 
 def solve_qp_ipm(
@@ -273,8 +316,10 @@ def solve_qp_ipm(
     workspace: dict = None,
     reg: float = 1e-9,
     time_limit: float = None,
+    quad: tuple = None,
 ) -> SolveResult:
-    """Interior-point solve of ``min (1/2)x'Px + q'x s.t. l <= Ax <= u``.
+    """Interior-point solve of ``min (1/2)x'Px + q'x s.t. l <= Ax <= u``,
+    optionally with one convex quadratic row ``(1/2)x'Qx + g'x <= b``.
 
     ``P``, ``q``, ``A``, ``l`` and ``u`` are as in
     :func:`repro.solver.qp.solve_qp`.
@@ -287,9 +332,10 @@ def solve_qp_ipm(
     warm:
         Optional previous solution state: ``{"x": ..., "z": ...}`` (the
         inequality duals ``z`` come from a previous result's
-        ``info["z"]``).  The primal is shifted to the interior
-        (``s``/``z`` floored away from the boundary), so a neighbor
-        problem's solution is a safe, strictly feasible seed.
+        ``info["z"]``), plus ``"lam"`` for the quadratic row.  The
+        primal is shifted to the interior (slacks and duals floored
+        away from the boundary), so a neighbor problem's solution is a
+        safe, strictly feasible seed.
     workspace:
         Optional mutable dict; the :class:`IPMWorkspace` built for this
         problem's sparsity is stored under ``"ws"`` and reused by later
@@ -304,38 +350,56 @@ def solve_qp_ipm(
         stops on the current iterate with status ``max_iter`` (noted as
         a time-out in ``info``), so the fallback chain can move on
         instead of spinning.
+    quad:
+        Optional quadratic row ``(Q, g, b)``: ``Q`` PSD (n, n), ``g``
+        (n,), ``b`` finite.  Its slack ``t`` and multiplier ``lam`` are
+        one more pair of the loop, counted in ``mu`` over ``m + 1``
+        pairs; the Hessian gains ``lam * Q`` on the workspace's pattern.
+        Without ``quad`` the loop does exactly the QP's floating-point
+        work.
 
     Returns
     -------
     SolveResult
         ``info`` carries ``z`` (inequality duals) for warm-start
-        chaining and ``mu`` (final complementarity).  Degenerate inputs
-        (``l > u``, no finite constraints) and numeric failures come
-        back as diagnostic statuses (``infeasible`` / ``diverged`` /
+        chaining and ``mu`` (final complementarity); with ``quad`` also
+        the row's multiplier ``lam``, reported as 0.0 when the last
+        step identifies the row as inactive (its multiplier shrinking
+        faster than its slack).  Degenerate inputs (``l > u``, no
+        finite constraints) and numeric failures come back as
+        diagnostic statuses (``infeasible`` / ``diverged`` /
         ``ill_conditioned``), never exceptions.
     """
     t_start = time.perf_counter()
-    P = sp.csc_matrix(P)
-    P = 0.5 * (P + P.T)
-    P.sum_duplicates()
-    P.sort_indices()
+    P = _symmetric(P)
     q = np.asarray(q, dtype=float).ravel()
     A = sp.csc_matrix(A)
     l = np.asarray(l, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     n = q.size
+    row = quad is not None
     short_circuit = prevalidate(P, q, A, l, u, t_start)
+    if row and short_circuit is not None and not short_circuit.failed:
+        short_circuit = diagnostic_result(
+            STATUS_ILL_CONDITIONED, n, "the unconstrained shortcut would "
+            "ignore the quadratic row: give a finite linear constraint")
     if short_circuit is not None:
         _emit_solve(short_circuit)
         return short_circuit
+    Q = None
+    if row:
+        Q, g, b = quad
+        Q = _symmetric(Q)
+        g = np.asarray(g, dtype=float).ravel()
+        b = float(b)
 
     ws = None
     if workspace is not None:
         cand = workspace.get("ws")
-        if isinstance(cand, IPMWorkspace) and cand.matches(P, A, l, u):
+        if isinstance(cand, IPMWorkspace) and cand.matches(P, A, l, u, Q):
             ws = cand
     if ws is None:
-        ws = IPMWorkspace(P, A, l, u)
+        ws = IPMWorkspace(P, A, l, u, Q)
         if workspace is not None:
             workspace["ws"] = ws
     G, Gt = ws.G, ws.Gt
@@ -344,16 +408,28 @@ def solve_qp_ipm(
 
     scale_obj = max(1.0, float(np.linalg.norm(q, np.inf)))
     scale_h = max(1.0, float(np.linalg.norm(h, np.inf)))
+    if row:
+        scale_h = max(scale_h, abs(b))
+
+    def slack(x):
+        """``h - Gx``, and the quadratic row's ``b - (1/2)x'Qx - g'x``."""
+        if not row:
+            return h - G @ x
+        return np.append(h - G @ x, b - float(0.5 * x @ (Q @ x) + g @ x))
 
     # per-iteration convergence trace: always captured into a bounded
     # ring buffer (attached to info["trace"]; entries are
-    # (iter, mu, r_prim, r_dual)), emitted only when telemetry is on
+    # (iter, mu, r_prim, r_dual), plus (lam, t) with a quadratic row),
+    # emitted only when telemetry is on
     trace = deque(maxlen=obs.TRACE_MAXLEN)
 
+    # s and z hold the m linear pairs, then the row's slack t and
+    # multiplier lam: every step-length and centering formula below
+    # treats the row as one more pair
     warm_started = False
     x = np.zeros(n)
-    s = np.maximum(h - G @ x, 1.0)
-    z = np.ones(m)
+    s = np.maximum(slack(x), 1.0)
+    z = np.ones(s.size)
     if warm is not None:
         wx = warm.get("x")
         wx = None if wx is None else np.asarray(wx, dtype=float).ravel()
@@ -362,24 +438,42 @@ def solve_qp_ipm(
             # slack/dual makes the first scaling matrix explode
             floor = 1e-4 * max(1.0, scale_h * 1e-3)
             x = wx.copy()
-            s = np.maximum(h - G @ x, floor)
+            s = np.maximum(slack(x), floor)
             wz = warm.get("z")
             wz = None if wz is None else np.asarray(wz, dtype=float).ravel()
             if wz is not None and wz.shape == (m,) and np.all(
                 np.isfinite(wz)
             ):
-                z = np.maximum(wz, floor)
+                z[:m] = np.maximum(wz, floor)
+            wl = warm.get("lam")
+            if row and wl is not None and np.isfinite(wl):
+                z[m] = max(float(wl), floor)
             warm_started = True
 
-    def _max_step(v, dv):
-        neg = dv < 0
-        if not np.any(neg):
-            return 1.0
-        return min(1.0, float(np.min(-v[neg] / dv[neg])))
+    def residuals():
+        """``(r_dual, r_prim, dual scale)``, plus the row's gradient
+        ``a = Qx + g``; the dual test also scales by ``|G'z|`` and
+        ``|lam a|`` with a row."""
+        Gtz = Gt @ z[:m]
+        r_dual = P @ x + q + Gtz
+        r_prim = G @ x + s[:m] - h
+        if not row:
+            return r_dual, r_prim, scale_obj, None
+        Qx = Q @ x
+        a = Qx + g
+        lam_a = z[m] * a
+        r_row = float(0.5 * x @ Qx + g @ x) + s[m] - b
+        scale_dual = max(
+            scale_obj,
+            float(np.linalg.norm(Gtz, np.inf)),
+            float(np.linalg.norm(lam_a, np.inf)),
+        )
+        return r_dual + lam_a, np.append(r_prim, r_row), scale_dual, a
 
     status = STATUS_MAX_ITER
     iters_done = MAX_ITER
     timed_out = False
+    s_prev = z_prev = None
     for it in range(1, MAX_ITER + 1):
         if (
             time_limit is not None
@@ -388,14 +482,15 @@ def solve_qp_ipm(
             timed_out = True
             iters_done = it - 1
             break
-        r_dual = P @ x + q + Gt @ z
-        r_prim = G @ x + s - h
-        mu = float(s @ z) / m
+        r_dual, r_prim, scale_dual, a = residuals()
+        mu = float(s @ z) / s.size
         rp_norm = float(np.linalg.norm(r_prim, np.inf))
         rd_norm = float(np.linalg.norm(r_dual, np.inf))
-        trace.append((it, mu, rp_norm, rd_norm))
+        trace.append((it, mu, rp_norm, rd_norm) + (
+            (z[m], s[m]) if row else ()
+        ))
 
-        if rp_norm <= tol * scale_h and rd_norm <= tol * scale_obj and (
+        if rp_norm <= tol * scale_h and rd_norm <= tol * scale_dual and (
             mu <= tol
         ):
             status = STATUS_SOLVED
@@ -405,7 +500,7 @@ def solve_qp_ipm(
         # Normal equations: eliminate dz = W^{-1} (G dx - r2), giving
         # (P + G' W^{-1} G) dx = r1 + G' W^{-1} r2 with W = diag(s/z).
         w_inv = z / s
-        normal = ws.normal(P, w_inv, reg)
+        normal = ws.normal(P, w_inv[:m], reg, Q, z[m] if row else 0.0)
         try:
             lu = spla.splu(normal, permc_spec="NATURAL", **SYMMETRIC_SPLU)
         except RuntimeError:
@@ -416,18 +511,45 @@ def solve_qp_ipm(
             iters_done = it
             break
 
+        def back(r):
+            return lu.solve(r[ws.order])[ws.perm]
+
+        if row:
+            # The row's pair eliminates as dlam = (lam/t)(a'dx - r2_row)
+            # with a = Qx + g, adding (lam/t) a a' to N.  Sherman-Morrison
+            # on N's one factor, as block elimination of the bordered
+            #   [N  a; a' -t/lam] [dx; dlam] = [r; r2_row],
+            # gives dlam = (a'N^-1 r - r2_row) / (a'N^-1 a + t/lam): one
+            # extra back-solve for y = N^-1 a per iteration.
+            y = back(a)
+            border = float(a @ y) + s[m] / z[m]
+
+            def bordered(r, r_row):
+                v = back(r)
+                dlam = (float(a @ v) - r_row) / border
+                return v - dlam * y, dlam
+
         def _solve_step(r1, r2):
-            rhs = r1 + Gt @ (w_inv * r2)
-            dx = lu.solve(rhs[ws.order])[ws.perm]
-            dz = w_inv * (G @ dx - r2)
-            return dx, dz
+            rhs = r1 + Gt @ (w_inv[:m] * r2[:m])
+            if not row:
+                dx = back(rhs)
+                return dx, w_inv * (G @ dx - r2)
+            dx, dlam = bordered(rhs, r2[m])
+            # one step of iterative refinement: without it the dual
+            # residual blows up once t is tiny
+            ex, elam = bordered(
+                rhs - (normal @ dx[ws.order])[ws.perm] - dlam * a,
+                r2[m] - float(a @ dx) + s[m] / z[m] * dlam,
+            )
+            dx = dx + ex
+            return dx, np.append(w_inv[:m] * (G @ dx - r2[:m]), dlam + elam)
 
         # --- affine (predictor) step
         dx_a, dz_a = _solve_step(-r_dual, -r_prim + s)
         ds_a = -s - (s / z) * dz_a
 
         alpha_a = min(_max_step(s, ds_a), _max_step(z, dz_a))
-        mu_aff = float((s + alpha_a * ds_a) @ (z + alpha_a * dz_a)) / m
+        mu_aff = float((s + alpha_a * ds_a) @ (z + alpha_a * dz_a)) / s.size
         sigma = (mu_aff / max(mu, 1e-300)) ** 3
 
         # --- corrector step
@@ -460,19 +582,26 @@ def solve_qp_ipm(
             iters_done = it
             break
 
-    r_dual = P @ x + q + Gt @ z
-    r_prim = G @ x + s - h
-    mu = float(s @ z) / m
+    r_dual, r_prim, scale_dual, _ = residuals()
+    mu = float(s @ z) / s.size
     if (
         status != STATUS_SOLVED
         and np.linalg.norm(r_prim, np.inf) <= 10 * tol * scale_h
-        and np.linalg.norm(r_dual, np.inf) <= 10 * tol * scale_obj
+        and np.linalg.norm(r_dual, np.inf) <= 10 * tol * scale_dual
         and mu <= 10 * tol
     ):
         status = STATUS_SOLVED
 
     obj = float(0.5 * x @ (P @ x) + q @ x)
-    info = {"mu": mu, "z": z}
+    info = {"mu": mu, "z": z[:m]}
+    if row:
+        # strict complementarity: along the central path the vanishing
+        # member of the (t, lam) pair shrinks with mu, the other settles
+        if s_prev is not None:
+            inactive = z[m] / z_prev[m] < s[m] / s_prev[m]
+        else:
+            inactive = z[m] < s[m]
+        info["lam"] = 0.0 if inactive else float(z[m])
     if status in (STATUS_DIVERGED, STATUS_ILL_CONDITIONED):
         info["note"] = (
             "non-finite iterate: last finite iterate returned"

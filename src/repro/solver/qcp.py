@@ -1,51 +1,67 @@
-"""Quadratically constrained program solver via exact Lagrangian root-finding.
+"""Quadratically constrained program solver: one barrier IPM.
 
 The paper's QCP ("minimize T subject to ... DeltaLeakage <= xi") has a
 linear objective, linear constraints, and exactly **one convex quadratic
-constraint**.  For this structure, strong duality lets us solve it as a
-one-dimensional search: dualize the quadratic constraint with multiplier
-lam >= 0, solve the resulting QP
+constraint**.  Like the paper's CPLEX barrier, :func:`solve_qcp` solves
+it directly: :func:`repro.solver.ipm.solve_qp_ipm` carries the quadratic
+row as one more barrier pair (slack ``t``, multiplier ``lam``) in the
+Mehrotra loop that solves the QPs, so a cold G=10 dose-map QCP (AES-65
+or JPEG-65) is one solve of about 15 iterations.
+
+When the row is inactive (``lam = 0``) the linear objective's optimum
+may be a whole face.  The barrier would return a point inside it, so
+one more QP picks the face's point with the least quadratic value (the
+least modeled leakage): the ``lam -> 0+`` limit of the dualized program
+below.
+
+The barrier runs through the one solver chain,
+:func:`repro.solver.robust.solve_qp_robust`: warm barrier, a cold
+re-check of a warm ``infeasible`` verdict, then the barrier with
+``RETRY_REG``.  ADMM has no quadratic row, so when that chain ends
+without a solution the last resort is a cold bisection on the
+multiplier.  Dualizing the row with lam >= 0 gives the QP
 
     min  c'x + lam * ((1/2) x'Q x + g'x - s)   s.t.  l <= A x <= u,
 
-and drive the constraint value h(lam) = (1/2)x'Qx + g'x - s to zero.
-h(lam) is non-increasing in lam.  The search first brackets the root
-geometrically: from ``lam_hint`` (or 1e-4) the multiplier grows tenfold
-until the constraint holds.  It then bisects the bracket -- in log
-space once its lower end is positive -- until the bracket is narrower
-than :data:`LAM_TOL` relative to its upper end or h is within a tenth
-of the feasibility tolerance.  Each step is one inner QP solve; a cold
-solve of a G=10 dose-map program (AES-65 or JPEG-65) takes 16.
-
-Every inner QP goes through the one solver chain,
-:func:`repro.solver.robust.solve_qp_robust` (IPM first, ADMM only as
-the cold last resort); there is no backend choice and no tuning.
+whose constraint value h(lam) = (1/2)x'Qx + g'x - s is non-increasing
+in lam.  Each step is one QP over the full chain, ADMM included.  The
+search starts at lam = 0, which names the failures the barrier cannot
+tell apart: a failed lam = 0 solve means the linear constraints fail,
+and a multiplier past 1e12 that still violates the row means the
+budget is unattainable.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro import obs, telemetry
+from repro import telemetry
 from repro.obs import metrics
 from repro.solver.robust import solve_qp_robust
 from repro.solver.result import STATUS_MAX_ITER, SolveResult
 
-#: Relative width of the multiplier bracket at which bisection stops.
+#: Relative width of the multiplier bracket at which the bisection stops.
 LAM_TOL = 1e-3
 
 #: Acceptance tolerance of the quadratic constraint: a point is accepted
 #: when ``h = (1/2)x'Qx + g'x - s <= FEAS_TOL * max(|h0|, 1, |s|)``, with
-#: ``h0`` the h of the lam = 0 solution (``info["brackets"][0]``).  The
-#: larger the lam = 0 violation, the larger the absolute one accepted.
+#: ``h0`` the h of the lam = 0 (linear program) solution.  The larger
+#: the lam = 0 violation, the larger the absolute one accepted.  The
+#: barrier meets the row to its own 1e-7 tolerance.
 FEAS_TOL = 1e-4
 
-#: Cap on inner solves per root search (bracketing included).
+#: Cap on chain solves per QCP (the barrier, lam = 0 and the bisection's
+#: bracketing included).
 MAX_ROOT_STEPS = 30
+
+#: Objective slack of the inactive-row tie-break: among the points whose
+#: objective is within ``TIE_TOL * (1 + |obj|)`` of the optimum, the one
+#: with the least quadratic value is returned.
+TIE_TOL = 1e-6
 
 
 def _quad_value(Q, g, x) -> float:
@@ -61,7 +77,6 @@ def solve_qcp(
     g,
     s,
     warm: dict = None,
-    lam_hint: float = None,
     workspace: dict = None,
     time_limit: float = None,
 ) -> SolveResult:
@@ -77,27 +92,29 @@ def solve_qcp(
         The convex quadratic constraint (Q PSD, (n, n); g (n,); s
         finite).  Its acceptance rule is stated on :data:`FEAS_TOL`.
     warm:
-        Optional previous IPM solution state (``{"x": ..., "z": ...}``)
-        seeding the *first* inner solve; later inner solves always chain
-        from their predecessor.
-    lam_hint:
-        Optional previous optimal multiplier (``info["lam"]``): the
-        bracket starts there instead of at 1e-4, so a neighbor problem's
-        root is re-found in a couple of inner solves.
+        Optional previous solution state, a result's
+        :meth:`~repro.solver.SolveResult.warm_state` (``x``, ``z`` and
+        the multiplier ``lam``), seeding the barrier.
     workspace:
-        Mutable dict carrying the IPM's pattern workspace across inner
-        solves and across calls (see :func:`solve_qp_ipm`).
+        Mutable dict carrying the barrier's pattern workspace across
+        calls (see :func:`repro.solver.ipm.solve_qp_ipm`).
     time_limit:
-        Wall-clock budget in seconds shared by the whole root search:
-        every inner solve gets the remaining time, and an exhausted
-        budget stops the search on the best bracketed iterate (status
-        ``max_iter``).
+        Wall-clock budget in seconds for the whole solve: an exhausted
+        budget stops it on the best iterate so far (status
+        ``max_iter``, with a note).
 
     Returns
     -------
     SolveResult
-        ``info`` carries the final multiplier ``lam``, the constraint
-        value ``quad``, and the number of inner solves.
+        ``info`` carries the multiplier ``lam`` (0.0 when the row is
+        inactive), the constraint value ``quad``, the number of chain
+        solves ``inner_solves`` (1 for an active row, 2 with the
+        inactive row's tie-break, more when the bisection ran), the
+        barrier's (or the bisection's final solve's) ``z`` and
+        convergence ``trace`` (the barrier's has ``(lam, t)`` per
+        entry) and the ``attempts`` trail (the barrier chain's steps,
+        then one ``bisect`` entry per bisection solve with its ``lam``
+        and ``h``).
 
     Raises
     ------
@@ -116,59 +133,26 @@ def solve_qcp(
             raise ValueError(f"{name} must have shape {want}, got {shape}")
     if not np.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
-    scale = max(1.0, abs(float(s)))
-
-    total_iters = 0
-    state = dict(warm) if warm else {}
-    warm_started = bool(state)
-    # root-search convergence trace (ring buffer; entries are
-    # (inner_solve, lam, h) with h the quadratic-constraint violation),
-    # attached to info["brackets"]
-    brackets = deque(maxlen=obs.TRACE_MAXLEN)
+    s = float(s)
+    scale = max(1.0, abs(s))
     deadline = (
         t_start + float(time_limit) if time_limit is not None else None
     )
 
+    def remaining():
+        if deadline is None:
+            return None
+        return max(deadline - time.perf_counter(), 1e-3)
+
     def out_of_time() -> bool:
         return deadline is not None and time.perf_counter() >= deadline
 
-    def inner(lam: float):
-        nonlocal total_iters, state
-        res = solve_qp_robust(
-            lam * Q,
-            c + lam * g,
-            A,
-            l,
-            u,
-            warm=state or None,
-            workspace=workspace,
-            time_limit=(
-                max(deadline - time.perf_counter(), 1e-3)
-                if deadline is not None
-                else None
-            ),
-        )
-        # a failed iterate is a poisonous seed
-        state = {} if res.failed else res.warm_state()
-        total_iters += res.iterations
-        return res
-
-    def h_of(res, lam: float) -> float:
-        h = _quad_value(Q, g, res.x) - s
-        brackets.append((len(brackets) + 1, float(lam), h))
-        return h
-
-    def _package(res, lam, steps, status=None, note=None):
-        info = {
-            "lam": lam,
-            "quad": _quad_value(Q, g, res.x),
-            "inner_solves": steps,
-            "brackets": list(brackets),
-        }
+    def package(res, lam, status=None, note=None):
+        info = dict(res.info)
+        info.update(lam=lam, quad=_quad_value(Q, g, res.x),
+                    inner_solves=steps, attempts=attempts)
         if note:
             info["note"] = note
-        if "attempts" in res.info:
-            info["attempts"] = res.info["attempts"]
         final_status = status or res.status
         if telemetry.enabled():
             metrics.inc("solver.qcp.solves")
@@ -178,112 +162,112 @@ def solve_qcp(
             status=final_status,
             lam=lam,
             inner_solves=steps,
-            iterations=total_iters,
+            iterations=iters,
             seconds=time.perf_counter() - t_start,
-            brackets=list(brackets),
             note=note,
         )
         return SolveResult(
             status=final_status,
             x=res.x,
             obj=float(c @ res.x),
-            iterations=total_iters,
+            iterations=iters,
             r_prim=res.r_prim,
             r_dual=res.r_dual,
             solve_time=time.perf_counter() - t_start,
             info=info,
-            warm_started=warm_started,
+            warm_started=bool(warm),
         )
 
-    # lam = 0: if already feasible we are done (constraint slack).
-    res_lo = inner(0.0)
-    steps = 1
-    if res_lo.failed:
-        # the linear constraints alone are infeasible (or the chain
-        # exhausted every backend): surface the diagnosis, don't bisect
-        return _package(
-            res_lo,
-            0.0,
-            steps,
-            note="linear constraint system failed at lam=0: "
-            + res_lo.info.get("note", res_lo.status),
-        )
-    h0 = h_of(res_lo, 0.0)
-    if h0 <= FEAS_TOL * scale:
-        return _package(res_lo, 0.0, steps)
-    h_scale = max(abs(h0), scale)
-
-    # bracket geometrically from a small multiplier: the optimal lam is
-    # the marginal objective cost per unit of quadratic budget, which for
-    # the dose-map programs is typically far below 1.  A neighbor
-    # problem's multiplier (lam_hint) lands the bracket near the root
-    # immediately.
-    lam_lo = 0.0
-    lam_hi = (
-        float(lam_hint)
-        if lam_hint is not None and np.isfinite(lam_hint) and lam_hint > 0
-        else 1e-4
-    )
-    res_hi = inner(lam_hi)
-    h_hi = h_of(res_hi, lam_hi)
-    steps += 1
-    while h_hi > FEAS_TOL * h_scale:
+    def least_quad(res):
+        """The inactive row's tie-break: min quad s.t. the linear
+        constraints and ``c'x`` within TIE_TOL of ``res``'s objective;
+        ``res`` itself unless that QP lowers the quadratic value."""
+        nonlocal steps, iters
         if out_of_time():
-            return _package(
-                res_hi,
-                lam_hi,
-                steps,
-                status=STATUS_MAX_ITER,
-                note="time limit reached during bracket expansion",
-            )
-        lam_lo = lam_hi
-        lam_hi *= 10.0
-        res_hi = inner(lam_hi)
+            return res
+        obj = float(c @ res.x)
+        tie = solve_qp_robust(
+            Q, g, sp.vstack([A, sp.csr_matrix(c)], format="csc"),
+            np.append(l, -np.inf),
+            np.append(u, obj + TIE_TOL * (1.0 + abs(obj))),
+            warm={"x": res.x}, workspace={}, time_limit=remaining(),
+        )
         steps += 1
-        if res_hi.failed:
-            return _package(
-                res_hi, lam_hi, steps,
-                note="inner solve failed during bracket expansion",
-            )
-        h_hi = h_of(res_hi, lam_hi)
-        if lam_hi > 1e12:
-            return _package(
-                res_hi,
-                lam_hi,
-                steps,
-                status=STATUS_MAX_ITER,
-                note="quadratic budget appears unattainable",
-            )
+        iters += tie.iterations
+        if tie.ok and _quad_value(Q, g, tie.x) <= _quad_value(Q, g, res.x):
+            return replace(res, x=tie.x)
+        return res
 
-    # bisection (log-space once the bracket is positive) on h(lam),
-    # which is non-increasing in lam
-    best, best_lam = res_hi, lam_hi
+    barrier = solve_qp_robust(
+        sp.csc_matrix((n, n)), c, A, l, u, warm=warm or None,
+        workspace=workspace, time_limit=remaining(), quad=(Q, g, s),
+    )
+    steps, iters = 1, barrier.iterations
+    attempts = list(barrier.info["attempts"])
+    if barrier.ok:
+        lam = barrier.info["lam"]
+        return package(least_quad(barrier) if lam == 0.0 else barrier, lam)
+    if out_of_time():
+        return package(barrier, barrier.info.get("lam", 0.0),
+                       note="time limit reached in the barrier")
+
+    # The cold last resort: bisection on h(lam) over the chain, from
+    # lam = 0, bracketing the root in tenfold steps from 1e-4 and then
+    # halving it in log space.
+    bisect_ws = {}  # one pattern workspace for every bisection step
+
+    def h_at(lam):
+        nonlocal steps, iters
+        res = solve_qp_robust(lam * Q, c + lam * g, A, l, u,
+                              workspace=bisect_ws, time_limit=remaining())
+        h = _quad_value(Q, g, res.x) - s
+        steps += 1
+        iters += res.iterations
+        attempts.append({"step": "bisect",
+                         "backend": res.info["attempts"][-1]["backend"],
+                         "status": res.status,
+                         "iterations": res.iterations, "lam": lam, "h": h})
+        return res, h
+
+    res, h0 = h_at(0.0)
+    if res.failed:
+        return package(res, 0.0, note="linear constraint system failed at "
+                       "lam=0: " + res.info.get("note", res.status))
+    if h0 <= FEAS_TOL * scale:
+        return package(least_quad(res), 0.0)
+    h_tol = FEAS_TOL * max(abs(h0), scale)
+
+    lo, hi = 0.0, 1e-4
+    while True:
+        if out_of_time():
+            return package(res, hi, status=STATUS_MAX_ITER,
+                           note="time limit reached in the bisection")
+        res, h_hi = h_at(hi)
+        if res.failed:
+            return package(res, hi, note="inner solve failed in the "
+                           "bisection")
+        if h_hi <= h_tol:
+            break
+        if hi >= 1e12:
+            return package(res, hi, status=STATUS_MAX_ITER,
+                           note="quadratic budget appears unattainable")
+        lo, hi = hi, 10.0 * hi
+
+    best = res
     while (
         steps < MAX_ROOT_STEPS
-        and (lam_hi - lam_lo) > LAM_TOL * max(lam_hi, 1e-9)
-        and abs(h_hi) > 0.1 * FEAS_TOL * h_scale
+        and hi - lo > LAM_TOL * hi
+        and abs(h_hi) > 0.1 * h_tol
     ):
         if out_of_time():
-            return _package(
-                best,
-                best_lam,
-                steps,
-                note="time limit reached during root search; best "
-                "bracketed iterate returned",
-            )
-        if lam_lo > 0:
-            lam_mid = float(np.sqrt(lam_lo * lam_hi))
+            return package(best, hi, note="time limit reached in the "
+                           "bisection; best bracketed iterate returned")
+        mid = float(np.sqrt(lo * hi)) if lo > 0 else 0.5 * hi
+        res, h = h_at(mid)
+        if res.failed:
+            break  # keep the best bracketed iterate
+        if h <= h_tol:
+            hi, h_hi, best = mid, h, res
         else:
-            lam_mid = 0.5 * (lam_lo + lam_hi)
-        res_mid = inner(lam_mid)
-        steps += 1
-        if res_mid.failed:
-            break  # keep the best bracketed iterate found so far
-        h_mid = h_of(res_mid, lam_mid)
-        if h_mid <= FEAS_TOL * h_scale:
-            lam_hi, h_hi, res_hi = lam_mid, h_mid, res_mid
-            best, best_lam = res_mid, lam_mid
-        else:
-            lam_lo = lam_mid
-
-    return _package(best, best_lam, steps)
+            lo = mid
+    return package(best, hi)

@@ -38,7 +38,7 @@ class SolveResult:
     obj:
         Objective value at ``x``.
     iterations:
-        Solver iterations used (summed over bisection steps for QCP).
+        Solver iterations used (summed over every solve for QCP).
     r_prim, r_dual:
         Final unscaled primal/dual residual infinity norms.
     solve_time:
@@ -48,8 +48,8 @@ class SolveResult:
         fallback chain's ``attempts`` trail, or a diagnostic ``note``).
     warm_started:
         True when the solve was seeded from a previous solution (sweep
-        neighbor, QCP bisection predecessor, or guard retry) rather than
-        the solver's cold default point.
+        neighbor or guard retry) rather than the solver's cold default
+        point.
     """
 
     status: str
@@ -72,10 +72,12 @@ class SolveResult:
         return self.status in FAILURE_STATUSES
 
     def warm_state(self) -> dict:
-        """IPM warm-start seed ``{"x": ..., "z": ...}`` from this result."""
+        """IPM warm-start seed ``{"x": ..., "z": ...}`` from this result,
+        plus the quadratic row's multiplier ``"lam"`` for a QCP."""
         state = {"x": self.x}
-        if self.info.get("z") is not None:
-            state["z"] = self.info["z"]
+        for key in ("z", "lam"):
+            if self.info.get(key) is not None:
+                state[key] = self.info[key]
         return state
 
     def __repr__(self):

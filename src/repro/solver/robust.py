@@ -5,7 +5,7 @@ ill-conditioned normal matrix (singular SuperLU factorization), a
 diverging Mehrotra step, or a warm-start seed that blows up the first
 scaling matrix.  :func:`solve_qp_robust` runs every QP through one fixed,
 status-driven chain so callers (:func:`repro.core.dmopt.optimize_dose_map`,
-the QCP root search, the infeasibility probes) never see an uncaught
+the QCP barrier and bisection, the infeasibility probes) never see an uncaught
 exception for a recoverable numeric failure.  There is no backend choice
 and no tuning: every step runs its solver's defaults.
 
@@ -20,7 +20,9 @@ and no tuning: every step runs its solver's defaults.
    normal systems without visibly perturbing the optimum);
 4. ``admm``: the last resort, the cold first-order solver (it
    factorizes a quasi-definite KKT system, immune to the normal-matrix
-   conditioning that stops the IPM).
+   conditioning that stops the IPM).  ADMM has no quadratic row, so a
+   program with one (``quad``, the QCP's barrier) ends after step 3 and
+   :func:`repro.solver.qcp.solve_qcp` takes over.
 
 A cold ``infeasible`` verdict ends the chain -- no solver can fix an
 infeasible problem.  The full attempt trail is recorded in
@@ -63,15 +65,17 @@ def solve_qp_robust(
     warm: dict = None,
     workspace: dict = None,
     time_limit: float = None,
+    quad: tuple = None,
 ) -> SolveResult:
     """QP solve through the fallback/retry chain (see module docstring).
 
     Parameters
     ----------
     warm:
-        Previous IPM solution state ``{"x": ..., "z": ...}`` seeding the
-        first step.  Every later step runs cold -- a bad seed is one of
-        the failure modes the chain exists to shed.
+        Previous IPM solution state ``{"x": ..., "z": ...}`` (and
+        ``"lam"`` with ``quad``) seeding the first step.  Every later
+        step runs cold -- a bad seed is one of the failure modes the
+        chain exists to shed.
     workspace:
         IPM pattern workspace dict, shared by the first two steps and
         across calls.
@@ -80,6 +84,10 @@ def solve_qp_robust(
         step gets the remaining time, a timed-out step yields to the
         next, and when the budget is exhausted the best attempt so far
         is returned (status ``max_iter``) instead of starting another.
+    quad:
+        Optional quadratic row ``(Q, g, b)`` handed to every IPM step
+        (see :func:`repro.solver.ipm.solve_qp_ipm`); the chain then has
+        no ADMM step.
 
     Returns
     -------
@@ -122,6 +130,8 @@ def solve_qp_robust(
             rem = remaining()
             if rem is not None:
                 call_kwargs["time_limit"] = max(rem, 1e-3)
+            if quad is not None:
+                call_kwargs["quad"] = quad
             # looked up by module-level name on every call, so tracing
             # and tests can wrap either solver
             solver = solve_qp if backend == "admm" else solve_qp_ipm
@@ -184,6 +194,8 @@ def solve_qp_robust(
         return finish(res)
     if out_of_time():
         return best_effort("solver time budget exhausted")
+    if quad is not None:
+        return best_effort("barrier steps exhausted without convergence")
 
     res = run("admm")
     if res.ok:

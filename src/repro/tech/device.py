@@ -54,10 +54,10 @@ def on_resistance(node: TechNode, l_nm, w_nm) -> np.ndarray:
     """
     l_nm = np.asarray(l_nm, dtype=float)
     w_nm = np.asarray(w_nm, dtype=float)
-    if np.any(l_nm <= 0) or np.any(w_nm <= 0):
+    if (l_nm <= 0).any() or (w_nm <= 0).any():
         raise ValueError("gate length and width must be positive")
     overdrive = node.vdd - node.vth(l_nm)
-    if np.any(overdrive <= 0):
+    if (overdrive <= 0).any():
         raise ValueError("device does not turn on: Vdd <= Vth(L)")
     w_um = w_nm / 1000.0
     return node.k_drive * (l_nm / node.l_nominal) / (w_um * overdrive**node.alpha)
@@ -128,7 +128,7 @@ def leakage_current(node: TechNode, l_nm, w_nm, stack: float = 1.0) -> np.ndarra
     """
     l_nm = np.asarray(l_nm, dtype=float)
     w_nm = np.asarray(w_nm, dtype=float)
-    if np.any(l_nm <= 0) or np.any(w_nm <= 0):
+    if (l_nm <= 0).any() or (w_nm <= 0).any():
         raise ValueError("gate length and width must be positive")
     vth_nom = node.vth0 - node.dibl_v0  # Vth at nominal gate length
     dvth = node.vth(l_nm) - vth_nom

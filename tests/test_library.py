@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.library import (
     CellLibrary,
@@ -13,6 +13,7 @@ from repro.library import (
     characterize_cell,
 )
 from repro.tech import get_node
+from tests.oracles import characterize as reference
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,33 @@ class TestNLDMTable:
     def test_monotone_axis_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             NLDMTable(np.array([0.2, 0.1]), np.array([1.0, 2.0]), np.zeros((2, 2)))
+
+
+class TestAgainstReference:
+    """The production lookup and characterization against the numpy,
+    per-transistor forms in ``tests/oracles``: equal to the last bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-0.1, 1.0), st.floats(-1.0, 80.0))
+    def test_lookup_matches_numpy_form(self, lib65, slew, load):
+        for name in ("INVX1", "NAND2X2", "DFFX1"):
+            table = lib65.characterized(name, -1.5, 0.0).delay
+            assert table.lookup(slew, load) == reference.lookup(
+                table, slew, load
+            )
+
+    def test_characterization_matches_per_transistor_form(self, lib65, lib90):
+        for lib in (lib65, lib90):
+            for name in lib.masters:
+                master = lib.cell(name)
+                for dl, dw in ((0.0, 0.0), (-2.5, 0.0), (1.5, -4.0), (3.0, 6.0)):
+                    cc = characterize_cell(lib.node, master, dl, dw)
+                    delay, slew, cap, leak = reference.characterize(
+                        lib.node, master, dl, dw
+                    )
+                    assert np.array_equal(cc.delay.values, delay), name
+                    assert np.array_equal(cc.out_slew.values, slew), name
+                    assert cc.input_cap_ff == cap and cc.leakage_uw == leak
 
 
 class TestCharacterization:

@@ -1,13 +1,24 @@
 """Unit tests for the QP/QCP solvers, cross-checked against scipy."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
-from repro.solver import STATUS_SOLVED, solve_qcp, solve_qp, solve_qp_robust
-from repro.solver.qcp import FEAS_TOL
+import repro.solver.robust as robust
+from repro.solver import (
+    STATUS_ILL_CONDITIONED,
+    STATUS_MAX_ITER,
+    STATUS_SOLVED,
+    diagnostic_result,
+    solve_qcp,
+    solve_qp,
+    solve_qp_robust,
+)
+from repro.solver.qcp import FEAS_TOL, TIE_TOL
 
 
 def _scipy_qp(P, q, A, l, u, x0):
@@ -54,7 +65,7 @@ def _scipy_qcp(c, A, l, u, Q, g, s, x0):
 
 @st.composite
 def _random_qcps(draw):
-    """Small random QCPs ``(c, A, l, u, Q, g, s, binding)``.
+    """Small random QCPs ``(c, A, l, u, Q, g, s, binding, h0)``.
 
     The last variable plays the DMopt clock period ``T``: it has a zero
     row and column in ``Q = B'B`` and no ``g`` term, like ``P_leak``.
@@ -63,7 +74,8 @@ def _random_qcps(draw):
     plus random sparse rows, some one-sided, cut around a random point
     ``x_feas``.  A binding budget lies strictly between
     ``quad(x_feas)`` and the quadratic at the ``lam = 0`` (linear
-    program) solution; a slack one lies above the latter.
+    program) solution; a slack one lies above the latter.  ``h0`` is
+    the row's value ``quad - s`` at that linear program solution.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     binding = draw(st.booleans())
@@ -95,7 +107,7 @@ def _random_qcps(draw):
         assume(q_lp - s > 10 * FEAS_TOL * max(1.0, abs(s)))
     else:
         s = q_lp + rng.uniform(0.0, 1.0) * (1.0 + abs(q_lp))
-    return c, A, l, u, Q, g, s, binding
+    return c, A, l, u, Q, g, s, binding, q_lp - s
 
 
 class TestQPBasics:
@@ -241,12 +253,10 @@ class TestQCP:
     def test_random_qcp_against_scipy(self, problem):
         """KKT conditions and the acceptance rule at the returned point.
 
-        Complementary slackness holds only up to the root search's
-        stopping rule: bisection may stop on a multiplier bracket
-        narrower than ``LAM_TOL`` with ``h`` strictly negative, so the
-        duality gap ``lam * -h`` is bounded instead of ``lam`` being 0.
+        The barrier drives complementary slackness to its own
+        tolerance, so the duality gap ``lam * -h`` is at the 1e-7 level.
         """
-        c, A, l, u, Q, g, s, binding = problem
+        c, A, l, u, Q, g, s, binding, h0 = problem
         res = solve_qcp(c, A, l, u, Q, g, s)
         assert res.ok
 
@@ -256,16 +266,13 @@ class TestQCP:
 
         h = 0.5 * x @ (Q @ x) + g @ x - s
         assert res.info["quad"] - s == pytest.approx(h, abs=1e-12)
-        first = res.info["brackets"][0]
-        assert first[1] == 0.0
-        h0 = first[2]
         assert h <= FEAS_TOL * max(abs(h0), 1.0, abs(s)) + 1e-12
 
         assert lam >= 0.0
         assert (lam == 0.0) == (h0 <= FEAS_TOL * max(1.0, abs(s)))
         assert (lam > 0.0) == binding
         gap = lam * max(-h, 0.0)
-        assert gap <= 1e-2 * (1.0 + abs(res.obj))
+        assert gap <= 1e-6 * (1.0 + abs(res.obj))
 
         # SLSQP's optimum lies between the dual bound lam certifies
         # (obj + lam*h, weak duality) and our objective
@@ -284,19 +291,85 @@ class TestQCP:
         lagrangian = res.obj + lam * (h + s)
         assert lagrangian == pytest.approx(ref_qp.obj, rel=1e-4, abs=1e-4)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="bisection stops on a LAM_TOL-narrow multiplier bracket, "
-        "not on complementary slackness: a nearly linear budget jumps "
-        "across the bracket and the feasible point returned is far from "
-        "optimal; a direct barrier solve of the QCP would reach it",
-    )
     def test_nearly_linear_budget_reaches_optimum(self):
         """min -x, 0<=x<=2, x + 5e-7 x^2 <= 1 -> x ~ 1, obj ~ -1."""
         res = solve_qcp(np.array([-1.0]), sp.eye(1), np.zeros(1),
                         np.full(1, 2.0), 1e-6 * sp.eye(1), np.ones(1), 1.0)
         assert res.ok
         assert res.obj == pytest.approx(-1.0, abs=1e-2)
+
+    @settings(deadline=None, max_examples=30)
+    @given(_random_qcps(), st.floats(1e-3, 0.1))
+    def test_warm_resolve_matches_cold(self, problem, nudge):
+        """warm == cold: re-solving at a nudged budget from the first
+        solve's warm state (x, z and lam) reaches the cold optimum."""
+        c, A, l, u, Q, g, s, _binding, _h0 = problem
+        first = solve_qcp(c, A, l, u, Q, g, s)
+        assert first.ok
+        s_next = s + nudge * (1.0 + abs(s))
+        warm = solve_qcp(c, A, l, u, Q, g, s_next, warm=first.warm_state())
+        cold = solve_qcp(c, A, l, u, Q, g, s_next)
+        assert warm.ok and warm.warm_started
+        assert cold.ok and not cold.warm_started
+        assert warm.obj == pytest.approx(
+            cold.obj, abs=1e-6 * (1.0 + abs(cold.obj))
+        )
+
+    def test_inactive_row_returns_least_quadratic_optimum(self):
+        """min x1, 0<=x<=1, x2^2 + x2 <= 10: every (0, x2) is optimal
+        and the row is slack; the tie-break returns the least x2^2 + x2."""
+        Q = sp.diags([0.0, 2.0], format="csc")
+        res = solve_qcp(np.array([1.0, 0.0]), sp.eye(2), np.zeros(2),
+                        np.ones(2), Q, np.array([0.0, 1.0]), 10.0)
+        assert res.ok and res.info["lam"] == 0.0
+        assert res.info["inner_solves"] == 2
+        assert res.obj <= TIE_TOL
+        assert res.x[1] == pytest.approx(0.0, abs=1e-4)
+        assert res.info["quad"] == pytest.approx(0.0, abs=1e-6)
+
+    def test_barrier_failure_falls_back_to_bisection(self, monkeypatch):
+        """With every barrier step failing, the cold bisection on the
+        multiplier, over the QP chain, still returns an accepted point:
+        min -x1-x2, 0<=x<=2, x1^2+x2^2<=2 -> (1,1), obj -2."""
+        real_ipm = robust.solve_qp_ipm
+
+        def no_barrier(P, q, A, l, u, **kwargs):
+            if kwargs.get("quad") is not None:
+                return diagnostic_result(STATUS_ILL_CONDITIONED, q.size,
+                                         "stubbed barrier failure")
+            return real_ipm(P, q, A, l, u, **kwargs)
+
+        monkeypatch.setattr(robust, "solve_qp_ipm", no_barrier)
+        Q, s = 2.0 * sp.eye(2), 2.0
+        res = solve_qcp(np.array([-1.0, -1.0]), sp.eye(2), np.zeros(2),
+                        np.full(2, 2.0), Q, np.zeros(2), s)
+        assert res.ok
+        # the lam = 0 (linear program) solution is (2, 2): h0 = 8 - 2
+        h = 0.5 * res.x @ (Q @ res.x) - s
+        assert h <= FEAS_TOL * max(6.0, 1.0, s)
+        assert res.obj == pytest.approx(-2.0, abs=1e-2)
+        assert res.info["lam"] == pytest.approx(0.5, rel=1e-2)
+        # the trail: both barrier steps, then one entry per bisection
+        # solve, the first at lam = 0
+        attempts = res.info["attempts"]
+        assert [a["step"] for a in attempts[:2]] == ["ipm", "ipm-regularized"]
+        assert {a["step"] for a in attempts[2:]} == {"bisect"}
+        assert len(attempts) - 2 == res.info["inner_solves"] - 1
+        assert attempts[2]["lam"] == 0.0 and attempts[2]["h"] > 0.0
+        assert all(a["status"] == STATUS_SOLVED for a in attempts[2:])
+
+    def test_time_limit_returns_promptly(self):
+        """A spent budget stops the barrier on its current iterate."""
+        n = 3000
+        rng = np.random.default_rng(3)
+        c = -np.abs(rng.standard_normal(n))
+        t0 = time.perf_counter()
+        res = solve_qcp(c, sp.eye(n, format="csc"), -np.ones(n), np.ones(n),
+                        sp.eye(n, format="csc"), np.zeros(n), 0.25 * n,
+                        time_limit=1e-3)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.status == STATUS_MAX_ITER
+        assert "time limit" in res.info["note"]
 
 
 class TestResultAPI:

@@ -1,8 +1,9 @@
 """Warm-start regression tests: fewer iterations, same golden answers.
 
 Covers the whole warm-start chain: solver-level seeds (IPM ``warm``/
-``workspace``), the QCP bisection's intra-solve state threading, and the DMopt-level ``warm_start=`` plumbing used by
-:func:`repro.core.dmopt_dose_range_sweep`.
+``workspace``), the QCP barrier's seed (``x``, ``z`` and the row's
+multiplier ``lam`` from ``warm_state()``), and the DMopt-level
+``warm_start=`` plumbing used by :func:`repro.core.dmopt_dose_range_sweep`.
 """
 
 import numpy as np
@@ -113,7 +114,9 @@ class TestQCPWarmStart:
         assert warm.mct == pytest.approx(cold.mct, abs=1e-6)
         assert warm.leakage == pytest.approx(cold.leakage, rel=1e-6)
 
-    def test_qcp_lam_hint_and_state(self):
+    def test_qcp_warm_state_carries_lam(self):
+        """A QCP result's warm state carries its multiplier, which seeds
+        the barrier's row next to the primal and the linear duals."""
         n = 20
         rng = np.random.default_rng(7)
         c = -np.abs(rng.standard_normal(n))  # push x to its bounds
@@ -125,10 +128,9 @@ class TestQCPWarmStart:
         cold = solve_qcp(c, A, l, u, Q, g, s)
         assert cold.ok and not cold.warm_started
         assert cold.info["lam"] > 0
-        warm = solve_qcp(
-            c, A, l, u, Q, g, s,
-            warm={"x": cold.x}, lam_hint=cold.info["lam"],
-        )
+        state = cold.warm_state()
+        assert state["lam"] == cold.info["lam"] and "z" in state
+        warm = solve_qcp(c, A, l, u, Q, g, s, warm=state)
         assert warm.ok and warm.warm_started
         assert warm.iterations < cold.iterations
         assert warm.obj == pytest.approx(cold.obj, rel=1e-4)
