@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dmopt import DMoptResult
 from repro.core.formulate import build_formulation
 from repro.core.model import DesignContext
 from repro.core.snap import SNAP_NEAREST, snap_dose_map
@@ -124,14 +123,20 @@ def optimize_dose_map_corners(
         form_leak.q_leak,
         s=budget,
     )
-    poly, _active, _t = form.split(solve.x)
-    poly = snap_dose_map(poly, ctx.library, mode=SNAP_NEAREST)
-
-    golden_slow, _ = ctx_slow.golden_eval(poly)
-    _res, leak = ctx_leak.golden_eval(poly)
+    if solve.failed:
+        # never sign off on a failed iterate: hand back the untouched
+        # baseline (zero delta doses), as optimize_dose_map does
+        poly, _active, _t = form.split(np.zeros(form.n_vars))
+        slow_mct = ctx_slow.baseline.mct
+        leak = ctx_leak.baseline_leakage
+    else:
+        poly, _active, _t = form.split(solve.x)
+        poly = snap_dose_map(poly, ctx.library, mode=SNAP_NEAREST)
+        slow_mct = ctx_slow.golden_eval(poly)[0].mct
+        leak = ctx_leak.golden_eval(poly)[1]
     return CornerAwareResult(
         dose_map_poly=poly,
-        slow_mct=golden_slow.mct,
+        slow_mct=slow_mct,
         slow_mct_baseline=ctx_slow.baseline.mct,
         leak_corner_leakage=leak,
         leak_corner_baseline=ctx_leak.baseline_leakage,

@@ -1,14 +1,6 @@
-"""Interchange formats: structural Verilog, DEF-like placement,
-Liberty-like libraries."""
+"""Interchange formats: structural Verilog and DEF-like placement."""
 
 from repro.io.defio import DefError, parse_def, write_def
-from repro.io.liberty import (
-    LibertyError,
-    parse_liberty,
-    roundtrip_close,
-    write_liberty,
-)
-from repro.io.spef import SpefError, parse_spef, write_spef
 from repro.io.verilog import (
     VerilogError,
     parse_verilog,
@@ -24,11 +16,4 @@ __all__ = [
     "write_def",
     "parse_def",
     "DefError",
-    "write_liberty",
-    "parse_liberty",
-    "roundtrip_close",
-    "LibertyError",
-    "write_spef",
-    "parse_spef",
-    "SpefError",
 ]

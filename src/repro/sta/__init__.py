@@ -2,13 +2,11 @@
 
 One engine: :class:`~repro.sta.compiled.VectorTimingAnalyzer` over a
 :class:`~repro.sta.compiled.CompiledTimingGraph` -- level-parallel NumPy
-propagation with incremental re-timing.  Top-K paths, hold and ERC read
-the same compiled graph.  :func:`make_analyzer` builds one.
+propagation with incremental re-timing.  Top-K paths and the signoff
+reports read the same compiled graph.  :func:`make_analyzer` builds one.
 """
 
 from repro.sta.compiled import CompiledTimingGraph, VectorTimingAnalyzer
-from repro.sta.erc import ErcResult, check_electrical_rules, default_limits
-from repro.sta.hold import DEFAULT_HOLD_NS, HoldResult, analyze_hold
 from repro.sta.paths import TimingPath, criticality_histogram, top_k_paths
 from repro.sta.report import report_dose_map, report_power, report_timing
 from repro.sta.timing import (
@@ -23,7 +21,7 @@ def make_analyzer(netlist, library, placement, **kwargs):
     """Compile the design's timing graph and bind it to ``placement``.
 
     ``kwargs`` go to :class:`VectorTimingAnalyzer` (``input_slew``,
-    ``po_load``, ``net_lengths``, ``graph``).
+    ``po_load``, ``graph``).
     """
     return VectorTimingAnalyzer(netlist, library, placement, **kwargs)
 
@@ -40,13 +38,7 @@ __all__ = [
     "criticality_histogram",
     "net_wire_cap",
     "arc_wire_delay",
-    "analyze_hold",
-    "HoldResult",
-    "DEFAULT_HOLD_NS",
     "report_timing",
     "report_power",
     "report_dose_map",
-    "check_electrical_rules",
-    "ErcResult",
-    "default_limits",
 ]

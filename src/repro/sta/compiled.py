@@ -5,8 +5,8 @@ levels, CSR fanin/fanout arc arrays, stacked NLDM delay/slew tables per
 characterized variant, wire-geometry coefficients -- and arrival/slew
 then propagate one whole topological level per NumPy call (a vectorized
 bilinear interpolation over the stacked tables).  Every analysis reads
-this one graph: golden STA, top-K paths, hold and ERC loads, Monte
-Carlo, SSTA, leakage Monte Carlo and GL-bias.
+this one graph: golden STA, top-K paths, Monte Carlo, SSTA and
+GL-bias.
 
 On top of the full vectorized pass it supports **incremental re-timing**:
 after a placement move or a per-gate dose change, only the dirty fanout
@@ -252,11 +252,9 @@ class CompiledTimingGraph:
         hp_gate = []  # output-net endpoints (driver + sinks) for HPWL
         hp_ptr = [0]
         is_po = np.zeros(n, dtype=bool)
-        self.out_nets = []
         po_ids, po_labels = [], []
         for gid, name in enumerate(names):
             out = netlist.gates[name].output
-            self.out_nets.append(out)
             net = netlist.nets[out]
             hp_gate.append(gid)
             for sink, _pin in net.sinks:
@@ -368,10 +366,9 @@ class VectorTimingAnalyzer:
     """The STA engine, bound to one placement of a compiled graph.
 
     ``input_slew`` is the transition time (ns) at primary inputs and
-    clock pins, ``po_load`` the load (fF) on primary outputs, and
-    ``net_lengths`` optional per-net routed lengths (um) from a global
-    router; nets absent from it use HPWL estimates.  ``graph`` shares
-    an existing compilation of the same design.
+    clock pins and ``po_load`` the load (fF) on primary outputs; net
+    wire capacitance comes from HPWL.  ``graph`` shares an existing
+    compilation of the same design.
 
     ``analyze(doses, clock_period)`` returns a :class:`TimingResult`;
     besides it:
@@ -391,8 +388,6 @@ class VectorTimingAnalyzer:
         ids, pin caps and net loads it rebuilt, and the per-gate state
         of its cone; the previous state itself after a full pass), so a
         rejected trial swap is not re-timed to be undone.
-    ``output_loads(doses)``
-        Each gate's output-net load, for the hold and ERC checks.
     """
 
     def __init__(
@@ -402,7 +397,6 @@ class VectorTimingAnalyzer:
         placement,
         input_slew: float = DEFAULT_INPUT_SLEW,
         po_load: float = DEFAULT_PO_LOAD,
-        net_lengths: dict = None,
         graph: CompiledTimingGraph = None,
     ):
         self.netlist = netlist
@@ -410,7 +404,6 @@ class VectorTimingAnalyzer:
         self.placement = placement
         self.input_slew = float(input_slew)
         self.po_load = float(po_load)
-        self.net_lengths = net_lengths
         self.node = library.node
         if graph is None:
             graph = CompiledTimingGraph(netlist, library)
@@ -451,7 +444,7 @@ class VectorTimingAnalyzer:
         return self.node.wire_r_per_um * dist, self.node.wire_c_per_um * dist
 
     def _wire_caps(self, x, y, placed):
-        """Per-gate output-net wire capacitance (HPWL or router length)."""
+        """Per-gate output-net wire capacitance from HPWL."""
         g = self.graph
         ep = g.hp_gate
         starts = g.hp_ptr[:-1]
@@ -466,14 +459,7 @@ class VectorTimingAnalyzer:
         count = np.add.reduceat(placed[ep].astype(np.int64), starts)
         with np.errstate(invalid="ignore"):
             hpwl = np.where(count >= 2, (xmax - xmin) + (ymax - ymin), 0.0)
-        lengths = hpwl
-        if self.net_lengths is not None:
-            lengths = hpwl.copy()
-            for gid, net in enumerate(g.out_nets):
-                routed = self.net_lengths.get(net)
-                if routed is not None:
-                    lengths[gid] = routed
-        return self.node.wire_c_per_um * lengths
+        return self.node.wire_c_per_um * hpwl
 
     def _geometry_full(self):
         g = self.graph
@@ -549,11 +535,6 @@ class VectorTimingAnalyzer:
             self._ff_rw[a] = node.wire_r_per_um * d
             self._ff_cw[a] = node.wire_c_per_um * d
         for gid in net_owners:
-            if (
-                self.net_lengths is not None
-                and g.out_nets[gid] in self.net_lengths
-            ):
-                continue  # routed length pinned by the router
             lo, hi = g.hp_ptr[gid], g.hp_ptr[gid + 1]
             xs, ys = [], []
             for ep in g.hp_gate[lo:hi]:
@@ -588,15 +569,6 @@ class VectorTimingAnalyzer:
         np.add.at(loads, g.ld_owner, cap[g.ld_sink])
         loads[g.is_po] += self.po_load
         return loads
-
-    def output_loads(self, doses=None) -> np.ndarray:
-        """Output-net load (fF) per gate, in graph order, under ``doses``.
-
-        Wire capacitance plus the sink pins' input caps (plus the PO
-        load): what the forward pass reads, without running it.
-        """
-        vids = self.graph.vids_for(doses)  # may register new variants
-        return self._loads_full(self.graph.stack.arrays()[4][vids])
 
     def _forward_level(self, st, pos, arc_idx, starts_local, seg_local, cap, stacks):
         """Propagate one level's (sub)set of gates given their arc gather."""

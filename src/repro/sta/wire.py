@@ -13,16 +13,9 @@ from repro.constants import KOHM_FF_TO_NS
 from repro.placement.hpwl import net_hpwl
 
 
-def net_wire_cap(netlist, placement, net_name: str, node,
-                 length_um: float = None) -> float:
-    """Total routed capacitance (fF) of one net.
-
-    Uses ``length_um`` when given (e.g. from the global router);
-    otherwise falls back to the HPWL estimate.
-    """
-    if length_um is None:
-        length_um = net_hpwl(netlist, placement, net_name)
-    return node.wire_c_per_um * length_um
+def net_wire_cap(netlist, placement, net_name: str, node) -> float:
+    """Total capacitance (fF) of one net from its HPWL estimate."""
+    return node.wire_c_per_um * net_hpwl(netlist, placement, net_name)
 
 
 def arc_wire_delay(

@@ -1,6 +1,5 @@
 """Monte Carlo timing-yield estimation under CD variation."""
 
-from repro.variation.leakage_mc import LeakageMonteCarlo, leakage_statistics
 from repro.variation.ssta import (
     SSTA,
     CanonicalDelay,
@@ -19,8 +18,6 @@ __all__ = [
     "TimingMonteCarlo",
     "timing_yield",
     "yield_curve",
-    "LeakageMonteCarlo",
-    "leakage_statistics",
     "SSTA",
     "CanonicalDelay",
     "clark_max",

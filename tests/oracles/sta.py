@@ -48,16 +48,12 @@ class TimingAnalyzer:
         placement,
         input_slew: float = DEFAULT_INPUT_SLEW,
         po_load: float = DEFAULT_PO_LOAD,
-        net_lengths: dict = None,
     ):
         self.netlist = netlist
         self.library = library
         self.placement = placement
         self.input_slew = float(input_slew)
         self.po_load = float(po_load)
-        #: Optional per-net routed lengths (um) from a global router;
-        #: nets absent from the dict fall back to HPWL estimates.
-        self.net_lengths = net_lengths
         self.node = library.node
         self._order = netlist.topological_order(library)
         self._is_seq = {
@@ -90,14 +86,8 @@ class TimingAnalyzer:
             return self._nominal_loads
         loads = {}
         for net_name, net in self.netlist.nets.items():
-            length = (
-                self.net_lengths.get(net_name)
-                if self.net_lengths is not None
-                else None
-            )
             cap = net_wire_cap(
-                self.netlist, self.placement, net_name, self.node,
-                length_um=length,
+                self.netlist, self.placement, net_name, self.node
             )
             for sink, _pin in net.sinks:
                 cap += self._variant(sink, doses).input_cap_ff

@@ -1,13 +1,16 @@
 """Tests for corner-aware dose map optimization."""
 
+import numpy as np
 import pytest
 
+import repro.core.corners as corners
 from repro.core import (
     DesignContext,
     corner_context,
     optimize_dose_map_corners,
 )
 from repro.netlist import make_design
+from repro.solver import FAILURE_STATUSES, SolveResult
 from repro.tech import corner_node
 
 
@@ -62,3 +65,21 @@ class TestCornerAwareDMopt:
         golden, leak = ctx.golden_eval(result.dose_map_poly)
         assert golden.mct < ctx.baseline.mct
         assert leak < ctx.baseline_leakage * 1.03
+
+    @pytest.mark.parametrize("status", FAILURE_STATUSES)
+    def test_failed_solve_returns_baseline(self, ctx, monkeypatch, status):
+        """A failed solve is never signed off: its nonzero iterate is
+        neither snapped nor golden-evaluated, and the untouched baseline
+        comes back, as from ``optimize_dose_map``."""
+
+        def failed(c, *args, **kwargs):
+            return SolveResult(status=status, x=np.full(c.size, 3.0),
+                               obj=3.0, iterations=60, r_prim=1.0,
+                               r_dual=1.0, solve_time=0.0)
+
+        monkeypatch.setattr(corners, "solve_qcp", failed)
+        res = optimize_dose_map_corners(ctx, grid_size=10.0)
+        assert res.solve.failed
+        assert not res.dose_map_poly.values.any()
+        assert res.slow_mct == res.slow_mct_baseline
+        assert res.leak_corner_leakage == res.leak_corner_baseline

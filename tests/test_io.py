@@ -1,20 +1,15 @@
-"""Tests for the interchange formats (Verilog / DEF / Liberty)."""
+"""Tests for the interchange formats (Verilog / DEF)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.io import (
     DefError,
-    LibertyError,
     VerilogError,
     parse_def,
-    parse_liberty,
     parse_verilog,
-    roundtrip_close,
     roundtrip_equal,
     write_def,
-    write_liberty,
     write_verilog,
 )
 from repro.library import CellLibrary
@@ -138,96 +133,3 @@ class TestDef:
     def test_missing_header(self):
         with pytest.raises(DefError, match="missing"):
             parse_def("COMPONENTS 0 ;\nEND COMPONENTS")
-
-
-class TestLiberty:
-    def test_roundtrip_numeric(self, lib65):
-        text = write_liberty(lib65, masters=["INVX1", "NAND2X1", "DFFX1"])
-        cells = parse_liberty(text)
-        assert set(cells) == {"INVX1", "NAND2X1", "DFFX1"}
-        for name in cells:
-            cc = lib65.nominal(name)
-            assert roundtrip_close(cc, cells[name])
-
-    def test_dose_variant_encoded(self, lib65):
-        nominal = parse_liberty(write_liberty(lib65, masters=["INVX1"]))
-        dosed = parse_liberty(
-            write_liberty(lib65, dose_poly=5.0, masters=["INVX1"])
-        )
-        assert dosed["INVX1"]["leakage_uw"] > 2 * nominal["INVX1"]["leakage_uw"]
-        assert np.all(
-            dosed["INVX1"]["delay"].values < nominal["INVX1"]["delay"].values
-        )
-
-    def test_setup_time_for_sequential(self, lib65):
-        cells = parse_liberty(write_liberty(lib65, masters=["DFFX1"]))
-        assert cells["DFFX1"]["setup_ns"] == pytest.approx(
-            lib65.nominal("DFFX1").setup_ns
-        )
-
-    def test_malformed_rejected(self):
-        with pytest.raises(LibertyError, match="no cell groups"):
-            parse_liberty("library (x) { }")
-
-    def test_parse_usable_by_interp(self, lib65):
-        cells = parse_liberty(write_liberty(lib65, masters=["INVX2"]))
-        table = cells["INVX2"]["delay"]
-        mid_slew = float(table.slew_axis.mean())
-        mid_load = float(table.load_axis.mean())
-        direct = lib65.nominal("INVX2").delay_at(mid_slew, mid_load)
-        assert table.lookup(mid_slew, mid_load) == pytest.approx(direct, rel=1e-4)
-
-
-class TestSpef:
-    def test_roundtrip(self, small_design):
-        from repro.io import parse_spef, write_spef
-        from repro.sta import net_wire_cap
-
-        pl = place_design(small_design)
-        text = write_spef(
-            small_design.netlist, pl, small_design.library.node
-        )
-        parsed = parse_spef(text)
-        assert parsed["design"] == small_design.netlist.name
-        assert set(parsed["net_caps"]) == set(small_design.netlist.nets)
-        # spot-check one cap value against direct extraction
-        net = next(iter(small_design.netlist.nets))
-        direct = net_wire_cap(
-            small_design.netlist, pl, net, small_design.library.node
-        )
-        assert parsed["net_caps"][net] == pytest.approx(direct, rel=1e-4)
-
-    def test_arcs_match_connectivity(self, small_design):
-        from repro.io import parse_spef, write_spef
-
-        pl = place_design(small_design)
-        parsed = parse_spef(
-            write_spef(small_design.netlist, pl, small_design.library.node)
-        )
-        for (drv, snk), delay in list(parsed["arc_delays"].items())[:50]:
-            assert snk in small_design.netlist.fanout_gates(drv)
-            assert delay >= 0.0
-
-    def test_net_lengths_override(self, small_design):
-        from repro.io import parse_spef, write_spef
-
-        pl = place_design(small_design)
-        node = small_design.library.node
-        net = next(
-            n for n, obj in small_design.netlist.nets.items() if obj.sinks
-        )
-        doubled = {net: 1000.0}
-        parsed = parse_spef(
-            write_spef(small_design.netlist, pl, node, net_lengths=doubled)
-        )
-        assert parsed["net_caps"][net] == pytest.approx(
-            node.wire_c_per_um * 1000.0, rel=1e-4
-        )
-
-    def test_malformed(self):
-        from repro.io import SpefError, parse_spef
-
-        with pytest.raises(SpefError, match="DESIGN"):
-            parse_spef("*SPEF\n")
-        with pytest.raises(SpefError, match="D_NET"):
-            parse_spef("*DESIGN x\n")

@@ -7,8 +7,6 @@ paths through that pair exist twice:
 * the STA engine's :class:`TimingResult` ``==`` the reference timer's;
 * :func:`repro.sta.top_k_paths` on the compiled graph ``==`` the dict
   enumerator for K = 1, 10 and every path, duplicates included;
-* ``VectorTimingAnalyzer.output_loads`` ``==`` the reference timer's
-  per-net loads at every gate's output net;
 * :func:`repro.core.formulate.build_formulation` emits the matrices of
   the per-gate ``add_row`` reference.
 """
@@ -111,25 +109,6 @@ class TestGeneratedNetlists:
         assert vec.graph.names.index("m1") < vec.graph.names.index("m2")
         assert [p.gates for p in paths if len(p) == 1] == [("m2",), ("m1",)]
         assert paths == path_oracle.top_k_paths(nl, lib65, res, ALL_PATHS)
-
-    @generated
-    @given(seed=seeds, n_gates=st.integers(3, 40),
-           fraction=st.sampled_from([0.25, 0.5, 1.0]),
-           routed=st.booleans())
-    def test_output_loads_equal_oracle(self, lib65, seed, n_gates, fraction,
-                                       routed):
-        nl, pl = random_dag(seed, n_gates, lib65, shared_pins=True)
-        doses = random_doses(nl, lib65, seed=seed, fraction=fraction)
-        lengths = (
-            {net: 3.0 * i for i, net in enumerate(list(nl.nets)[::3])}
-            if routed else None
-        )
-        oracle = TimingAnalyzer(nl, lib65, pl, net_lengths=lengths)
-        vec = VectorTimingAnalyzer(nl, lib65, pl, net_lengths=lengths)
-        for d in (None, doses):
-            want = oracle._net_loads(d)
-            got = vec.output_loads(d).tolist()
-            assert got == [want[net] for net in vec.graph.out_nets]
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -18,6 +18,7 @@ from repro.solver import (
     solve_qp,
     solve_qp_robust,
 )
+from repro.solver.ipm import MAX_ITER as IPM_MAX_ITER
 from repro.solver.qcp import FEAS_TOL, TIE_TOL
 
 
@@ -63,9 +64,10 @@ def _scipy_qcp(c, A, l, u, Q, g, s, x0):
                     options={"maxiter": 500, "ftol": 1e-12})
 
 
-@st.composite
-def _random_qcps(draw):
-    """Small random QCPs ``(c, A, l, u, Q, g, s, binding, h0)``.
+def _qcp_from_seed(seed, binding, n, m):
+    """One small random QCP ``(c, A, l, u, Q, g, s, binding, h0)``, or
+    ``None`` when a binding budget cannot be told apart from the linear
+    program's quadratic value.
 
     The last variable plays the DMopt clock period ``T``: it has a zero
     row and column in ``Q = B'B`` and no ``g`` term, like ``P_leak``.
@@ -77,10 +79,7 @@ def _random_qcps(draw):
     program) solution; a slack one lies above the latter.  ``h0`` is
     the row's value ``quad - s`` at that linear program solution.
     """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    binding = draw(st.booleans())
-    n = draw(st.integers(2, 6))
-    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(seed)
     R = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
     A = sp.vstack([sp.eye(n), sp.csr_matrix(R)], format="csc")
     x_feas = rng.uniform(-0.5, 0.5, n)
@@ -104,10 +103,24 @@ def _random_qcps(draw):
     q_lp, q_feas = quad(lp.x), quad(x_feas)
     if binding:
         s = q_feas + rng.uniform(0.05, 0.95) * (q_lp - q_feas)
-        assume(q_lp - s > 10 * FEAS_TOL * max(1.0, abs(s)))
+        if not q_lp - s > 10 * FEAS_TOL * max(1.0, abs(s)):
+            return None
     else:
         s = q_lp + rng.uniform(0.0, 1.0) * (1.0 + abs(q_lp))
     return c, A, l, u, Q, g, s, binding, q_lp - s
+
+
+@st.composite
+def _random_qcps(draw):
+    """:func:`_qcp_from_seed` over drawn ``seed, binding, n, m``."""
+    problem = _qcp_from_seed(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.booleans()),
+        draw(st.integers(2, 6)),
+        draw(st.integers(1, 5)),
+    )
+    assume(problem is not None)
+    return problem
 
 
 class TestQPBasics:
@@ -357,6 +370,28 @@ class TestQCP:
         assert len(attempts) - 2 == res.info["inner_solves"] - 1
         assert attempts[2]["lam"] == 0.0 and attempts[2]["h"] > 0.0
         assert all(a["status"] == STATUS_SOLVED for a in attempts[2:])
+
+    @pytest.mark.parametrize("seed, binding, n, m",
+                             [(44, True, 5, 1), (30, True, 5, 3),
+                              (40, True, 6, 1)])
+    def test_bisection_solves_what_the_barrier_cannot(self, seed, binding,
+                                                      n, m):
+        """Generated programs on which both barrier steps stop at
+        ``MAX_ITER`` (3 of the 2,856 from seeds 0-59 at every n, m and
+        binding): the bisection still returns an accepted point."""
+        c, A, l, u, Q, g, s, _binding, h0 = _qcp_from_seed(seed, binding,
+                                                            n, m)
+        res = solve_qcp(c, A, l, u, Q, g, s)
+        attempts = res.info["attempts"]
+        assert [(a["step"], a["status"], a["iterations"])
+                for a in attempts[:2]] == [
+            ("ipm", STATUS_MAX_ITER, IPM_MAX_ITER),
+            ("ipm-regularized", STATUS_MAX_ITER, IPM_MAX_ITER),
+        ]
+        assert {a["step"] for a in attempts[2:]} == {"bisect"}
+        assert res.ok and res.status == STATUS_SOLVED
+        h = 0.5 * res.x @ (Q @ res.x) + g @ res.x - s
+        assert h <= FEAS_TOL * max(abs(h0), 1.0, abs(s)) + 1e-12
 
     def test_time_limit_returns_promptly(self):
         """A spent budget stops the barrier on its current iterate."""

@@ -87,19 +87,6 @@ class TestDifferentialFixedDesigns:
         )
         assert_equivalent(r, v)
 
-    def test_routed_net_lengths(self, aes):
-        bundle, pl = aes
-        rng = random.Random(1)
-        nets = list(bundle.netlist.nets)
-        lengths = {n: rng.uniform(0.0, 40.0) for n in nets[::4]}
-        r = TimingAnalyzer(
-            bundle.netlist, bundle.library, pl, net_lengths=lengths
-        ).analyze()
-        v = VectorTimingAnalyzer(
-            bundle.netlist, bundle.library, pl, net_lengths=lengths
-        ).analyze()
-        assert_equivalent(r, v)
-
     def test_repeated_calls_are_stable(self, aes):
         """Warm (incremental) re-analysis must equal the first pass."""
         bundle, pl = aes

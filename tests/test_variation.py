@@ -10,7 +10,6 @@ from repro.dosemap import DoseMap, GridPartition
 from repro.netlist import make_design
 from repro.variation import (
     SSTA,
-    LeakageMonteCarlo,
     TimingMonteCarlo,
     VariationModel,
     timing_yield,
@@ -235,9 +234,9 @@ def engine_golden(request):
 
 
 class TestEnginesAgreeAtZeroVariation:
-    """Without variation, Monte Carlo, SSTA and leakage Monte Carlo all
-    reproduce the golden baseline they linearize, as both the STA engine
-    and the reference oracle time it (leakage has one golden model)."""
+    """Without variation, Monte Carlo and SSTA both reproduce the golden
+    baseline they linearize, as both the STA engine and the reference
+    oracle time it."""
 
     def test_one_timing_graph_per_context(self, engine_golden):
         ctx, golden = engine_golden
@@ -260,9 +259,3 @@ class TestEnginesAgreeAtZeroVariation:
         mct = SSTA(ctx, VariationModel(0, 0)).analyze()
         assert mct.mean == pytest.approx(golden.mct, rel=1e-12)
         assert mct.sigma == 0.0
-
-    def test_leakage_monte_carlo_nominal_is_golden(self, engine_golden):
-        ctx, _golden = engine_golden
-        assert LeakageMonteCarlo(ctx).nominal_leakage() == pytest.approx(
-            ctx.baseline_leakage, rel=1e-12
-        )
