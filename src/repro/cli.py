@@ -138,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         const=True,
         default=None,
         metavar="PATH",
-        help="write a JSONL run manifest (tracing spans, metrics, solver "
-        "events); optional PATH overrides the default "
+        help="write a JSONL run manifest (tracing spans, solver and "
+        "harness events); optional PATH overrides the default "
         "(REPRO_TELEMETRY_PATH or repro_telemetry.jsonl)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -123,9 +123,11 @@ def _spanned(fn):
 
     The span carries the design / grid / mode attributes and, on the
     way out, the solve status with the golden ``mct`` and ``leakage``
-    (or, for a failed solve, the ``blocking`` constraint families) --
-    so a run manifest shows one ``dmopt`` node per optimization with
-    ``dmopt.solve`` / ``dmopt.signoff`` / ``dmopt.diagnose`` children.
+    (or, for a failed solve, the ``blocking`` constraint families) and
+    ``formulation="built"`` or ``"cached"`` (whether the context
+    assembled the program for this call) -- so a run manifest shows one
+    ``dmopt`` node per optimization with ``dmopt.solve`` /
+    ``dmopt.signoff`` / ``dmopt.diagnose`` children.
     """
 
     @functools.wraps(fn)
@@ -139,8 +141,12 @@ def _spanned(fn):
             grid=float(grid_size),
             mode=mode,
         ) as sp:
+            builds = ctx.formulation_builds
             res = fn(ctx, grid_size, *args, **kwargs)
             if sp is not None:
+                sp["formulation"] = (
+                    "built" if ctx.formulation_builds > builds else "cached"
+                )
                 sp["status"] = res.status
                 if res.infeasibility is not None:
                     sp["blocking"] = res.infeasibility.blocking

@@ -356,6 +356,8 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
         swaps_accepted=accepted,
         swaps_attempted=stats["attempted"],
         trial_rejected=stats["trial_rejected"],
+        sta_full_passes=timer.full_passes,
+        sta_cone_passes=timer.cone_passes,
         mct=best_mct,
         baseline_mct=baseline_mct,
         history=history,

@@ -67,6 +67,8 @@ class DesignContext:
         #: Assembled-formulation cache keyed by
         #: (grid_size, both_layers, seam_smoothness); see formulation_for.
         self._formulation_cache: dict = {}
+        #: Formulations assembled so far (cache misses of formulation_for).
+        self.formulation_builds = 0
 
     # ------------------------------------------------------------------
     def formulation_for(self, grid_size: float, both_layers: bool = False,
@@ -87,7 +89,6 @@ class DesignContext:
         """
         from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
         from repro.core.formulate import build_formulation
-        from repro.obs import metrics
 
         if dose_range is None:
             dose_range = DEFAULT_DOSE_RANGE
@@ -99,7 +100,7 @@ class DesignContext:
                                                         both_layers):
             form = None
         if form is None:
-            metrics.inc("formulation.cache_miss")
+            self.formulation_builds += 1
             form = build_formulation(
                 self,
                 grid_size,
@@ -109,8 +110,6 @@ class DesignContext:
                 seam_smoothness=seam_smoothness,
             )
             self._formulation_cache[key] = form
-        else:
-            metrics.inc("formulation.cache_hit")
         return form.retarget(dose_range=dose_range, smoothness=smoothness)
 
     def _formulation_stale(self, form, grid_size: float,

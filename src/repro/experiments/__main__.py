@@ -78,8 +78,8 @@ def main(argv=None) -> int:
         const=True,
         default=None,
         metavar="PATH",
-        help="write a JSONL run manifest (tracing spans, metrics, solver "
-        "events); optional PATH overrides the default "
+        help="write a JSONL run manifest (tracing spans, solver and "
+        "harness events); optional PATH overrides the default "
         "(REPRO_TELEMETRY_PATH or repro_telemetry.jsonl)",
     )
     parser.add_argument(

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 from repro import obs, telemetry
 from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
-from repro.obs import metrics
 from repro.resilience import chaos
 from repro.resilience.checkpoint import CheckpointStore, cell_key
 from repro.resilience.watchdog import (
@@ -362,7 +361,6 @@ def run_dmopt_cells(
                 idx = todo[pos]
                 results[idx] = res
                 if res.get("status") == STATUS_TIMEOUT:
-                    metrics.inc("watchdog.kills")
                     telemetry.emit("watchdog_kill", index=idx,
                                    seconds=res.get("runtime"))
                 elif store is not None:
@@ -384,7 +382,6 @@ def run_dmopt_cells(
                    retries=stats.retries,
                    pool_restarts=stats.pool_restarts,
                    timeouts=stats.timeouts)
-    metrics.flush("run_end")
     if certify:
         _enforce_certification(cells, results)
     return results

@@ -1,24 +1,23 @@
-"""Observability layer: tracing spans, metrics registry, trace analysis.
+"""Observability layer: tracing spans and trace analysis.
 
-Three pieces, all riding on the :mod:`repro.telemetry` manifest:
+Two pieces, both riding on the :mod:`repro.telemetry` manifest:
 
 * :func:`span` -- hierarchical timed regions (trace/span/parent ids)
   that nest per thread and across pool workers, reassembled into a
   wall-time tree by ``python -m repro.obs report``;
-* :mod:`repro.obs.metrics` -- process-wide counters / gauges /
-  log-bucket histograms, flushed as one ``metrics`` event per process
-  at exit;
 * the analysis CLI (``python -m repro.obs``) with ``report`` (stage
-  tree, top spans, solver convergence stats, cache-hit rates from a
-  manifest) and ``compare`` (the perf-regression gate of a fresh
-  perfbench record against a committed ``BENCH_<workload>.json``).
+  tree, top spans, solver convergence stats, and run totals -- fallback
+  steps, checkpoint hits, watchdog kills, retries, the formulation
+  cache hit rate and the STA incremental fraction -- counted from the
+  manifest's events and span attributes) and ``compare`` (the
+  perf-regression gate of a fresh perfbench record against a committed
+  ``BENCH_<workload>.json``).
 
 Everything is a no-op while telemetry is off (``REPRO_TELEMETRY`` /
 ``--trace`` / ``telemetry.configure``), so instrumented hot paths pay
 only an early-returning check per call.  See ``docs/observability.md``.
 """
 
-from repro.obs import metrics
 from repro.obs.spans import ENV_CTX, current_context, current_trace_id, span
 
 #: Bound on per-solve convergence traces (ring buffer length): a solve
@@ -31,6 +30,5 @@ __all__ = [
     "TRACE_MAXLEN",
     "current_context",
     "current_trace_id",
-    "metrics",
     "span",
 ]

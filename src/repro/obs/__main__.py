@@ -1,8 +1,9 @@
 """Observability CLI: ``python -m repro.obs {report,compare}``.
 
 * ``report <manifest.jsonl>`` -- per-stage wall-time tree, top spans by
-  self time, solver iteration statistics, and merged run-total metrics
-  from one telemetry manifest (``--json`` for machine-readable output).
+  self time, solver iteration statistics, and run totals counted from
+  the events and spans of one telemetry manifest (``--json`` for
+  machine-readable output).
 * ``compare <baseline.json> <current.json>`` -- gate a fresh perfbench
   record against a committed ``BENCH_<workload>.json``: exit 1 when a
   work counter changed or a timer ran over 2x its baseline (the CI perf
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rep = sub.add_parser(
-        "report", help="per-stage wall-time tree + solver/metric stats"
+        "report", help="per-stage wall-time tree + solver stats and run totals"
     )
     p_rep.add_argument("manifest", help="JSONL run manifest (--trace output)")
     p_rep.add_argument("--json", action="store_true",

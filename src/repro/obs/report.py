@@ -1,4 +1,4 @@
-"""Manifest analysis: span trees, solver stats, metric roll-ups.
+"""Manifest analysis: span trees, solver stats, run totals.
 
 ``python -m repro.obs report <manifest.jsonl>`` reassembles the flat
 JSONL run manifest (see :mod:`repro.telemetry`) into the things a human
@@ -13,9 +13,12 @@ asks of a run:
 * **solver statistics** from the ``solve``/``qcp`` events: per-backend
   solve counts, warm vs cold iteration totals, status mix, and final
   residuals taken from the attached convergence traces;
-* **run totals** merged from every per-process ``metrics`` flush, with
-  derived rates (formulation cache hit rate, STA incremental re-time
-  fraction).
+* **run totals** counted from the events and span attributes already
+  in the manifest: fallback steps beyond the first ``ipm`` attempt,
+  checkpoint hits, watchdog kills, worker retries and pool restarts,
+  plus the formulation cache hit rate (the ``dmopt`` spans'
+  ``formulation`` attribute) and the STA incremental fraction (the
+  ``dosepl`` events' trial-timer pass counts).
 
 Everything here is read-only over a manifest file; nothing imports the
 solvers or the STA, so the report tool works on manifests from other
@@ -232,52 +235,54 @@ def _median(values):
 
 
 # ----------------------------------------------------------------------
-# metrics roll-up
+# run totals
 # ----------------------------------------------------------------------
-def merge_metrics(records) -> dict:
-    """Run totals across every per-process ``metrics`` flush event."""
-    counters = {}
-    gauges = {}
-    histograms = {}
+#: Harness-health events counted one per record.
+_HEALTH_EVENTS = ("checkpoint_hit", "watchdog_kill", "worker_retry",
+                  "pool_restart")
+
+
+def event_totals(records) -> dict:
+    """Run totals counted from the manifest's events and span attributes.
+
+    ``counts`` holds the fallback steps beyond the first ``ipm`` attempt
+    (``fallback.<step>`` and their sum ``fallback.attempts``), one count
+    per harness-health event, the ``dmopt`` spans' formulations
+    (``formulation.built`` / ``formulation.cached``) and the dosePl
+    trial timers' forward passes (``sta.full_passes`` /
+    ``sta.cone_passes``, from the ``dosepl`` events).  ``rates`` holds
+    the formulation cache hit rate and the STA incremental (dirty-cone)
+    fraction; a rate with nothing to count is left out, as is a zero
+    count.
+    """
+    counts = {}
+
+    def add(name, n=1):
+        if n:
+            counts[name] = counts.get(name, 0) + n
+
     for rec in records:
-        if rec.get("event") != "metrics":
-            continue
-        for name, n in (rec.get("counters") or {}).items():
-            counters[name] = counters.get(name, 0) + n
-        gauges.update(rec.get("gauges") or {})
-        for name, hist in (rec.get("histograms") or {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    **hist, "buckets": dict(hist.get("buckets") or {})
-                }
-                continue
-            merged["count"] += hist.get("count", 0)
-            merged["sum"] += hist.get("sum", 0.0)
-            merged["min"] = min(merged["min"], hist.get("min", merged["min"]))
-            merged["max"] = max(merged["max"], hist.get("max", merged["max"]))
-            for label, n in (hist.get("buckets") or {}).items():
-                merged["buckets"][label] = merged["buckets"].get(label, 0) + n
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-def _rate(hits, misses):
-    total = hits + misses
-    return hits / total if total else None
-
-
-def derived_rates(counters: dict) -> dict:
-    """Headline ratios computed from the merged counters."""
+        event = rec.get("event")
+        if event == "fallback" and rec.get("step") != "ipm":
+            add("fallback.attempts")
+            add(f"fallback.{rec.get('step')}")
+        elif event in _HEALTH_EVENTS:
+            add(event)
+        elif event == "span" and rec.get("formulation"):
+            add(f"formulation.{rec['formulation']}")
+        elif event == "dosepl":
+            add("sta.full_passes", int(rec.get("sta_full_passes", 0)))
+            add("sta.cone_passes", int(rec.get("sta_cone_passes", 0)))
     rates = {}
-    hit = counters.get("formulation.cache_hit", 0)
-    miss = counters.get("formulation.cache_miss", 0)
-    if hit or miss:
-        rates["formulation_cache_hit_rate"] = _rate(hit, miss)
-    inc = counters.get("sta.incremental_retime", 0)
-    full = counters.get("sta.full_retime", 0)
-    if inc or full:
-        rates["sta_incremental_fraction"] = _rate(inc, full)
-    return rates
+    for name, hits, misses in (
+        ("formulation_cache_hit_rate", "formulation.cached",
+         "formulation.built"),
+        ("sta_incremental_fraction", "sta.cone_passes", "sta.full_passes"),
+    ):
+        total = counts.get(hits, 0) + counts.get(misses, 0)
+        if total:
+            rates[name] = counts.get(hits, 0) / total
+    return {"counts": counts, "rates": rates}
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +293,6 @@ def summarize(path) -> dict:
     records, bad_lines = load_manifest(path)
     traces = build_trees(records)
     roots = [root for roots in traces.values() for root in roots]
-    metrics = merge_metrics(records)
     events = {}
     for rec in records:
         kind = rec.get("event", "?")
@@ -302,8 +306,7 @@ def summarize(path) -> dict:
         "root_seconds": sum(r.seconds for r in roots),
         "spans": aggregate_spans(traces),
         "solvers": solver_stats(records),
-        "metrics": metrics,
-        "rates": derived_rates(metrics["counters"]),
+        "totals": event_totals(records),
     }
 
 
@@ -364,22 +367,12 @@ def format_report(path, max_depth: int = None, top: int = 10) -> str:
                         f"r_dual={rd:.2e}"
             lines.append(line)
 
-    metrics = merge_metrics(records)
-    if any(metrics.values()):
+    totals = event_totals(records)
+    if totals["counts"] or totals["rates"]:
         lines.append("")
-        lines.append("== run totals (merged metrics) ==")
-        for name in sorted(metrics["counters"]):
-            lines.append(f"  {name:<38}{metrics['counters'][name]:>9}")
-        for name in sorted(metrics["gauges"]):
-            lines.append(f"  {name:<38}{metrics['gauges'][name]:>9g}")
-        for name in sorted(metrics["histograms"]):
-            hist = metrics["histograms"][name]
-            mean = hist["sum"] / max(hist["count"], 1)
-            lines.append(
-                f"  {name:<38}{hist['count']:>9} obs  "
-                f"mean {mean:.1f}  min {hist['min']:g}  max {hist['max']:g}"
-            )
-        rates = derived_rates(metrics["counters"])
-        for name in sorted(rates):
-            lines.append(f"  {name:<38}{rates[name]:>9.1%}")
+        lines.append("== run totals (from events and spans) ==")
+        for name in sorted(totals["counts"]):
+            lines.append(f"  {name:<38}{totals['counts'][name]:>9}")
+        for name in sorted(totals["rates"]):
+            lines.append(f"  {name:<38}{totals['rates'][name]:>9.1%}")
     return "\n".join(lines)

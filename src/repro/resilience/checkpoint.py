@@ -39,7 +39,6 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.obs import metrics
 from repro.resilience import chaos
 
 SCHEMA_VERSION = 1
@@ -175,12 +174,11 @@ class CheckpointStore:
     def serve(self, key: str):
         """:meth:`get` for a runner about to skip the work on a hit.
 
-        Each hit is counted once: the ``checkpoint.hits`` metric and one
-        ``checkpoint_hit`` telemetry event.
+        Each hit is counted once, as one ``checkpoint_hit`` telemetry
+        event.
         """
         payload = self.records.get(key)
         if payload is not None:
-            metrics.inc("checkpoint.hits")
             telemetry.emit("checkpoint_hit", key=key)
         return payload
 

@@ -2,6 +2,7 @@
 
 from repro.solver.diagnose import (
     FAMILY_DOSE_RANGE,
+    FAMILY_LEAKAGE_BUDGET,
     FAMILY_SMOOTHNESS,
     FAMILY_TIMING,
     InfeasibilityReport,
@@ -32,6 +33,7 @@ __all__ = [
     "min_achievable_tau",
     "InfeasibilityReport",
     "FAMILY_DOSE_RANGE",
+    "FAMILY_LEAKAGE_BUDGET",
     "FAMILY_SMOOTHNESS",
     "FAMILY_TIMING",
     "SolveResult",

@@ -2,10 +2,13 @@
 
 When a DMopt solve comes back ``infeasible`` the interesting question
 is *which constraint family kills it*: the dose range ``L <= d <= U``
-(paper eq. 3/8), the smoothness bound ``delta`` (eq. 4/9), or the
-clock bound ``tau`` (eq. 6/11).  :func:`diagnose_infeasibility` probes
-this by re-solving feasibility problems with one family relaxed at a
-time; a family whose relaxation restores feasibility is implicated.
+(paper eq. 3/8), the smoothness bound ``delta`` (eq. 4/9), the clock
+bound ``tau`` (eq. 6/11), or in QCP mode the quadratic leakage budget
+``xi``.  :func:`diagnose_infeasibility` probes this by re-solving
+feasibility problems with one family relaxed at a time; a family whose
+relaxation restores feasibility is implicated.  The probes are linear,
+so relaxing the leakage budget means probing the linear rows as they
+stand: when those are feasible, the budget alone is to blame.
 
 For the timing family the diagnosis is quantitative: the tightest
 achievable clock bound ``tau_min`` is found by minimizing ``T`` subject
@@ -29,6 +32,7 @@ from repro.solver.robust import solve_qp_robust
 FAMILY_DOSE_RANGE = "dose_range"
 FAMILY_SMOOTHNESS = "smoothness"
 FAMILY_TIMING = "timing"
+FAMILY_LEAKAGE_BUDGET = "leakage_budget"
 
 
 @dataclass
@@ -79,7 +83,11 @@ class InfeasibilityReport:
 
 
 def _relaxed_bounds(form, family, tau):
-    """(l, u) with one constraint family's rows opened to +-inf."""
+    """(l, u) with one constraint family's rows opened to +-inf.
+
+    The leakage budget is the quadratic row, which no probe carries, so
+    relaxing it leaves the linear rows as they stand.
+    """
     l = form.l.copy()
     u = form.u.copy()
     u[form.row_clock] = np.inf if tau is None else float(tau)
@@ -136,7 +144,9 @@ def diagnose_infeasibility(form, tau: float = None) -> InfeasibilityReport:
         infeasible solve.
     tau:
         The clock bound in force during that solve (``None`` when the
-        clock row was open, e.g. QCP mode).
+        clock row was open, i.e. QCP mode, whose quadratic leakage
+        budget is then probed first: ``blocking == ["leakage_budget"]``
+        when the linear rows alone are feasible).
 
     Returns
     -------
@@ -147,14 +157,20 @@ def diagnose_infeasibility(form, tau: float = None) -> InfeasibilityReport:
 
     families = [FAMILY_TIMING, FAMILY_DOSE_RANGE, FAMILY_SMOOTHNESS]
     if tau is None:
-        # without a clock bound the timing family cannot be the culprit
-        families = [FAMILY_DOSE_RANGE, FAMILY_SMOOTHNESS]
+        # QCP mode: the clock row is open, so the timing family cannot
+        # be the culprit, and every probe drops the quadratic row
+        families = [FAMILY_LEAKAGE_BUDGET, FAMILY_DOSE_RANGE,
+                    FAMILY_SMOOTHNESS]
     for family in families:
         l, u = _relaxed_bounds(form, family, tau)
         probe = _feasibility_probe(form, l, u)
         report.probes[family] = probe.status
         if probe.ok:
             report.blocking.append(family)
+            if family == FAMILY_LEAKAGE_BUDGET:
+                # the linear rows hold as they stand: relaxing one of
+                # them cannot be what the program needs
+                break
 
     if tau is not None and FAMILY_TIMING in report.blocking:
         tau_min, _ = min_achievable_tau(form)

@@ -43,7 +43,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro import obs, telemetry
-from repro.obs import metrics
 from repro.solver.guards import SYMMETRIC_SPLU, prevalidate
 from repro.solver.result import (
     STATUS_DIVERGED,
@@ -631,12 +630,6 @@ def solve_qp_ipm(
 def _emit_solve(result: SolveResult):
     if not telemetry.enabled():
         return
-    metrics.inc("solver.ipm.solves")
-    metrics.observe(
-        "solver.ipm.iterations."
-        + ("warm" if result.warm_started else "cold"),
-        result.iterations,
-    )
     telemetry.emit(
         "solve",
         backend="ipm",

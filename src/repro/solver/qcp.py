@@ -28,7 +28,8 @@ in lam.  Each step is one QP over the full chain, ADMM included.  The
 search starts at lam = 0, which names the failures the barrier cannot
 tell apart: a failed lam = 0 solve means the linear constraints fail,
 and a multiplier past 1e12 that still violates the row means the
-budget is unattainable.  The bisection stays because it is reached:
+budget is unattainable (status ``infeasible``, so no caller signs the
+point off).  The bisection stays because it is reached:
 on 3 of 2,856 generated test programs (``tests/test_solver.py``,
 seeds 0-59 at every size and binding) both barrier steps stop at
 ``max_iter`` and the bisection returns the accepted point.
@@ -43,9 +44,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import telemetry
-from repro.obs import metrics
 from repro.solver.robust import solve_qp_robust
-from repro.solver.result import STATUS_MAX_ITER, SolveResult
+from repro.solver.result import (
+    STATUS_INFEASIBLE,
+    STATUS_MAX_ITER,
+    SolveResult,
+)
 
 #: Relative width of the multiplier bracket at which the bisection stops.
 LAM_TOL = 1e-3
@@ -157,9 +161,6 @@ def solve_qcp(
         if note:
             info["note"] = note
         final_status = status or res.status
-        if telemetry.enabled():
-            metrics.inc("solver.qcp.solves")
-            metrics.observe("solver.qcp.inner_solves", steps)
         telemetry.emit(
             "qcp",
             status=final_status,
@@ -252,7 +253,7 @@ def solve_qcp(
         if h_hi <= h_tol:
             break
         if hi >= 1e12:
-            return package(res, hi, status=STATUS_MAX_ITER,
+            return package(res, hi, status=STATUS_INFEASIBLE,
                            note="quadratic budget appears unattainable")
         lo, hi = hi, 10.0 * hi
 

@@ -27,7 +27,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro import obs, telemetry
-from repro.obs import metrics
 from repro.solver.guards import SYMMETRIC_SPLU, prevalidate
 from repro.solver.result import (
     STATUS_DIVERGED,
@@ -312,8 +311,6 @@ def solve_qp(
 def _emit_solve(result: SolveResult):
     if not telemetry.enabled():
         return
-    metrics.inc("solver.admm.solves")
-    metrics.observe("solver.admm.iterations.cold", result.iterations)
     telemetry.emit(
         "solve",
         backend="admm",

@@ -37,7 +37,6 @@ import time
 import numpy as np
 
 from repro import telemetry
-from repro.obs import metrics
 from repro.resilience import chaos
 from repro.solver.ipm import solve_qp_ipm
 from repro.solver.qp import solve_qp
@@ -144,11 +143,6 @@ def solve_qp_robust(
                 "iterations": res.iterations,
             }
         )
-        if telemetry.enabled() and step != "ipm":
-            # retries only: the happy path is one first attempt and no
-            # fallback activity
-            metrics.inc("solver.fallback.attempts")
-            metrics.inc(f"solver.fallback.step.{step}")
         telemetry.emit("fallback", step=step, backend=backend,
                        status=res.status, iterations=res.iterations,
                        r_prim=res.r_prim, r_dual=res.r_dual)

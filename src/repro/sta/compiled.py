@@ -414,6 +414,9 @@ class VectorTimingAnalyzer:
         #: What the last forward pass overwrote, for ``revert_trial``.
         self._undo = None
         self._moved_pending: set = set()
+        #: Forward passes run so far: full, and dirty-cone (incremental).
+        self.full_passes = 0
+        self.cone_passes = 0
         self._geometry_full()
 
     # ------------------------------------------------------------------
@@ -694,18 +697,16 @@ class VectorTimingAnalyzer:
         self._moved_pending = set()
 
     def _ensure_forward(self, vids):
-        from repro.obs import metrics
-
         dirty = None
         if self._state is not None:
             dirty, load_dirty = self._dirty_cone(vids)
         if dirty is None:
-            metrics.inc("sta.full_retime")
+            self.full_passes += 1
             # a full pass builds a new state dict: the old one is the log
             self._undo = ("full", self._state)
             self._forward_full(vids)
         else:
-            metrics.inc("sta.incremental_retime")
+            self.cone_passes += 1
             self._forward_incremental(vids, dirty, load_dirty)
 
     def revert_trial(self) -> None:

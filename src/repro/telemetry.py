@@ -1,12 +1,13 @@
-"""Structured run telemetry: spans, metrics and solver events as JSONL.
+"""Structured run telemetry: spans and solver events as JSONL.
 
-A run manifest holds two kinds of record -- hierarchical tracing spans
-(``span`` events, :func:`repro.obs.span`) and per-process metrics
-flushes (``metrics`` events, :mod:`repro.obs.metrics`) -- plus the
-solver and harness-health events of :data:`EVENT_SCHEMA` (solves,
-fallbacks, infeasibility reports, retries, checkpoint hits, ...).  A
-run-level outcome, such as a DMopt call's status, MCT and leakage, is
-an attribute of the span that wraps the work, not an event of its own.
+A run manifest holds one event model: hierarchical tracing spans
+(``span`` events, :func:`repro.obs.span`) plus the solver and
+harness-health events of :data:`EVENT_SCHEMA` (solves, fallbacks,
+infeasibility reports, retries, checkpoint hits, ...).  A run-level
+outcome, such as a DMopt call's status, MCT and leakage, is an
+attribute of the span that wraps the work, not an event of its own,
+and a count of work (solves, fallback steps, cache hits, STA passes)
+is read off those events and spans, not kept in a second registry.
 
 Telemetry is **off by default** and costs one early-returning function
 call per event when disabled, so the hot paths carry no measurable
@@ -39,8 +40,8 @@ Durations (``seconds`` fields) are always monotonic-clock deltas
 (``time.perf_counter``), never wall-clock differences, so an NTP step
 mid-run cannot produce negative timings.
 
-The tracing layer and the metrics registry live in :mod:`repro.obs`
-and write through this sink; ``python -m repro.obs report`` analyzes
+The tracing layer lives in :mod:`repro.obs` and writes through this
+sink; ``python -m repro.obs report`` analyzes
 the resulting manifest.
 """
 
@@ -52,7 +53,7 @@ import sys
 import threading
 import time
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 ENV_FLAG = "REPRO_TELEMETRY"
 ENV_PATH = "REPRO_TELEMETRY_PATH"
@@ -75,8 +76,6 @@ EVENT_SCHEMA = {
     "certify": {"ok", "mode"},
     # hierarchical tracing spans (repro.obs.spans)
     "span": {"name", "trace_id", "span_id", "seconds"},
-    # per-process metrics-registry flush (repro.obs.metrics)
-    "metrics": {"counters", "gauges", "histograms"},
 }
 
 BASE_FIELDS = {"v", "ts", "mono", "pid", "event"}

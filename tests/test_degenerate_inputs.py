@@ -17,6 +17,7 @@ from repro.netlist import Netlist, make_design
 from repro.netlist.designs import DesignBundle
 from repro.placement import Die
 from repro.solver import (
+    FAMILY_LEAKAGE_BUDGET,
     FAMILY_TIMING,
     STATUS_INFEASIBLE,
     solve_qcp,
@@ -139,6 +140,24 @@ class TestDMoptDegenerates:
             report.tau_min - tau, abs=1e-9
         )
         assert "tau" in report.summary()
+
+    def test_unattainable_leakage_budget(self):
+        """A QCP budget of 10 % of baseline leakage: no dose map reaches
+        it, so the verdict is infeasible, the baseline comes back, and
+        the diagnosis names the leakage budget -- not the linear
+        families, which the linear probes find feasible."""
+        ctx = DesignContext(make_design("AES-65", scale=0.1))
+        res = optimize_dose_map(ctx, 10.0, mode="qcp",
+                                leakage_budget=-0.9 * ctx.baseline_leakage)
+        assert res.status == STATUS_INFEASIBLE
+        assert "unattainable" in res.solve.info["note"]
+        assert res.mct == ctx.baseline.mct
+        assert res.leakage == ctx.baseline_leakage
+        assert np.allclose(res.dose_map_poly.values, 0.0)
+        report = res.infeasibility
+        assert report is not None
+        assert report.blocking == [FAMILY_LEAKAGE_BUDGET]
+        assert report.tau_requested is None
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,12 @@ import pytest
 
 from repro import telemetry
 from repro.obs.__main__ import main as obs_main
-from repro.obs.report import build_trees, load_manifest, summarize
+from repro.obs.report import (
+    build_trees,
+    event_totals,
+    load_manifest,
+    summarize,
+)
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -34,7 +39,6 @@ class TestReport:
         import os
 
         from repro.cli import main as cli_main
-        from repro.obs import metrics
 
         path = tmp_path_factory.mktemp("obs") / "traced.jsonl"
         # cli.main's --trace configures telemetry via the environment
@@ -53,14 +57,12 @@ class TestReport:
             ])
             wall = time.perf_counter() - t0
             assert rc == 0
-            metrics.flush("test_end")
         finally:
             for key, value in saved.items():
                 if value is None:
                     os.environ.pop(key, None)
                 else:
                     os.environ[key] = value
-            metrics.reset()
             telemetry.reset()
         return path, wall
 
@@ -82,7 +84,8 @@ class TestReport:
         assert "dmopt.solve" in out
         assert "== solver iterations ==" in out
         assert "ipm" in out and "iterations" in out
-        assert "solver.ipm.solves" in out  # merged metrics section
+        assert "== run totals (from events and spans) ==" in out
+        assert "formulation_cache_hit_rate" in out
 
     def test_json_summary_is_machine_readable(self, traced_run, capsys):
         path, _ = traced_run
@@ -91,7 +94,11 @@ class TestReport:
         assert summary["events"]["span"] >= 3
         assert "ipm" in summary["solvers"]
         assert summary["solvers"]["ipm"]["solves"] >= 1
-        assert summary["metrics"]["counters"]["solver.ipm.solves"] >= 1
+        # one optimize call: the context assembles its formulation once
+        assert summary["totals"]["counts"]["formulation.built"] == 1
+        assert summary["totals"]["rates"] == {
+            "formulation_cache_hit_rate": 0.0
+        }
 
     def test_orphan_spans_become_trace_roots(self, tmp_path):
         # a parent that never emitted (killed worker / truncated file)
@@ -117,6 +124,108 @@ class TestReport:
         path.write_text(json.dumps(good) + '\n{"v": 2, "ts": 123.4, "mo\n')
         records, bad = load_manifest(path)
         assert len(records) == 1 and bad == 1
+
+
+def _record(event, **fields):
+    return {"v": telemetry.SCHEMA_VERSION, "ts": 1.0, "mono": 1.0,
+            "pid": 1, "event": event, **fields}
+
+
+class TestEventTotals:
+    def test_counts_and_rates_from_a_fabricated_manifest(self):
+        dmopt = dict(name="dmopt", trace_id="t", span_id="s", seconds=1.0)
+        records = [
+            _record("fallback", step="ipm", backend="ipm", status="solved"),
+            _record("fallback", step="ipm-cold", backend="ipm",
+                    status="solved"),
+            _record("fallback", step="admm", backend="admm",
+                    status="solved"),
+            _record("fallback", step="admm", backend="admm",
+                    status="max_iter"),
+            _record("checkpoint_hit", key="k1"),
+            _record("checkpoint_hit", key="k2"),
+            _record("watchdog_kill", index=0, seconds=9.0),
+            _record("worker_retry", index=1, error="boom"),
+            _record("pool_restart", reason="broken_pool"),
+            _record("span", **dmopt, formulation="built"),
+            _record("span", **dmopt, formulation="cached"),
+            _record("span", **dmopt, formulation="cached"),
+            _record("span", **dmopt, formulation="cached"),
+            _record("span", **dmopt),  # telemetry on mid-call: no attribute
+            _record("dosepl", rounds_run=2, swaps_accepted=1,
+                    swaps_attempted=9, sta_full_passes=1,
+                    sta_cone_passes=9),
+            _record("dosepl", rounds_run=2, swaps_accepted=0,
+                    swaps_attempted=5, sta_full_passes=1,
+                    sta_cone_passes=9),
+        ]
+        totals = event_totals(records)
+        assert totals["counts"] == {
+            "fallback.attempts": 3,
+            "fallback.ipm-cold": 1,
+            "fallback.admm": 2,
+            "checkpoint_hit": 2,
+            "watchdog_kill": 1,
+            "worker_retry": 1,
+            "pool_restart": 1,
+            "formulation.built": 1,
+            "formulation.cached": 3,
+            "sta.full_passes": 2,
+            "sta.cone_passes": 18,
+        }
+        assert totals["rates"] == {
+            "formulation_cache_hit_rate": 0.75,
+            "sta_incremental_fraction": 0.9,
+        }
+
+    def test_nothing_to_count_leaves_the_totals_empty(self):
+        totals = event_totals([_record("solve", backend="ipm")])
+        assert totals == {"counts": {}, "rates": {}}
+
+    def test_report_prints_the_totals(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in [
+            _record("checkpoint_hit", key="k"),
+            _record("dosepl", rounds_run=1, swaps_accepted=0,
+                    swaps_attempted=1, sta_full_passes=1,
+                    sta_cone_passes=3),
+        ]) + "\n")
+        assert obs_main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "== run totals (from events and spans) ==" in out
+        assert "checkpoint_hit" in out
+        assert "sta_incremental_fraction" in out and "75.0%" in out
+
+    def test_parallel_run_reports_the_serial_solver_work(self, tmp_path,
+                                                         monkeypatch):
+        """What reaches the manifest from pool workers equals a serial
+        run's: per-backend solve and iteration counts.  (Formulation
+        builds are left out: which worker serves which cell moves
+        them.)"""
+        from repro import obs
+        from repro.experiments.harness import DMoptCell, run_dmopt_cells
+
+        cells = [
+            DMoptCell("AES-65", 30.0, mode="qp", scale=0.3),
+            DMoptCell("AES-65", 30.0, mode="qcp", scale=0.3),
+        ]
+        monkeypatch.setenv(telemetry.ENV_FLAG, "1")
+        monkeypatch.delenv(obs.ENV_CTX, raising=False)
+        stats = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            monkeypatch.setenv(telemetry.ENV_PATH, str(path))
+            telemetry.reset()
+            try:
+                run_dmopt_cells(cells, jobs=jobs)
+            finally:
+                telemetry.reset()
+            stats[jobs] = {
+                backend: (entry["solves"], entry["iterations"])
+                for backend, entry in summarize(path)["solvers"].items()
+            }
+        assert stats[1]["ipm"][0] >= 2 and "qcp" in stats[1]
+        assert stats[2] == stats[1]
 
 
 class TestCompare:
