@@ -123,8 +123,8 @@ def optimize_dose_map_corners(
         form_leak.q_leak,
         s=budget,
     )
-    if solve.failed:
-        # never sign off on a failed iterate: hand back the untouched
+    if not solve.ok:
+        # sign off only a converged solve: hand back the untouched
         # baseline (zero delta doses), as optimize_dose_map does
         poly, _active, _t = form.split(np.zeros(form.n_vars))
         slow_mct = ctx_slow.baseline.mct

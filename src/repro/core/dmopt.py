@@ -172,7 +172,6 @@ def optimize_dose_map(
     leakage_budget: float = 0.0,
     leakage_guard: float = 0.01,
     warm_start: SolveResult = None,
-    time_limit: float = None,
 ) -> DMoptResult:
     """Run DMopt on a design context.
 
@@ -213,11 +212,6 @@ def optimize_dose_map(
         Optional :class:`~repro.solver.SolveResult` of a structurally
         identical solve (an adjacent sweep point): its primal/dual state,
         and for QCP its multiplier, seeds the solver.
-    time_limit:
-        Optional wall-clock budget in seconds for *all* solver work in
-        this call (fallback chain, QCP barrier, guard retry).  On
-        expiry the best iterate so far is signed off (or the failure
-        path taken); the call never spins indefinitely.
 
     Every program is solved by the one solver chain
     (:func:`repro.solver.solve_qp_robust`, inside
@@ -225,13 +219,14 @@ def optimize_dose_map(
     snapped to characterized variants upward for QP (snapping can only
     speed gates up, so the clock bound survives signoff) and to the
     nearest variant for QCP (minimum leakage-model error around the
-    budget).
+    budget).  Only a converged solve is signed off: any other status
+    (``max_iter`` included) hands back the baseline maps with a
+    diagnosis.
 
-    ``grid_size``, ``timing_bound`` and ``time_limit`` (the last two
-    when given) must be finite and > 0, ``dose_range`` and
-    ``smoothness`` finite and >= 0, and ``leakage_budget`` finite (a
-    negative budget asks for a cut); anything else raises
-    :class:`ValueError` naming the argument.
+    ``grid_size`` and ``timing_bound`` (when given) must be finite and
+    > 0, ``dose_range`` and ``smoothness`` finite and >= 0, and
+    ``leakage_budget`` finite (a negative budget asks for a cut);
+    anything else raises :class:`ValueError` naming the argument.
     """
     if mode not in (MODE_QP, MODE_QCP):
         raise ValueError(f"mode must be 'qp' or 'qcp', got {mode!r}")
@@ -243,8 +238,6 @@ def optimize_dose_map(
     }
     if timing_bound is not None:
         limits["timing_bound"] = (timing_bound, "> 0")
-    if time_limit is not None:
-        limits["time_limit"] = (time_limit, "> 0")
     _check_arguments(limits)
     snap_to = SNAP_CEIL if mode == MODE_QP else SNAP_NEAREST
     t_start = time.perf_counter()
@@ -259,15 +252,6 @@ def optimize_dose_map(
     # retargeted sweep siblings keep reusing them; QP and QCP rows have
     # different finiteness masks, hence separate slots
     solver_ws = form.shared.setdefault(("ipm_ws", mode), {})
-    solve_deadline = (
-        t_start + float(time_limit) if time_limit is not None else None
-    )
-
-    def _budget_left():
-        """Remaining solver budget in seconds (None = unlimited)."""
-        if solve_deadline is None:
-            return None
-        return max(solve_deadline - time.perf_counter(), 1e-3)
 
     def _solve_and_sign_off(tau, warm):
         seed = warm.warm_state() if warm is not None else None
@@ -283,7 +267,6 @@ def optimize_dose_map(
                     u,
                     warm=seed,
                     workspace=solver_ws,
-                    time_limit=_budget_left(),
                 )
             else:
                 c = np.zeros(form.n_vars)
@@ -301,10 +284,9 @@ def optimize_dose_map(
                     s=budget,
                     warm=seed,
                     workspace=solver_ws,
-                    time_limit=_budget_left(),
                 )
-        if solve.failed:
-            # never sign off on a failed iterate: no snap, no golden eval
+        if not solve.ok:
+            # sign off only a converged solve: no snap, no golden eval
             return solve, None, None, float("nan"), None, float("nan")
         with obs.span("dmopt.signoff"):
             poly, active, t_pred = form.split(solve.x)
@@ -339,7 +321,7 @@ def optimize_dose_map(
         if retry[0].ok and retry[5] < leak:
             solve, poly, active, t_pred, golden, leak = retry
 
-    if solve.failed:
+    if not solve.ok:
         # degrade gracefully: attribute the failure to a constraint
         # family, hand back the untouched baseline (zero delta doses)
         with obs.span("dmopt.diagnose"):

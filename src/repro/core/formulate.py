@@ -307,14 +307,15 @@ def _design_arrays(ctx) -> _DesignArrays:
         has_pi[gid] = pi
 
     # endpoint rows: PO drivers (rhs 0) and FF D-pin fanin (rhs
-    # -wire - setup), in per-gate order
+    # -wire - setup), in per-gate then first-seen fanout order (a set
+    # would order a gate's flip-flops by the process's string hash)
     ep_gid, ep_u = [], []
     for gid, name in enumerate(names):
         gate = nl.gates[name]
         if nl.nets[gate.output].is_primary_output:
             ep_gid.append(gid)
             ep_u.append(0.0)
-        for succ in set(nl.fanout_gates(name)):
+        for succ in dict.fromkeys(nl.fanout_gates(name)):
             if not is_seq[index[succ]]:
                 continue
             wire = wire_delay.get((name, succ), 0.0)

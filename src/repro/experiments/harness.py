@@ -7,7 +7,7 @@ paper's published numbers in :data:`repro.experiments.paper_data`.
 
 Tables IV-VI run every DMopt cell -- an independent (design, grid,
 mode, dose-range) evaluation -- through :func:`run_dmopt_cells`, at any
-worker count.  With one worker and no deadline it is an in-process
+worker count.  With one worker and no cell timeout it is an in-process
 loop; otherwise cells run in worker processes.  Determinism
 guarantee: a worker builds its design context from the same seeds as
 the parent and results are gathered in input order, so a parallel run
@@ -175,8 +175,7 @@ def get_context(design: str, fit_width: bool = False, scale: float = 1.0):
 STATUS_TIMEOUT = "timeout"
 
 
-def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
-                   time_limit: float = None) -> dict:
+def run_dmopt_cell(cell: DMoptCell, certify: bool = False) -> dict:
     """Evaluate one cell; returns a small picklable result dict.
 
     Runs under :func:`run_dmopt_cells`, in the parent or in a worker
@@ -186,10 +185,10 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
 
     With ``certify`` the result is independently re-verified
     (:func:`repro.core.certify.certify_result`); the verdict and
-    summary ride along in the dict for the parent to enforce.
-    ``time_limit`` caps the solver work inside the cell (the harness's
-    watchdog is the backstop for everything the solver budget cannot
-    interrupt, e.g. a hung factorization).
+    summary ride along in the dict for the parent to enforce.  The
+    cell has no wall-clock limit of its own: the solver loops are
+    bounded by their iteration caps, and the watchdog of
+    :func:`run_dmopt_cells` is the one deadline.
     """
     from repro.core import optimize_dose_map
 
@@ -205,7 +204,6 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
             both_layers=cell.both_layers,
             dose_range=cell.dose_range,
             smoothness=cell.smoothness,
-            time_limit=time_limit,
         )
         if sp is not None:
             sp["status"] = res.solve.status
@@ -237,20 +235,20 @@ def run_dmopt_cell(cell: DMoptCell, certify: bool = False,
 
 
 def _run_cell_task(task) -> dict:
-    """Worker entry for one ``(index, cell, certify, time_limit)`` task.
+    """Worker entry for one ``(index, cell, certify)`` task.
 
     The index is only for chaos targeting and telemetry; the result
     dict is identical to :func:`run_dmopt_cell`'s.
     """
-    index, cell, certify, time_limit = task
+    index, cell, certify = task
     chaos.inject_worker_crash(index)
     chaos.inject_slow_solve(index)
-    return run_dmopt_cell(cell, certify=certify, time_limit=time_limit)
+    return run_dmopt_cell(cell, certify=certify)
 
 
 def _timeout_result(task, elapsed: float) -> dict:
     """Diagnostic row for a cell killed by the watchdog."""
-    _, cell, _, _ = task
+    _, cell, _ = task
     nan = float("nan")
     return {
         "design": cell.design,
@@ -355,7 +353,7 @@ def run_dmopt_cells(
 
         stats = MapStats()
         if todo:
-            tasks = [(idx, cells[idx], certify, timeout) for idx in todo]
+            tasks = [(idx, cells[idx], certify) for idx in todo]
 
             def on_result(pos, res):
                 idx = todo[pos]

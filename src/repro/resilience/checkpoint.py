@@ -239,7 +239,7 @@ def checkpointed_dmopt(store, key: str, solve, kind: str):
     A hit is decoded by :func:`dmopt_result_from_payload` (its
     ``solve.info["resumed"]`` is set).  On a miss ``solve()`` runs and
     its result is appended under ``key`` only if it converged: a
-    failure may be environmental (time budget, chaos) and must re-run
+    failure may be environmental (an injected chaos fault) and must re-run
     on resume.  With ``store=None`` this is just ``solve()``.
     """
     if store is None:

@@ -68,9 +68,10 @@ class InfeasibilityReport:
     seconds: float = 0.0
 
     def summary(self) -> str:
+        """The diagnosis; the verdict is the solve's status."""
         if not self.blocking:
-            return "infeasible: no single constraint family explains it"
-        parts = [f"infeasible: blocking families {self.blocking}"]
+            return "no single constraint family explains it"
+        parts = [f"blocking families {self.blocking}"]
         if self.tau_min is not None and self.tau_requested is not None:
             parts.append(
                 f"tau={self.tau_requested:.4f} requested but "

@@ -314,7 +314,6 @@ def solve_qp_ipm(
     warm: dict = None,
     workspace: dict = None,
     reg: float = 1e-9,
-    time_limit: float = None,
     quad: tuple = None,
 ) -> SolveResult:
     """Interior-point solve of ``min (1/2)x'Px + q'x s.t. l <= Ax <= u``,
@@ -344,11 +343,6 @@ def solve_qp_ipm(
         default keeps it positive definite when ``P`` has a null space;
         the fallback chain retries ill-conditioned solves with a much
         larger value (see :func:`repro.solver.robust.solve_qp_robust`).
-    time_limit:
-        Optional wall-clock budget in seconds.  When exceeded the loop
-        stops on the current iterate with status ``max_iter`` (noted as
-        a time-out in ``info``), so the fallback chain can move on
-        instead of spinning.
     quad:
         Optional quadratic row ``(Q, g, b)``: ``Q`` PSD (n, n), ``g``
         (n,), ``b`` finite.  Its slack ``t`` and multiplier ``lam`` are
@@ -471,16 +465,8 @@ def solve_qp_ipm(
 
     status = STATUS_MAX_ITER
     iters_done = MAX_ITER
-    timed_out = False
     s_prev = z_prev = None
     for it in range(1, MAX_ITER + 1):
-        if (
-            time_limit is not None
-            and time.perf_counter() - t_start > time_limit
-        ):
-            timed_out = True
-            iters_done = it - 1
-            break
         r_dual, r_prim, scale_dual, a = residuals()
         mu = float(s @ z) / s.size
         rp_norm = float(np.linalg.norm(r_prim, np.inf))
@@ -608,9 +594,6 @@ def solve_qp_ipm(
             else "singular normal system: best iterate returned"
         )
         info["failed_at_iter"] = iters_done
-    elif timed_out and status == STATUS_MAX_ITER:
-        info["note"] = f"time limit ({time_limit:.3g}s) reached"
-        info["timed_out"] = True
     info["trace"] = list(trace)
     result = SolveResult(
         status=status,

@@ -47,7 +47,6 @@ from repro import telemetry
 from repro.solver.robust import solve_qp_robust
 from repro.solver.result import (
     STATUS_INFEASIBLE,
-    STATUS_MAX_ITER,
     SolveResult,
 )
 
@@ -85,7 +84,6 @@ def solve_qcp(
     s,
     warm: dict = None,
     workspace: dict = None,
-    time_limit: float = None,
 ) -> SolveResult:
     """Solve ``min c'x  s.t.  l <= Ax <= u,  (1/2)x'Qx + g'x <= s``.
 
@@ -105,10 +103,6 @@ def solve_qcp(
     workspace:
         Mutable dict carrying the barrier's pattern workspace across
         calls (see :func:`repro.solver.ipm.solve_qp_ipm`).
-    time_limit:
-        Wall-clock budget in seconds for the whole solve: an exhausted
-        budget stops it on the best iterate so far (status
-        ``max_iter``, with a note).
 
     Returns
     -------
@@ -142,17 +136,6 @@ def solve_qcp(
         raise ValueError(f"s must be finite, got {s!r}")
     s = float(s)
     scale = max(1.0, abs(s))
-    deadline = (
-        t_start + float(time_limit) if time_limit is not None else None
-    )
-
-    def remaining():
-        if deadline is None:
-            return None
-        return max(deadline - time.perf_counter(), 1e-3)
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.perf_counter() >= deadline
 
     def package(res, lam, status=None, note=None):
         info = dict(res.info)
@@ -187,14 +170,12 @@ def solve_qcp(
         constraints and ``c'x`` within TIE_TOL of ``res``'s objective;
         ``res`` itself unless that QP lowers the quadratic value."""
         nonlocal steps, iters
-        if out_of_time():
-            return res
         obj = float(c @ res.x)
         tie = solve_qp_robust(
             Q, g, sp.vstack([A, sp.csr_matrix(c)], format="csc"),
             np.append(l, -np.inf),
             np.append(u, obj + TIE_TOL * (1.0 + abs(obj))),
-            warm={"x": res.x}, workspace={}, time_limit=remaining(),
+            warm={"x": res.x}, workspace={},
         )
         steps += 1
         iters += tie.iterations
@@ -204,16 +185,13 @@ def solve_qcp(
 
     barrier = solve_qp_robust(
         sp.csc_matrix((n, n)), c, A, l, u, warm=warm or None,
-        workspace=workspace, time_limit=remaining(), quad=(Q, g, s),
+        workspace=workspace, quad=(Q, g, s),
     )
     steps, iters = 1, barrier.iterations
     attempts = list(barrier.info["attempts"])
     if barrier.ok:
         lam = barrier.info["lam"]
         return package(least_quad(barrier) if lam == 0.0 else barrier, lam)
-    if out_of_time():
-        return package(barrier, barrier.info.get("lam", 0.0),
-                       note="time limit reached in the barrier")
 
     # The cold last resort: bisection on h(lam) over the chain, from
     # lam = 0, bracketing the root in tenfold steps from 1e-4 and then
@@ -223,7 +201,7 @@ def solve_qcp(
     def h_at(lam):
         nonlocal steps, iters
         res = solve_qp_robust(lam * Q, c + lam * g, A, l, u,
-                              workspace=bisect_ws, time_limit=remaining())
+                              workspace=bisect_ws)
         h = _quad_value(Q, g, res.x) - s
         steps += 1
         iters += res.iterations
@@ -243,9 +221,6 @@ def solve_qcp(
 
     lo, hi = 0.0, 1e-4
     while True:
-        if out_of_time():
-            return package(res, hi, status=STATUS_MAX_ITER,
-                           note="time limit reached in the bisection")
         res, h_hi = h_at(hi)
         if res.failed:
             return package(res, hi, note="inner solve failed in the "
@@ -263,9 +238,6 @@ def solve_qcp(
         and hi - lo > LAM_TOL * hi
         and abs(h_hi) > 0.1 * h_tol
     ):
-        if out_of_time():
-            return package(best, hi, note="time limit reached in the "
-                           "bisection; best bracketed iterate returned")
         mid = float(np.sqrt(lo * hi)) if lo > 0 else 0.5 * hi
         res, h = h_at(mid)
         if res.failed:

@@ -123,7 +123,6 @@ def solve_qp(
     u,
     eps_abs: float = 1e-5,
     eps_rel: float = 1e-5,
-    time_limit: float = None,
 ) -> SolveResult:
     """Solve the QP (see module docstring), always from a cold start.
 
@@ -144,10 +143,6 @@ def solve_qp(
         for one-sided constraints and ``l == u`` for equalities.
     eps_abs, eps_rel:
         Absolute and relative residual tolerances of the stopping rule.
-    time_limit:
-        Optional wall-clock budget in seconds, checked at every residual
-        checkpoint; on expiry the best iterate comes back with status
-        ``max_iter`` (noted as a time-out in ``info``).
 
     Returns
     -------
@@ -190,7 +185,6 @@ def solve_qp(
     r_prim_u = r_dual_u = np.inf
     iters_done = _MAX_ITER
     diverged = False
-    timed_out = False
     finite_snapshot = None
     # per-checkpoint convergence trace (ring buffer; entries are
     # (iter, r_prim, r_dual, rho)), attached to info["trace"]
@@ -241,13 +235,6 @@ def solve_qp(
             if r_prim_u <= eps_p and r_dual_u <= eps_d:
                 iters_done = k
                 break
-            if (
-                time_limit is not None
-                and time.perf_counter() - t_start > time_limit
-            ):
-                timed_out = True
-                iters_done = k
-                break
             if k % _ADAPT_EVERY == 0 and k < _MAX_ITER:
                 # adaptive rho (OSQP heuristic)
                 num = r_prim_u / max(eps_p, 1e-12)
@@ -264,8 +251,6 @@ def solve_qp(
     obj = float(0.5 * x_u @ (P @ x_u) + q @ x_u)
     if diverged:
         status = STATUS_DIVERGED
-    elif timed_out:
-        status = STATUS_MAX_ITER
     else:
         status = STATUS_SOLVED if iters_done < _MAX_ITER or (
             r_prim_u <= eps_abs + eps_rel and r_dual_u <= eps_abs + eps_rel
@@ -291,9 +276,6 @@ def solve_qp(
             else "non-finite iterate before the first checkpoint"
         )
         info["failed_at_iter"] = iters_done
-    elif timed_out and status == STATUS_MAX_ITER:
-        info["note"] = f"time limit ({time_limit:.3g}s) reached"
-        info["timed_out"] = True
     result = SolveResult(
         status=status,
         x=x_u,

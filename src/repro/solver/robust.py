@@ -32,8 +32,6 @@ in the run manifest.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro import telemetry
@@ -63,7 +61,6 @@ def solve_qp_robust(
     u,
     warm: dict = None,
     workspace: dict = None,
-    time_limit: float = None,
     quad: tuple = None,
 ) -> SolveResult:
     """QP solve through the fallback/retry chain (see module docstring).
@@ -78,11 +75,6 @@ def solve_qp_robust(
     workspace:
         IPM pattern workspace dict, shared by the first two steps and
         across calls.
-    time_limit:
-        Wall-clock budget in seconds shared by the *whole* chain: each
-        step gets the remaining time, a timed-out step yields to the
-        next, and when the budget is exhausted the best attempt so far
-        is returned (status ``max_iter``) instead of starting another.
     quad:
         Optional quadratic row ``(Q, g, b)`` handed to every IPM step
         (see :func:`repro.solver.ipm.solve_qp_ipm`); the chain then has
@@ -98,17 +90,6 @@ def solve_qp_robust(
     """
     attempts = []
     results = []
-    deadline = (
-        time.perf_counter() + float(time_limit)
-        if time_limit is not None
-        else None
-    )
-
-    def remaining():
-        """Seconds left in the chain's budget (None = unlimited)."""
-        if deadline is None:
-            return None
-        return deadline - time.perf_counter()
 
     def run(step: str, **call_kwargs):
         backend = "admm" if step == "admm" else "ipm"
@@ -126,9 +107,6 @@ def solve_qp_robust(
                 info={"note": "chaos: injected solver NaN"},
             )
         else:
-            rem = remaining()
-            if rem is not None:
-                call_kwargs["time_limit"] = max(rem, 1e-3)
             if quad is not None:
                 call_kwargs["quad"] = quad
             # looked up by module-level name on every call, so tracing
@@ -163,10 +141,6 @@ def solve_qp_robust(
         best.info["note"] = note
         return finish(best)
 
-    def out_of_time() -> bool:
-        rem = remaining()
-        return rem is not None and rem <= 0
-
     res = run("ipm", warm=warm, workspace=workspace)
     if res.ok:
         return finish(res)
@@ -174,20 +148,13 @@ def solve_qp_robust(
     if res.status == STATUS_INFEASIBLE:
         if not res.warm_started:
             return finish(res)
-        if out_of_time():
-            return best_effort("solver time budget exhausted")
         res = run("ipm-cold", workspace=workspace)
         if res.ok or res.status == STATUS_INFEASIBLE:
             return finish(res)
 
-    if out_of_time():
-        return best_effort("solver time budget exhausted")
-
     res = run("ipm-regularized", reg=RETRY_REG)
     if res.ok or res.status == STATUS_INFEASIBLE:
         return finish(res)
-    if out_of_time():
-        return best_effort("solver time budget exhausted")
     if quad is not None:
         return best_effort("barrier steps exhausted without convergence")
 

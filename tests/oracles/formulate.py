@@ -171,7 +171,7 @@ def _assemble_reference(
         r_i = off_arr + gate_idx[name]
         if nl.nets[gate.output].is_primary_output:
             add_row([(r_i, 1.0), (idx_T, -1.0)], -inf, 0.0)
-        for succ in set(nl.fanout_gates(name)):
+        for succ in dict.fromkeys(nl.fanout_gates(name)):
             if not is_seq[succ]:
                 continue
             wire = baseline.wire_delay.get((name, succ), 0.0)

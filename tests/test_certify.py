@@ -187,6 +187,7 @@ class TestTelemetry:
             res = optimize_dose_map(ctx, 30.0, mode="qcp")
             certify_result(ctx, res)
         finally:
+            monkeypatch.undo()
             telemetry.reset()
         events = [
             json.loads(line) for line in manifest.read_text().splitlines()

@@ -10,7 +10,7 @@ from repro.core import (
     optimize_dose_map_corners,
 )
 from repro.netlist import make_design
-from repro.solver import FAILURE_STATUSES, SolveResult
+from repro.solver import FAILURE_STATUSES, STATUS_MAX_ITER, SolveResult
 from repro.tech import corner_node
 
 
@@ -66,11 +66,12 @@ class TestCornerAwareDMopt:
         assert golden.mct < ctx.baseline.mct
         assert leak < ctx.baseline_leakage * 1.03
 
-    @pytest.mark.parametrize("status", FAILURE_STATUSES)
+    @pytest.mark.parametrize("status", FAILURE_STATUSES + (STATUS_MAX_ITER,))
     def test_failed_solve_returns_baseline(self, ctx, monkeypatch, status):
-        """A failed solve is never signed off: its nonzero iterate is
-        neither snapped nor golden-evaluated, and the untouched baseline
-        comes back, as from ``optimize_dose_map``."""
+        """An unconverged solve (``max_iter`` included) is never signed
+        off: its nonzero iterate is neither snapped nor golden-evaluated,
+        and the untouched baseline comes back, as from
+        ``optimize_dose_map``."""
 
         def failed(c, *args, **kwargs):
             return SolveResult(status=status, x=np.full(c.size, 3.0),
@@ -79,7 +80,7 @@ class TestCornerAwareDMopt:
 
         monkeypatch.setattr(corners, "solve_qcp", failed)
         res = optimize_dose_map_corners(ctx, grid_size=10.0)
-        assert res.solve.failed
+        assert res.solve.status == status
         assert not res.dose_map_poly.values.any()
         assert res.slow_mct == res.slow_mct_baseline
         assert res.leak_corner_leakage == res.leak_corner_baseline

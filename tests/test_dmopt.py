@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+import repro.core.dmopt as dmopt
 from repro.core import DesignContext, optimize_dose_map
 from repro.core.snap import SNAP_CEIL, SNAP_FLOOR, SNAP_NEAREST, snap_dose_map
 from repro.dosemap import DoseMap, GridPartition
 from repro.library import CellLibrary
 from repro.netlist import make_design
-from repro.solver import solve_qp
+from repro.solver import (
+    FAILURE_STATUSES,
+    STATUS_MAX_ITER,
+    SolveResult,
+    solve_qp,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +141,25 @@ class TestModesAndOptions:
             timing_bound=ctx.baseline.mct * 0.5,
         )
         assert not res.solve.ok
+
+    @pytest.mark.parametrize("status", FAILURE_STATUSES + (STATUS_MAX_ITER,))
+    def test_unconverged_solve_returns_baseline(self, ctx, monkeypatch,
+                                                status):
+        """Only a converged solve is signed off: an unconverged iterate
+        (``max_iter`` included) is neither snapped nor golden-evaluated,
+        and the untouched baseline comes back."""
+
+        def unconverged(c, *args, **kwargs):
+            return SolveResult(status=status, x=np.full(c.size, 3.0),
+                               obj=3.0, iterations=60, r_prim=1.0,
+                               r_dual=1.0, solve_time=0.0)
+
+        monkeypatch.setattr(dmopt, "solve_qcp", unconverged)
+        res = optimize_dose_map(ctx, grid_size=10.0, mode="qcp")
+        assert res.status == status
+        assert not res.dose_map_poly.values.any()
+        assert res.mct == ctx.baseline.mct
+        assert res.leakage == ctx.baseline_leakage
 
     def test_both_layers_qcp(self, ctx_w):
         poly = optimize_dose_map(ctx_w, 10.0, mode="qcp", both_layers=False)

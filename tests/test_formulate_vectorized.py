@@ -8,6 +8,11 @@ same row bookkeeping -- for any design, layer setting, and seam
 setting.  Plus the formulation cache/retarget contract.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -124,3 +129,49 @@ class TestFormulationCacheRetarget:
         f2 = aes_ctx.formulation_for(10.0, seam_smoothness=True)
         assert f1.A.shape[0] < f2.A.shape[0]
         assert aes_ctx.formulation_for(10.0).A is f1.A
+
+
+#: Assembles one random DAG with both builders and prints a digest of
+#: each program's bytes (``A``, ``l``, ``u``).
+_ASSEMBLE = """
+import hashlib
+from repro.core.formulate import build_formulation
+from repro.library import CellLibrary
+from tests.oracles.formulate import build_reference_formulation
+from tests.oracles.netlists import random_dag_context
+
+ctx = random_dag_context(7, 40, CellLibrary("65nm"))
+for build in (build_formulation, build_reference_formulation):
+    f = build(ctx, 10.0)
+    A = f.A.tocsc()
+    digest = hashlib.sha256()
+    for part in (A.indptr, A.indices, A.data, f.l, f.u):
+        digest.update(part.tobytes())
+    print(digest.hexdigest())
+"""
+
+
+class TestEndpointRowOrder:
+    def test_independent_of_hash_seed(self):
+        """A gate of this DAG drives several flip-flops: their endpoint
+        rows follow the net's sink order, not the order of a set of
+        gate names, so processes with different string hashes (a
+        resumed run, spawned workers) assemble the same program."""
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), env.get("PYTHONPATH", "")])
+
+        def digests(hash_seed):
+            out = subprocess.run(
+                [sys.executable, "-c", _ASSEMBLE], cwd=root, check=True,
+                env=dict(env, PYTHONHASHSEED=str(hash_seed)),
+                capture_output=True, text=True,
+            ).stdout.split()
+            assert len(out) == 2
+            return out
+
+        first = digests(0)
+        assert first[0] == first[1]  # the oracle orders rows alike
+        assert digests(1) == first

@@ -29,6 +29,7 @@ def manifest(tmp_path, monkeypatch):
     monkeypatch.setenv(telemetry.ENV_PATH, str(path))
     telemetry.reset()
     yield path
+    monkeypatch.undo()  # restore the environment, then re-read it
     telemetry.reset()
 
 
@@ -209,16 +210,17 @@ class TestEventTotals:
             DMoptCell("AES-65", 30.0, mode="qp", scale=0.3),
             DMoptCell("AES-65", 30.0, mode="qcp", scale=0.3),
         ]
-        monkeypatch.setenv(telemetry.ENV_FLAG, "1")
-        monkeypatch.delenv(obs.ENV_CTX, raising=False)
         stats = {}
         for jobs in (1, 2):
             path = tmp_path / f"jobs{jobs}.jsonl"
+            monkeypatch.setenv(telemetry.ENV_FLAG, "1")
             monkeypatch.setenv(telemetry.ENV_PATH, str(path))
+            monkeypatch.delenv(obs.ENV_CTX, raising=False)
             telemetry.reset()
             try:
                 run_dmopt_cells(cells, jobs=jobs)
             finally:
+                monkeypatch.undo()
                 telemetry.reset()
             stats[jobs] = {
                 backend: (entry["solves"], entry["iterations"])

@@ -16,6 +16,7 @@ def manifest(tmp_path, monkeypatch):
     monkeypatch.delenv(obs.ENV_CTX, raising=False)
     telemetry.reset()
     yield path
+    monkeypatch.undo()  # restore the environment, then re-read it
     telemetry.reset()
 
 
@@ -38,6 +39,7 @@ class TestSpanBasics:
             assert obs.current_trace_id() is None
             assert not (tmp_path / "off.jsonl").exists()
         finally:
+            monkeypatch.undo()
             telemetry.reset()
 
     def test_root_span_emits_ids_and_duration(self, manifest):

@@ -126,6 +126,7 @@ class TestGracefulDegradation:
             out = supervised_map(_square_or_raise, items, 2)
             assert out == [x * x for x in range(4)]
         finally:
+            monkeypatch.undo()
             telemetry.reset()
         events = [
             __import__("json").loads(line)

@@ -59,6 +59,7 @@ def manifest(tmp_path, monkeypatch):
     monkeypatch.setenv(telemetry.ENV_PATH, str(path))
     telemetry.reset()
     yield path
+    monkeypatch.undo()  # restore the environment, then re-read it
     telemetry.reset()
 
 

@@ -1,6 +1,5 @@
 """Unit tests for the QP/QCP solvers, cross-checked against scipy."""
 
-import time
 
 import numpy as np
 import pytest
@@ -392,19 +391,6 @@ class TestQCP:
         assert res.ok and res.status == STATUS_SOLVED
         h = 0.5 * res.x @ (Q @ res.x) + g @ res.x - s
         assert h <= FEAS_TOL * max(abs(h0), 1.0, abs(s)) + 1e-12
-
-    def test_time_limit_returns_promptly(self):
-        """A spent budget stops the barrier on its current iterate."""
-        n = 3000
-        rng = np.random.default_rng(3)
-        c = -np.abs(rng.standard_normal(n))
-        t0 = time.perf_counter()
-        res = solve_qcp(c, sp.eye(n, format="csc"), -np.ones(n), np.ones(n),
-                        sp.eye(n, format="csc"), np.zeros(n), 0.25 * n,
-                        time_limit=1e-3)
-        assert time.perf_counter() - t0 < 1.0
-        assert res.status == STATUS_MAX_ITER
-        assert "time limit" in res.info["note"]
 
 
 class TestResultAPI:

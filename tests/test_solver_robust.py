@@ -112,6 +112,7 @@ class TestFallbackChain:
             res = solve_qp_robust(*_box_qp())
             assert res.ok
         finally:
+            monkeypatch.undo()
             telemetry.reset()
         events = [json.loads(line)
                   for line in manifest.read_text().splitlines()]

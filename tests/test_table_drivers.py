@@ -66,6 +66,7 @@ class TestOnePath:
         try:
             table4(**SMALL, jobs=1)
         finally:
+            monkeypatch.undo()
             telemetry.reset()
         names = [
             e["name"]

@@ -15,6 +15,7 @@ def manifest(tmp_path, monkeypatch):
     monkeypatch.setenv(telemetry.ENV_PATH, str(path))
     telemetry.reset()
     yield path
+    monkeypatch.undo()  # restore the environment, then re-read it
     telemetry.reset()
 
 
@@ -34,6 +35,7 @@ class TestSink:
                 pass
             assert not (tmp_path / "off.jsonl").exists()
         finally:
+            monkeypatch.undo()
             telemetry.reset()
 
     def test_emit_writes_base_fields(self, manifest):
@@ -46,7 +48,10 @@ class TestSink:
         assert isinstance(event["pid"], int)
 
     def test_configure_overrides_env(self, tmp_path, monkeypatch):
+        # configure() writes the environment itself: record both
+        # variables first, so undo() restores the caller's values
         monkeypatch.delenv(telemetry.ENV_FLAG, raising=False)
+        monkeypatch.delenv(telemetry.ENV_PATH, raising=False)
         other = tmp_path / "other.jsonl"
         telemetry.reset()
         try:
@@ -59,8 +64,7 @@ class TestSink:
             assert os.environ[telemetry.ENV_FLAG] == "1"
             assert os.environ[telemetry.ENV_PATH] == str(other)
         finally:
-            monkeypatch.delenv(telemetry.ENV_FLAG, raising=False)
-            monkeypatch.delenv(telemetry.ENV_PATH, raising=False)
+            monkeypatch.undo()
             telemetry.reset()
 
     def test_non_json_payload_stringified(self, manifest):
