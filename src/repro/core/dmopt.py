@@ -30,6 +30,7 @@ from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
 from repro.core.formulate import Formulation
 from repro.core.snap import SNAP_CEIL, SNAP_NEAREST, snap_dose_map
 from repro.solver import (
+    STATUS_INFEASIBLE,
     InfeasibilityReport,
     SolveResult,
     diagnose_infeasibility,
@@ -123,7 +124,7 @@ def _spanned(fn):
 
     The span carries the design / grid / mode attributes and, on the
     way out, the solve status with the golden ``mct`` and ``leakage``
-    (or, for a failed solve, the ``blocking`` constraint families) and
+    (or, for an infeasible solve, the ``blocking`` constraint families) and
     ``formulation="built"`` or ``"cached"`` (whether the context
     assembled the program for this call) -- so a run manifest shows one
     ``dmopt`` node per optimization with ``dmopt.solve`` /
@@ -322,10 +323,15 @@ def optimize_dose_map(
             solve, poly, active, t_pred, golden, leak = retry
 
     if not solve.ok:
-        # degrade gracefully: attribute the failure to a constraint
-        # family, hand back the untouched baseline (zero delta doses)
-        with obs.span("dmopt.diagnose"):
-            report = diagnose_infeasibility(form, tau=tau)
+        # degrade gracefully: hand back the untouched baseline (zero
+        # delta doses).  Only an infeasible verdict is attributed to a
+        # constraint family: on a solve that merely stopped (max_iter,
+        # diverged, ill_conditioned) every relaxation probe succeeds,
+        # so a diagnosis would blame a family that does not block.
+        report = None
+        if solve.status == STATUS_INFEASIBLE:
+            with obs.span("dmopt.diagnose"):
+                report = diagnose_infeasibility(form, tau=tau)
         poly, active, _ = form.split(np.zeros(form.n_vars))
         return DMoptResult(
             mode=mode,

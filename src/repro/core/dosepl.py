@@ -323,7 +323,7 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
     # accept/rollback instead of being rebuilt from scratch.
     work = place.copy()
     timer = ctx.analyzer_for(work)
-    work_mct = timer.mct(ctx.gate_doses(dose_map, placement=work))
+    work_mct = timer.mct(ctx.gate_dose_array(dose_map, placement=work))
 
     for rnd in range(1, cfg.rounds + 1):
         swaps_done, work_mct = _try_round(

@@ -236,37 +236,15 @@ def _design_arrays(ctx) -> _DesignArrays:
     is_seq = np.array(
         [lib.cell(m).is_sequential for m in masters], dtype=bool
     )
-    t0 = np.array([baseline.gate_delay[name] for name in names])
-
-    # delay fits: batch the nearest-table-entry lookup per master, then
-    # memoize the (master, i, j) -> DelayFit resolution so each distinct
-    # operating entry is fitted exactly once (the cache
-    # ctx.delay_fit_for populates)
-    slews = np.array([baseline.input_slew[name] for name in names])
-    loads = np.array([baseline.load[name] for name in names])
-    fit_a = np.empty(n)
-    fit_b = np.empty(n)
-    by_master: dict = {}
-    for i, m in enumerate(masters):
-        by_master.setdefault(m, []).append(i)
-    for m, gids in by_master.items():
-        gids = np.asarray(gids)
-        table = lib.nominal(m).delay
-        si = np.argmin(
-            np.abs(table.slew_axis[None, :] - slews[gids][:, None]), axis=1
-        )
-        lj = np.argmin(
-            np.abs(table.load_axis[None, :] - loads[gids][:, None]), axis=1
-        )
-        memo: dict = {}
-        for k, gid in enumerate(gids):
-            key = (int(si[k]), int(lj[k]))
-            fit = memo.get(key)
-            if fit is None:
-                fit = ctx.delay_fitter.fit_at_entry(m, key[0], key[1])
-                memo[key] = fit
-            fit_a[gid] = fit.a
-            fit_b[gid] = fit.b
+    # the baseline pass's arrays, from graph order to netlist order
+    graph = ctx.timing_graph
+    base = baseline.arrays
+    t0, slews, loads = (np.empty(n) for _ in range(3))
+    t0[graph.nl_pos] = base.gate_delay
+    slews[graph.nl_pos] = base.input_slew
+    loads[graph.nl_pos] = base.load
+    # delay fits at each gate's nearest table entry
+    fit_a, fit_b = ctx.delay_fitter.gate_fits(masters, slews, loads)
 
     # leakage fits: one per master
     alpha = np.empty(n)

@@ -150,23 +150,33 @@ class DesignContext:
         return self.leakage_fitter.fit(self.netlist.gate(gate_name).master)
 
     # ------------------------------------------------------------------
-    def gate_doses(self, dose_map_poly, dose_map_active=None, placement=None,
-                   snap: bool = True) -> dict:
-        """Per-gate (poly %, active %) dose dict from dose maps.
+    def gate_dose_array(self, dose_map_poly, dose_map_active=None,
+                        placement=None, snap: bool = True) -> np.ndarray:
+        """Per-gate (poly %, active %) doses from dose maps, as an (n, 2)
+        array in netlist gate order.
 
         Doses are snapped to the characterized variant grid by default --
         the paper's rounding step before golden signoff.
         """
         place = placement if placement is not None else self.placement
         names = list(self.netlist.gates)
-        layers = []
-        for dose_map in (dose_map_poly, dose_map_active):
+        doses = np.zeros((len(names), 2))
+        for layer, dose_map in enumerate((dose_map_poly, dose_map_active)):
             if dose_map is None:
-                layers.append(np.zeros(len(names)))
                 continue
             dose = dose_map.doses_of_gates(place, names)
-            layers.append(self.library.snap_dose(dose) if snap else dose)
-        return dict(zip(names, zip(layers[0].tolist(), layers[1].tolist())))
+            doses[:, layer] = self.library.snap_dose(dose) if snap else dose
+        return doses
+
+    def gate_doses(self, dose_map_poly, dose_map_active=None, placement=None,
+                   snap: bool = True) -> dict:
+        """:meth:`gate_dose_array` as a gate name -> (poly %, active %) dict."""
+        doses = self.gate_dose_array(dose_map_poly, dose_map_active,
+                                     placement, snap)
+        return dict(zip(
+            self.netlist.gates,
+            zip(doses[:, 0].tolist(), doses[:, 1].tolist()),
+        ))
 
     def golden_eval(self, dose_map_poly, dose_map_active=None, placement=None,
                     snap: bool = True):
@@ -177,7 +187,8 @@ class DesignContext:
         (exponential) device model -- *not* from the optimizer's local
         linear/quadratic approximations.
         """
-        doses = self.gate_doses(dose_map_poly, dose_map_active, placement, snap)
+        doses = self.gate_dose_array(dose_map_poly, dose_map_active,
+                                     placement, snap)
         analyzer = self.analyzer_for(placement)
         result = analyzer.analyze(doses=doses)
         leak = total_leakage(self.netlist, self.library, doses)

@@ -52,9 +52,10 @@ def uniform_dose_sweep(ctx, doses=None) -> list:
     base_mct = ctx.baseline.mct
     base_leak = ctx.baseline_leakage
     points = []
+    gate_doses = np.zeros((len(ctx.netlist.gates), 2))
     for d in doses:
         d = float(d)
-        gate_doses = {g: (d, 0.0) for g in ctx.netlist.gates}
+        gate_doses[:, 0] = d
         res = ctx.analyzer.analyze(doses=gate_doses)
         leak = total_leakage(ctx.netlist, ctx.library, gate_doses)
         points.append(

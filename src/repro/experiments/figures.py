@@ -179,12 +179,12 @@ def fig10_slack_profiles(design: str = "AES-65", grid_size: float = 5.0,
     orig = ctx.analyzer.analyze(clock_period=period)
     qcp = optimize_dose_map(ctx, grid_size, mode="qcp")
     dmopt = ctx.analyzer.analyze(
-        doses=ctx.gate_doses(qcp.dose_map_poly), clock_period=period
+        doses=ctx.gate_dose_array(qcp.dose_map_poly), clock_period=period
     )
     dp = run_dosepl(ctx, qcp.dose_map_poly)
     dp_analyzer = ctx.analyzer_for(dp.placement)
     dosepl = dp_analyzer.analyze(
-        doses=ctx.gate_doses(qcp.dose_map_poly, placement=dp.placement),
+        doses=ctx.gate_dose_array(qcp.dose_map_poly, placement=dp.placement),
         clock_period=period,
     )
     bias_res, bias_leak, bias_doses = bias_critical_paths(ctx, k=top_k)

@@ -10,6 +10,9 @@ delay model tables", Section II-C).
 
 Coefficients are fitted at the characterized table entry **nearest** to
 each instance's analyzed (slew, load) operating point, per Section IV-B.
+A master's table entries are fitted together, from its variants' rows of
+the library's variant table, and :meth:`DelayFitter.gate_fits` serves
+the per-gate A_p/B_p arrays the formulation and the yield engines read.
 """
 
 from __future__ import annotations
@@ -65,49 +68,65 @@ class DelayFitter:
         self._doses = np.linspace(
             -library.dose_range, library.dose_range, n_dose_samples
         )
+        #: master -> (4, S, L) array of t0, a, b and ssr per table entry
+        self._fits: dict = {}
         self._cache: dict = {}
 
     # ------------------------------------------------------------------
+    def master_fits(self, master_name: str) -> np.ndarray:
+        """``(t0, a, b, ssr)`` at every table entry of a master: (4, S, L).
+
+        The samples are the entry's values in the master's dose variants.
+        Poly-only, one least-squares call fits all entries; its result
+        equals the entry-by-entry fits to the last bit.  LAPACK's
+        several-right-hand-side path rounds differently on the 2-D
+        (dL, dW) design, so there each entry is fitted on its own.
+        """
+        fits = self._fits.get(master_name)
+        if fits is not None:
+            return fits
+        lib = self.library
+        doses = self._doses
+        if self.fit_width:
+            dp = np.repeat(doses, len(doses))
+            da = np.tile(doses, len(doses))
+        else:
+            dp, da = doses, np.zeros(len(doses))
+        mid = lib.master_id_of(master_name)
+        vids = lib.variant_ids(np.full(len(dp), mid), dp, da)
+        # a lookup at a table entry reads that entry exactly
+        table = lib.variant_table().delay[vids]
+        vals = table.reshape(len(dp), -1)
+        dls = lib.dose_sensitivity * dp
+        ones = np.ones_like(dls)
+        if self.fit_width:
+            design = np.stack([ones, dls, lib.dose_sensitivity * da], axis=1)
+            cols = []
+            for col in vals.T:
+                coeffs, *_ = np.linalg.lstsq(design, col, rcond=None)
+                resid = col - design @ coeffs
+                cols.append((*coeffs, np.sum(resid**2)))
+            fits = np.array(cols).T
+        else:
+            design = np.stack([ones, dls], axis=1)
+            coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
+            # column by column, as ``design @ coeffs`` of one entry adds
+            resid = vals - (design[:, :1] * coeffs[0] + design[:, 1:] * coeffs[1])
+            fits = np.stack([
+                coeffs[0], coeffs[1], np.zeros(vals.shape[1]),
+                np.sum(resid**2, axis=0),
+            ])
+        fits = self._fits[master_name] = fits.reshape(4, *table.shape[1:])
+        return fits
+
     def fit_at_entry(self, master_name: str, i_slew: int, j_load: int) -> DelayFit:
         """Fit coefficients at one characterized table entry."""
         key = (master_name, i_slew, j_load)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-
-        lib = self.library
-        nominal = lib.nominal(master_name)
-        slew = float(nominal.delay.slew_axis[i_slew])
-        load = float(nominal.delay.load_axis[j_load])
-
-        samples = []
-        for dp in self._doses:
-            dl = lib.dose_to_dl(dp)
-            if self.fit_width:
-                for da in self._doses:
-                    dw = lib.dose_to_dw(da)
-                    cc = lib.characterized(master_name, float(dp), float(da))
-                    samples.append((dl, dw, cc.delay_at(slew, load)))
-            else:
-                cc = lib.characterized(master_name, float(dp), 0.0)
-                samples.append((dl, 0.0, cc.delay_at(slew, load)))
-
-        dls = np.array([s[0] for s in samples])
-        dws = np.array([s[1] for s in samples])
-        vals = np.array([s[2] for s in samples])
-        if self.fit_width:
-            design = np.stack([np.ones_like(dls), dls, dws], axis=1)
-        else:
-            design = np.stack([np.ones_like(dls), dls], axis=1)
-        coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
-        resid = vals - design @ coeffs
-        fit = DelayFit(
-            t0=float(coeffs[0]),
-            a=float(coeffs[1]),
-            b=float(coeffs[2]) if self.fit_width else 0.0,
-            ssr=float(np.sum(resid**2)),
-        )
-        self._cache[key] = fit
+        t0, a, b, ssr = self.master_fits(master_name)[:, i_slew, j_load].tolist()
+        fit = self._cache[key] = DelayFit(t0=t0, a=a, b=b, ssr=ssr)
         return fit
 
     def fit_for(self, master_name: str, slew_ns: float, load_ff: float) -> DelayFit:
@@ -116,8 +135,34 @@ class DelayFitter:
         i, j = table.nearest_index(slew_ns, load_ff)
         return self.fit_at_entry(master_name, i, j)
 
+    def gate_fits(self, masters, slews, loads):
+        """Per-gate ``(a, b)`` arrays: each gate's master fitted at the
+        table entry nearest its (slew, load) operating point.
+
+        ``masters`` names each gate's master; ``slews``/``loads`` are the
+        gates' input slews (ns) and output loads (fF).
+        """
+        slews = np.asarray(slews, dtype=float)
+        loads = np.asarray(loads, dtype=float)
+        mids = self.library.master_ids(masters)
+        a = np.empty(len(mids))
+        b = np.empty(len(mids))
+        for name in dict.fromkeys(masters):
+            gids = np.nonzero(mids == self.library.master_id[name])[0]
+            table = self.library.nominal(name).delay
+            si = np.argmin(
+                np.abs(table.slew_axis[None, :] - slews[gids][:, None]), axis=1
+            )
+            lj = np.argmin(
+                np.abs(table.load_axis[None, :] - loads[gids][:, None]), axis=1
+            )
+            fits = self.master_fits(name)
+            a[gids] = fits[1, si, lj]
+            b[gids] = fits[2, si, lj]
+        return a, b
+
     def max_ssr(self) -> float:
-        """Worst sum-of-squared-residuals across all fits done so far."""
-        if not self._cache:
+        """Worst sum-of-squared-residuals across the masters fitted so far."""
+        if not self._fits:
             return 0.0
-        return max(f.ssr for f in self._cache.values())
+        return max(float(f[3].max()) for f in self._fits.values())

@@ -60,21 +60,18 @@ class LeakageFitter:
             return hit
         lib = self.library
 
-        samples = []
-        for dp in self._doses:
-            dl = lib.dose_to_dl(dp)
-            if self.fit_width:
-                for da in self._doses:
-                    dw = lib.dose_to_dw(da)
-                    cc = lib.characterized(master_name, float(dp), float(da))
-                    samples.append((dl, dw, cc.leakage_uw))
-            else:
-                cc = lib.characterized(master_name, float(dp), 0.0)
-                samples.append((dl, 0.0, cc.leakage_uw))
-
-        dls = np.array([s[0] for s in samples])
-        dws = np.array([s[1] for s in samples])
-        vals = np.array([s[2] for s in samples])
+        doses = self._doses
+        if self.fit_width:
+            dp = np.repeat(doses, len(doses))
+            da = np.tile(doses, len(doses))
+        else:
+            dp, da = doses, np.zeros(len(doses))
+        vids = lib.variant_ids(
+            np.full(len(dp), lib.master_id_of(master_name)), dp, da
+        )
+        vals = lib.variant_table().leakage[vids]
+        dls = lib.dose_sensitivity * dp
+        dws = lib.dose_sensitivity * da
         if self.fit_width:
             design = np.stack([np.ones_like(dls), dls, dls**2, dws], axis=1)
         else:

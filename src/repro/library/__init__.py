@@ -3,11 +3,13 @@
 from repro.library.cell import CellMaster, build_masters
 from repro.library.characterize import (
     CharacterizedCell,
+    VariantRow,
     cell_leakage,
     characterize_cell,
+    characterize_variants,
     input_capacitance,
 )
-from repro.library.library import DOSE_STEP, CellLibrary
+from repro.library.library import DOSE_STEP, CellLibrary, VariantTable
 from repro.library.nldm import NLDMTable, default_load_axis, default_slew_axis
 
 __all__ = [
@@ -15,6 +17,9 @@ __all__ = [
     "build_masters",
     "CharacterizedCell",
     "characterize_cell",
+    "characterize_variants",
+    "VariantRow",
+    "VariantTable",
     "cell_leakage",
     "input_capacitance",
     "CellLibrary",

@@ -71,25 +71,47 @@ class CharacterizedCell:
         return self.out_slew.lookup(slew_ns, load_ff)
 
 
-def _stage_resistances(node: TechNode, master: CellMaster, length: float,
+def _stage_resistances(node: TechNode, master: CellMaster, lengths,
                        widths) -> list:
-    """Effective resistance of stages given as ``(w_n, w_p)`` pairs.
+    """Per-variant effective resistance (V,) of stages given as
+    ``(w_n, w_p)`` pairs, for the gate lengths ``lengths`` (V,).
 
     Averages the pull-up and pull-down networks (rise/fall averaging) and
-    applies the series-stack factors.  One device call serves every
-    stage: Vth(L) and the drive term are evaluated once for the shared
-    length.
+    applies the series-stack factors.  The device terms follow
+    :func:`repro.tech.device.on_resistance`, except that the alpha power
+    is taken per variant on a float: that is libm ``pow``, as the
+    numpy-scalar power of a one-variant call is, while an array power
+    may round differently in the last bit.
     """
-    r = device.on_resistance(node, length, np.array(widths).ravel())
+    overdrive = node.vdd - node.vth(lengths)
+    if (overdrive <= 0).any():
+        raise ValueError("device does not turn on: Vdd <= Vth(L)")
+    drive = np.array([od ** node.alpha for od in overdrive.tolist()])
+    w_um = np.asarray(widths, dtype=float) / 1000.0  # (stages, 2)
+    r = (
+        node.k_drive * (lengths / node.l_nominal)[:, None, None]
+        / (w_um[None] * drive[:, None, None])
+    )
     return [
-        0.5 * (float(r_n) * master.stack_n + float(r_p) * master.stack_p)
-        for r_n, r_p in r.reshape(-1, 2)
+        0.5 * (r[:, k, 0] * master.stack_n + r[:, k, 1] * master.stack_p)
+        for k in range(len(widths))
     ]
 
 
 def input_capacitance(node: TechNode, master: CellMaster, dw_nm: float = 0.0) -> float:
     """Input pin capacitance (fF): each pin gates one N and one P device."""
     return float(device.gate_input_cap(node, master.w_n + master.w_p + 2.0 * dw_nm))
+
+
+def _leakage(node: TechNode, master: CellMaster, lengths, dw_nm: float):
+    """State-averaged leakage (uW) per gate length in ``lengths`` (V,)."""
+    i = device.leakage_current(
+        node,
+        lengths[:, None],
+        np.array([master.w_n + dw_nm, master.w_p + dw_nm]),
+        stack=np.array([master.stack_n, master.stack_p]),
+    )
+    return master.leak_states * 0.5 * (i[:, 0] + i[:, 1]) * node.vdd
 
 
 def cell_leakage(
@@ -101,35 +123,56 @@ def cell_leakage(
     is off roughly half the input states), derated by the per-master
     ``leak_states`` factor, with series stacks leaking proportionally less.
     """
-    length = node.l_nominal + dl_nm
-    i_n, i_p = device.leakage_current(
-        node,
-        length,
-        np.array([master.w_n + dw_nm, master.w_p + dw_nm]),
-        stack=np.array([master.stack_n, master.stack_p]),
-    )
-    return master.leak_states * 0.5 * (float(i_n) + float(i_p)) * node.vdd
+    return float(_leakage(node, master, np.array([node.l_nominal + dl_nm]),
+                          dw_nm)[0])
 
 
-def characterize_cell(
+@dataclass(frozen=True)
+class VariantRow:
+    """Characterization of V variants of one master at one width bias.
+
+    ``delay`` and ``out_slew`` are (V, S, L) table stacks over the shared
+    ``slew_axis`` (S,) and ``load_axis`` (L,); ``leakage_uw`` is (V,).
+    The input capacitance depends on the width bias only, and the setup
+    time is the master's.
+    """
+
+    dl_nm: np.ndarray
+    dw_nm: float
+    slew_axis: np.ndarray
+    load_axis: np.ndarray
+    delay: np.ndarray
+    out_slew: np.ndarray
+    input_cap_ff: float
+    leakage_uw: np.ndarray
+    setup_ns: float
+
+
+def characterize_variants(
     node: TechNode,
     master: CellMaster,
-    dl_nm: float = 0.0,
+    dl_nm,
     dw_nm: float = 0.0,
     slew_axis: np.ndarray = None,
     load_axis: np.ndarray = None,
-) -> CharacterizedCell:
-    """Produce NLDM tables for one (master, delta-L, delta-W) variant.
+) -> VariantRow:
+    """NLDM tables for a row of length biases ``dl_nm`` (V,) at one width
+    bias, in one vectorized evaluation.
+
+    Each variant's numbers equal a one-variant call's to the last bit:
+    every expression is evaluated element by element in the same order.
 
     Raises
     ------
     ValueError
-        If the bias drives gate length or any transistor width to zero or
+        If a bias drives gate length or any transistor width to zero or
         below (physically meaningless variant).
     """
-    length = node.l_nominal + dl_nm
-    if length <= 0:
-        raise ValueError(f"gate length bias {dl_nm} nm yields non-positive length")
+    dl_nm = np.asarray(dl_nm, dtype=float).reshape(-1)
+    lengths = node.l_nominal + dl_nm
+    if (lengths <= 0).any():
+        bad = dl_nm[lengths <= 0][0]
+        raise ValueError(f"gate length bias {bad} nm yields non-positive length")
     if master.w_n + dw_nm <= 0 or master.w_p + dw_nm <= 0:
         raise ValueError(f"gate width bias {dw_nm} nm yields non-positive width")
 
@@ -146,7 +189,9 @@ def characterize_cell(
         w_int_n = master.w_n * _INTERNAL_STAGE_SCALE + dw_nm
         w_int_p = master.w_p * _INTERNAL_STAGE_SCALE + dw_nm
         widths.append((w_int_n, w_int_p))
-    r_out, *r_internal = _stage_resistances(node, master, length, widths)
+    r_out, *r_internal = (
+        r[:, None, None] for r in _stage_resistances(node, master, lengths, widths)
+    )
     c_par_out = float(device.parasitic_cap(node, w_n + w_p))
     pin_cap = input_capacitance(node, master, dw_nm)
 
@@ -155,8 +200,9 @@ def characterize_cell(
 
     # Chain the internal stages (if any) before the output stage.  Internal
     # stages see a fixed load: the gate cap of the next (scaled) stage.
-    delay = np.zeros((slews.size, loads.shape[1]))
-    cur_slew = np.empty_like(delay)
+    shape = (dl_nm.size, slews.size, loads.shape[1])
+    delay = np.zeros(shape)
+    cur_slew = np.empty(shape)
     cur_slew[...] = slews
     ln2 = np.log(2.0)
     for _stage in range(master.stages - 1):
@@ -164,7 +210,8 @@ def characterize_cell(
         c_int = float(device.parasitic_cap(node, w_int_n + w_int_p)) + pin_cap
         stage_d = ln2 * r_int * c_int * 1e-3 + device._SLEW_DELAY_FACTOR * cur_slew
         delay += stage_d + master.intrinsic_ns
-        cur_slew = np.full_like(cur_slew, device._SLEW_RC_FACTOR * r_int * c_int * 1e-3)
+        cur_slew = np.empty(shape)
+        cur_slew[...] = device._SLEW_RC_FACTOR * r_int * c_int * 1e-3
 
     # Output stage drives the external load.
     c_total = c_par_out + loads
@@ -173,19 +220,57 @@ def characterize_cell(
         + device._SLEW_DELAY_FACTOR * cur_slew
         + master.intrinsic_ns
     )
-    out_slew = np.empty_like(delay)
+    out_slew = np.empty(shape)
     out_slew[...] = device._SLEW_RC_FACTOR * r_out * c_total * 1e-3
 
     if master.is_sequential:
         delay = delay + master.clk_q_extra_ns
 
-    return CharacterizedCell(
-        master=master,
+    return VariantRow(
         dl_nm=dl_nm,
         dw_nm=dw_nm,
-        delay=NLDMTable(slew_axis, load_axis, delay),
-        out_slew=NLDMTable(slew_axis, load_axis, out_slew),
+        slew_axis=np.asarray(slew_axis, dtype=float),
+        load_axis=np.asarray(load_axis, dtype=float),
+        delay=delay,
+        out_slew=out_slew,
         input_cap_ff=pin_cap,
-        leakage_uw=cell_leakage(node, master, dl_nm, dw_nm),
+        leakage_uw=_leakage(node, master, lengths, dw_nm),
         setup_ns=master.setup_ns,
+    )
+
+
+def characterize_cell(
+    node: TechNode,
+    master: CellMaster,
+    dl_nm: float = 0.0,
+    dw_nm: float = 0.0,
+    slew_axis: np.ndarray = None,
+    load_axis: np.ndarray = None,
+) -> CharacterizedCell:
+    """Produce NLDM tables for one (master, delta-L, delta-W) variant:
+    :func:`characterize_variants` with one variant.
+
+    Raises
+    ------
+    ValueError
+        If the bias drives gate length or any transistor width to zero or
+        below (physically meaningless variant).
+    """
+    row = characterize_variants(
+        node, master, [dl_nm], dw_nm, slew_axis, load_axis
+    )
+    return row_cell(master, row, 0)
+
+
+def row_cell(master: CellMaster, row: VariantRow, k: int) -> CharacterizedCell:
+    """Variant ``k`` of a :class:`VariantRow` as a :class:`CharacterizedCell`."""
+    return CharacterizedCell(
+        master=master,
+        dl_nm=float(row.dl_nm[k]),
+        dw_nm=row.dw_nm,
+        delay=NLDMTable(row.slew_axis, row.load_axis, row.delay[k]),
+        out_slew=NLDMTable(row.slew_axis, row.load_axis, row.out_slew[k]),
+        input_cap_ff=row.input_cap_ff,
+        leakage_uw=float(row.leakage_uw[k]),
+        setup_ns=row.setup_ns,
     )

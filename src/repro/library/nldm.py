@@ -66,8 +66,7 @@ class NLDMTable:
     def lookup(self, slew_ns: float, load_ff: float) -> float:
         """Bilinear interpolation, clamped to the table window."""
         # scalar work on plain floats: the same IEEE operations as the
-        # numpy form, without its per-call overhead (the delay fitter
-        # makes thousands of these lookups per formulation)
+        # numpy form, without its per-call overhead
         slews, loads, v = self._grid
         s = min(max(float(slew_ns), slews[0]), slews[-1])
         c = min(max(float(load_ff), loads[0]), loads[-1])

@@ -12,7 +12,10 @@ fictitious source (index n+1) and sink (index 0).
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,26 @@ class Netlist:
         for g in self.gates.values():
             hist[g.master] = hist.get(g.master, 0) + 1
         return hist
+
+    def dose_array(self, doses) -> np.ndarray:
+        """Per-gate (poly %, active %) doses as an (n, 2) array in gate order.
+
+        ``doses`` is a mapping gate name -> (poly, active), where missing
+        gates are at nominal dose, or already such an array.
+        """
+        if isinstance(doses, Mapping):
+            zero = (0.0, 0.0)
+            get = doses.get
+            return np.array(
+                [get(name, zero) for name in self.gates], dtype=float
+            ).reshape(-1, 2)
+        doses = np.asarray(doses, dtype=float)
+        if doses.shape != (len(self.gates), 2):
+            raise ValueError(
+                f"dose array of shape {doses.shape}, expected "
+                f"({len(self.gates)}, 2)"
+            )
+        return doses
 
     # ------------------------------------------------------------------
     # validation and ordering

@@ -25,8 +25,9 @@ def total_leakage(netlist, library, doses=None) -> float:
     Parameters
     ----------
     doses:
-        Optional mapping ``gate name -> (poly dose %, active dose %)``;
-        missing gates are at nominal dose.
+        Optional mapping ``gate name -> (poly dose %, active dose %)``,
+        missing gates at nominal dose, or an (n, 2) array of them in
+        netlist gate order.
     """
     if doses is None:
         # fast path: histogram by master
@@ -34,20 +35,14 @@ def total_leakage(netlist, library, doses=None) -> float:
             library.nominal(master).leakage_uw * count
             for master, count in netlist.master_histogram().items()
         )
-    # memoized per (master, doses) within the call; summed in gate order
-    memo: dict = {}
-    leaks = []
-    get = doses.get
-    for name, gate in netlist.gates.items():
-        dp, da = get(name, (0.0, 0.0))
-        key = (gate.master, dp, da)
-        leak = memo.get(key)
-        if leak is None:
-            leak = memo[key] = library.characterized(
-                gate.master, dp, da
-            ).leakage_uw
-        leaks.append(leak)
-    return sum(leaks)
+    d = netlist.dose_array(doses)
+    vids = library.variant_ids(
+        library.master_ids(g.master for g in netlist.gates.values()),
+        d[:, 0],
+        d[:, 1],
+    )
+    # a sequential sum in gate order, as the per-gate sum adds up
+    return sum(library.variant_table().leakage[vids].tolist())
 
 
 def leakage_by_master(netlist, library, doses=None) -> dict:

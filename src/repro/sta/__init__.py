@@ -12,6 +12,7 @@ from repro.sta.report import report_dose_map, report_power, report_timing
 from repro.sta.timing import (
     DEFAULT_INPUT_SLEW,
     DEFAULT_PO_LOAD,
+    TimingArrays,
     TimingResult,
 )
 from repro.sta.wire import arc_wire_delay, net_wire_cap
@@ -30,6 +31,7 @@ __all__ = [
     "VectorTimingAnalyzer",
     "CompiledTimingGraph",
     "TimingResult",
+    "TimingArrays",
     "make_analyzer",
     "DEFAULT_INPUT_SLEW",
     "DEFAULT_PO_LOAD",

@@ -1,12 +1,17 @@
 """Compiled, array-backed STA engine: the flow's golden timer.
 
 The design is lowered into flat NumPy structures **once** -- topological
-levels, CSR fanin/fanout arc arrays, stacked NLDM delay/slew tables per
-characterized variant, wire-geometry coefficients -- and arrival/slew
+levels, CSR fanin/fanout arc arrays, per-gate master indices into the
+library's variant table, wire-geometry coefficients -- and arrival/slew
 then propagate one whole topological level per NumPy call (a vectorized
-bilinear interpolation over the stacked tables).  Every analysis reads
-this one graph: golden STA, top-K paths, Monte Carlo, SSTA and
+bilinear interpolation over the table's stacked NLDM arrays).  A dose
+assignment becomes per-gate variant ids in one table lookup,
+``CellLibrary.variant_ids(master_ids, poly, active)``.  Every analysis
+reads this one graph: golden STA, top-K paths, Monte Carlo, SSTA and
 GL-bias.
+
+``analyze`` returns a :class:`~repro.sta.timing.TimingResult` carrying
+the pass's arrays; its per-gate dicts are built only when read.
 
 On top of the full vectorized pass it supports **incremental re-timing**:
 after a placement move or a per-gate dose change, only the dirty fanout
@@ -24,10 +29,17 @@ agreement down.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.constants import KOHM_FF_TO_NS
-from repro.sta.timing import DEFAULT_INPUT_SLEW, DEFAULT_PO_LOAD, TimingResult
+from repro.sta.timing import (
+    DEFAULT_INPUT_SLEW,
+    DEFAULT_PO_LOAD,
+    TimingArrays,
+    TimingResult,
+)
 
 #: Fraction of the design above which an incremental pass falls back to
 #: the full vectorized sweep (the bookkeeping would cost more than it
@@ -47,10 +59,13 @@ def _bilinear_weights(sx, lx, s, c):
     Every table sharing the axes is then read with
     :func:`_bilinear_gather`, so the search runs once per query.
     """
-    s = np.clip(s, sx[:, 0], sx[:, -1])
-    c = np.clip(c, lx[:, 0], lx[:, -1])
-    i = np.clip((sx <= s[:, None]).sum(axis=1) - 1, 0, sx.shape[1] - 2)
-    j = np.clip((lx <= c[:, None]).sum(axis=1) - 1, 0, lx.shape[1] - 2)
+    # np.clip's min(max(x, lo), hi), without its per-call overhead
+    s = np.minimum(np.maximum(s, sx[:, 0]), sx[:, -1])
+    c = np.minimum(np.maximum(c, lx[:, 0]), lx[:, -1])
+    i = np.minimum(np.maximum((sx <= s[:, None]).sum(axis=1) - 1, 0),
+                   sx.shape[1] - 2)
+    j = np.minimum(np.maximum((lx <= c[:, None]).sum(axis=1) - 1, 0),
+                   lx.shape[1] - 2)
     r = np.arange(sx.shape[0])
     s0, s1 = sx[r, i], sx[r, i + 1]
     c0, c1 = lx[r, j], lx[r, j + 1]
@@ -64,13 +79,17 @@ def _bilinear_gather(tab, rows, i, j, fs, fc):
 
     ``tab`` is the (V, S, L) table stack and ``rows`` picks one table
     per query.  Replicates :meth:`repro.library.nldm.NLDMTable.lookup`
-    exactly.
+    exactly.  The four corners are read by flat index: one 1-D gather
+    each instead of a three-array fancy index.
     """
+    n_s, n_l = tab.shape[1:]
+    k = (rows * n_s + i) * n_l + j
+    flat = tab.reshape(-1)
     return (
-        tab[rows, i, j] * (1 - fs) * (1 - fc)
-        + tab[rows, i + 1, j] * fs * (1 - fc)
-        + tab[rows, i, j + 1] * (1 - fs) * fc
-        + tab[rows, i + 1, j + 1] * fs * fc
+        flat[k] * (1 - fs) * (1 - fc)
+        + flat[k + n_l] * fs * (1 - fc)
+        + flat[k + 1] * (1 - fs) * fc
+        + flat[k + n_l + 1] * fs * fc
     )
 
 
@@ -94,6 +113,14 @@ def lex_max_reduce(arr, slew, starts, seg_of):
     return best_arr, best_slew
 
 
+def _dict_of(*pairs):
+    """A dict from (keys, value array) pairs; later pairs update earlier."""
+    out = {}
+    for keys, values in zip(pairs[::2], pairs[1::2]):
+        out.update(zip(keys, values.tolist()))
+    return out
+
+
 def _concat_ranges(starts, counts):
     """Indices [s0, s0+1, ..., s0+c0-1, s1, ...] for CSR slice gathers."""
     total = int(counts.sum())
@@ -101,63 +128,6 @@ def _concat_ranges(starts, counts):
         return np.empty(0, dtype=np.int64)
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     return np.repeat(starts, counts) + (np.arange(total) - offsets)
-
-
-class _VariantStack:
-    """Registry of characterized (master, dose) variants as stacked arrays.
-
-    Each distinct (master, poly dose, active dose) triple used by any
-    analyze call gets a small integer id; the NLDM tables, axes, input
-    capacitance and setup time of all registered variants live in
-    contiguous arrays so a whole level can be interpolated in one shot.
-    The stack grows lazily and is shared by every analyzer bound to the
-    same compiled graph.
-    """
-
-    def __init__(self, library):
-        self.library = library
-        self._ids: dict = {}
-        self._delay: list = []
-        self._slew: list = []
-        self._sax: list = []
-        self._lax: list = []
-        self._cap: list = []
-        self._setup: list = []
-        self._stacked = None
-
-    def __len__(self):
-        return len(self._delay)
-
-    def vid(self, master: str, dose_poly: float, dose_active: float) -> int:
-        """Variant id for a master at the given doses (registering it)."""
-        key = (master, round(float(dose_poly), 3), round(float(dose_active), 3))
-        v = self._ids.get(key)
-        if v is not None:
-            return v
-        cc = self.library.characterized(master, dose_poly, dose_active)
-        v = len(self._delay)
-        self._ids[key] = v
-        self._delay.append(np.asarray(cc.delay.values, dtype=float))
-        self._slew.append(np.asarray(cc.out_slew.values, dtype=float))
-        self._sax.append(np.asarray(cc.delay.slew_axis, dtype=float))
-        self._lax.append(np.asarray(cc.delay.load_axis, dtype=float))
-        self._cap.append(float(cc.input_cap_ff))
-        self._setup.append(float(cc.setup_ns))
-        self._stacked = None
-        return v
-
-    def arrays(self):
-        """(delay, slew, slew_axis, load_axis, input_cap, setup) stacks."""
-        if self._stacked is None:
-            self._stacked = (
-                np.stack(self._delay),
-                np.stack(self._slew),
-                np.stack(self._sax),
-                np.stack(self._lax),
-                np.array(self._cap),
-                np.array(self._setup),
-            )
-        return self._stacked
 
 
 class CompiledTimingGraph:
@@ -183,7 +153,6 @@ class CompiledTimingGraph:
     def __init__(self, netlist, library):
         self.netlist = netlist
         self.library = library
-        self.stack = _VariantStack(library)
 
         names = netlist.topological_order(library)
         self.names = names
@@ -191,6 +160,12 @@ class CompiledTimingGraph:
         n = len(names)
         self.n = n
         self.masters = [netlist.gates[g].master for g in names]
+        #: Variant-table master index of each gate.
+        self.master_ids = library.master_ids(self.masters)
+        #: Netlist position of each gate: a per-gate array in netlist
+        #: order, indexed by ``nl_pos``, is in graph order.
+        nl_index = {name: k for k, name in enumerate(netlist.gates)}
+        self.nl_pos = np.array([nl_index[g] for g in names], dtype=np.int64)
         self.is_seq = np.array(
             [library.cell(m).is_sequential for m in self.masters], dtype=bool
         )
@@ -338,28 +313,19 @@ class CompiledTimingGraph:
             self.comb_fanout[self.fi_src[a]].append(int(self.fi_sink[a]))
 
         # nominal (zero-dose) variant ids
-        self.nominal_vids = np.array(
-            [self.stack.vid(m, 0.0, 0.0) for m in self.masters], dtype=np.int64
-        )
+        self.nominal_vids = library.variant_ids(self.master_ids)
 
     def vids_for(self, doses) -> np.ndarray:
-        """Per-gate variant-id array for a dose assignment dict."""
+        """Per-gate variant ids, in graph order, for a dose assignment.
+
+        ``doses`` is None (nominal), a dict gate name -> (poly %,
+        active %) or an (n, 2) array of them in netlist gate order (see
+        :meth:`repro.netlist.Netlist.dose_array`).
+        """
         if doses is None:
             return self.nominal_vids
-        # memoized per (master, doses) within the call; variants still
-        # register in first-encounter gate order
-        memo: dict = {}
-        vids = []
-        vid = self.stack.vid
-        get = doses.get
-        for name, master in zip(self.names, self.masters):
-            dp, da = get(name, (0.0, 0.0))
-            key = (master, dp, da)
-            v = memo.get(key)
-            if v is None:
-                v = memo[key] = vid(master, dp, da)
-            vids.append(v)
-        return np.array(vids, dtype=np.int64)
+        d = self.netlist.dose_array(doses)[self.nl_pos]
+        return self.library.variant_ids(self.master_ids, d[:, 0], d[:, 1])
 
 
 class VectorTimingAnalyzer:
@@ -375,7 +341,7 @@ class VectorTimingAnalyzer:
 
     ``rebind(placement)``
         A new analyzer for another placement sharing this one's compiled
-        graph and variant stack (geometry is rebuilt vectorized).
+        graph (geometry is rebuilt vectorized).
     ``update_placement(moved)``
         Refresh wire geometry for a few moved cells and mark their
         cones dirty for the next (incremental) pass.
@@ -598,8 +564,8 @@ class VectorTimingAnalyzer:
 
     def _forward_full(self, vids):
         g = self.graph
-        d_tab, s_tab, sax, lax, cap_v, setup_v = g.stack.arrays()
-        cap = cap_v[vids]
+        tab = g.library.variant_table()
+        cap = tab.input_cap[vids]
         st = {
             "vids": vids.copy(),
             "cap": cap,
@@ -609,7 +575,7 @@ class VectorTimingAnalyzer:
             "gate_delay": np.zeros(g.n),
             "in_slew": np.zeros(g.n),
         }
-        stacks = (d_tab, s_tab, sax, lax)
+        stacks = (tab.delay, tab.out_slew, tab.slew_axis, tab.load_axis)
         for lo, hi in g.level_slices:
             pos = np.arange(lo, hi)
             a0, a1 = int(g.fi_ptr[lo]), int(g.fi_ptr[hi])
@@ -657,8 +623,8 @@ class VectorTimingAnalyzer:
     def _forward_incremental(self, vids, dirty, load_dirty):
         g = self.graph
         st = self._state
-        d_tab, s_tab, sax, lax, cap_v, setup_v = g.stack.arrays()
-        cap = cap_v[vids]
+        tab = g.library.variant_table()
+        cap = tab.input_cap[vids]
         ld_ids = np.fromiter(load_dirty, dtype=np.int64, count=len(load_dirty))
         pos_all = np.sort(
             g.pos_of[np.fromiter(dirty, dtype=np.int64, count=len(dirty))]
@@ -683,7 +649,7 @@ class VectorTimingAnalyzer:
             loads[gid] = v
         if dirty:
             levels = g.level[cone]
-            stacks = (d_tab, s_tab, sax, lax)
+            stacks = (tab.delay, tab.out_slew, tab.slew_axis, tab.load_axis)
             for lv in np.unique(levels):
                 pos = pos_all[levels == lv]
                 starts = g.fi_ptr[pos]
@@ -736,14 +702,30 @@ class VectorTimingAnalyzer:
     # ------------------------------------------------------------------
     # endpoints / backward
     # ------------------------------------------------------------------
+    def _fi_wire(self):
+        """Wire delay of each real fan-in arc (``graph.real_fi`` order)."""
+        g = self.graph
+        a = g.real_fi
+        return self._fi_rw[a] * (
+            0.5 * self._fi_cw[a] + self._state["cap"][g.fi_sink[a]]
+        ) * KOHM_FF_TO_NS
+
+    def _ff_wire(self):
+        """Wire delay of each flip-flop data-pin arc."""
+        g = self.graph
+        return self._ff_rw * (
+            0.5 * self._ff_cw + self._state["cap"][g.ff_gate]
+        ) * KOHM_FF_TO_NS
+
     def _endpoints(self):
         g = self.graph
         st = self._state
-        _d, _s, _sx, _lx, _cap, setup_v = g.stack.arrays()
+        setup_v = g.library.variant_table().setup
         ep_po = st["arrival"][g.po_ids] if len(g.po_ids) else np.empty(0)
         if len(g.ff_src):
-            wd = self._ff_rw * (0.5 * self._ff_cw + st["cap"][g.ff_gate]) * KOHM_FF_TO_NS
-            ep_ff = (st["arrival"][g.ff_src] + wd) + setup_v[st["vids"][g.ff_gate]]
+            ep_ff = (st["arrival"][g.ff_src] + self._ff_wire()) + setup_v[
+                st["vids"][g.ff_gate]
+            ]
         else:
             ep_ff = np.empty(0)
         mct = 0.0
@@ -756,8 +738,7 @@ class VectorTimingAnalyzer:
     def _backward(self, period):
         g = self.graph
         st = self._state
-        _d, _s, _sx, _lx, _cap, setup_v = g.stack.arrays()
-        setup_of = setup_v[st["vids"]]
+        setup_of = g.library.variant_table().setup[st["vids"]]
         cap = st["cap"]
         gate_delay = st["gate_delay"]
         inf = np.inf
@@ -793,8 +774,9 @@ class VectorTimingAnalyzer:
     def analyze(self, doses=None, clock_period: float = None) -> TimingResult:
         """One STA pass.
 
-        ``doses`` maps gate name -> (poly dose %, active dose %); missing
-        gates are at nominal dose.  ``clock_period`` is the required-time
+        ``doses`` maps gate name -> (poly dose %, active dose %), missing
+        gates at nominal dose, or is an (n, 2) array of them in netlist
+        gate order.  ``clock_period`` is the required-time
         budget for slacks; it defaults to the computed MCT (so the worst
         slack is exactly 0).  Consecutive calls on the same analyzer
         re-time incrementally: only gates whose dose changed -- plus
@@ -802,42 +784,36 @@ class VectorTimingAnalyzer:
         are re-propagated.
         """
         g = self.graph
-        vids = g.vids_for(doses)
-        self._ensure_forward(vids)
+        self._ensure_forward(g.vids_for(doses))
         st = self._state
         ep_po, ep_ff, mct = self._endpoints()
         period = mct if clock_period is None else float(clock_period)
         _required, slack = self._backward(period)
-
+        arrays = TimingArrays(
+            arrival=st["arrival"].copy(),
+            slack=slack,
+            gate_delay=st["gate_delay"].copy(),
+            input_slew=st["in_slew"].copy(),
+            load=st["loads"].copy(),
+            fi_wire=self._fi_wire(),
+            ff_wire=self._ff_wire(),
+        )
         names = g.names
-        arrival = dict(zip(names, st["arrival"].tolist()))
-        slack_d = dict(zip(names, slack.tolist()))
-        gate_delay = dict(zip(names, st["gate_delay"].tolist()))
-        in_slew = dict(zip(names, st["in_slew"].tolist()))
-        load_d = dict(zip(names, st["loads"].tolist()))
-        endpoint_arrival = dict(zip(g.po_labels, ep_po.tolist()))
-        endpoint_arrival.update(zip(g.ff_labels, ep_ff.tolist()))
-        wire_delay = {}
-        if len(g.real_fi):
-            a = g.real_fi
-            wd = self._fi_rw[a] * (
-                0.5 * self._fi_cw[a] + st["cap"][g.fi_sink[a]]
-            ) * KOHM_FF_TO_NS
-            wire_delay.update(zip(g.wd_keys_fi, wd.tolist()))
-        if len(g.ff_src):
-            wd = self._ff_rw * (
-                0.5 * self._ff_cw + st["cap"][g.ff_gate]
-            ) * KOHM_FF_TO_NS
-            wire_delay.update(zip(g.wd_keys_ff, wd.tolist()))
         return TimingResult(
             mct=mct,
-            arrival=arrival,
-            slack=slack_d,
-            gate_delay=gate_delay,
-            input_slew=in_slew,
-            load=load_d,
-            wire_delay=wire_delay,
-            endpoint_arrival=endpoint_arrival,
+            arrival=partial(_dict_of, names, arrays.arrival),
+            slack=partial(_dict_of, names, arrays.slack),
+            gate_delay=partial(_dict_of, names, arrays.gate_delay),
+            input_slew=partial(_dict_of, names, arrays.input_slew),
+            load=partial(_dict_of, names, arrays.load),
+            wire_delay=partial(
+                _dict_of, g.wd_keys_fi, arrays.fi_wire,
+                g.wd_keys_ff, arrays.ff_wire,
+            ),
+            endpoint_arrival=partial(
+                _dict_of, g.po_labels, ep_po, g.ff_labels, ep_ff
+            ),
+            arrays=arrays,
         )
 
     def mct(self, doses=None) -> float:
@@ -862,6 +838,6 @@ class VectorTimingAnalyzer:
             vids = vids.copy()
             for name, (dp, da) in dose_updates.items():
                 gid = g.index[name]
-                vids[gid] = g.stack.vid(g.masters[gid], dp, da)
+                vids[gid] = g.library.variant_id(g.master_ids[gid], dp, da)
         self._ensure_forward(vids)
         return self._endpoints()[2]

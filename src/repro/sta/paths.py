@@ -11,7 +11,8 @@ The DAG mirrors the STA abstraction: node weight = gate delay, arc weight
 = interconnect delay, flip-flops act as sources (clk->q) and their D-pins
 as endpoints (+setup), primary outputs are endpoints.  Its structure is
 read from :class:`~repro.sta.compiled.CompiledTimingGraph` once and
-cached there; each call reads only the result's gate and wire delays.
+cached there; each call reads only the gate and wire delay arrays of the
+result (:class:`~repro.sta.timing.TimingArrays`).
 
 Ties are broken by push order: sources in netlist order, and per gate
 its primary-output arc first, then one arc per sink pin of its output
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.sta.timing import TimingResult
 
@@ -57,31 +60,55 @@ class _PathArcs:
     """The path DAG's arcs over a compiled graph's gate indices.
 
     Arcs are grouped per driving gate (``lo``/``hi`` bound each group);
-    the sink is node ``n``.  ``wd_keys`` are the
-    ``TimingResult.wire_delay`` keys (a primary-output arc's key is
-    absent, so its wire delay reads 0) and ``setup`` is the capture
-    flop's setup time on an FF arc, else 0.
+    the sink is node ``n``.  ``wire_idx`` indexes an arc's wire delay in
+    ``[fi_wire, ff_wire, 0.0]`` of the result's
+    :class:`~repro.sta.timing.TimingArrays` (a primary-output arc reads
+    the trailing 0), and ``setup`` is the capture flop's setup time on an
+    FF arc, else 0.
     """
 
     def __init__(self, graph):
         nl, lib = graph.netlist, graph.library
         index, n = graph.index, graph.n
+        # (driver id, sink id) -> its slot in [fi_wire, ff_wire]; two
+        # pins on one net have equal wire delays
+        slot = {
+            (int(graph.fi_src[a]), int(graph.fi_sink[a])): k
+            for k, a in enumerate(graph.real_fi.tolist())
+        }
+        n_fi = len(graph.real_fi)
+        slot.update(
+            ((int(src), int(ff)), n_fi + k)
+            for k, (src, ff) in enumerate(zip(graph.ff_src, graph.ff_gate))
+        )
+        po_slot = n_fi + len(graph.ff_src)
         self.lo, self.hi = [], []
-        self.succ, self.setup, self.labels, self.wd_keys = [], [], [], []
-        for name in graph.names:
+        succ, setup, wire_idx, self.labels = [], [], [], []
+        for gid, name in enumerate(graph.names):
             out = nl.gates[name].output
             net = nl.nets[out]
-            self.lo.append(len(self.succ))
+            self.lo.append(len(succ))
             if net.is_primary_output:
-                self._add(n, 0.0, f"PO:{out}", (name, None))
+                succ.append(n)
+                setup.append(0.0)
+                wire_idx.append(po_slot)
+                self.labels.append(f"PO:{out}")
             for sink, _pin in net.sinks:
                 sid = index[sink]
-                if graph.is_seq[sid]:
-                    setup = lib.cell(nl.gates[sink].master).setup_ns
-                    self._add(n, setup, f"FF:{sink}:{out}", (name, sink))
-                else:
-                    self._add(sid, 0.0, None, (name, sink))
-            self.hi.append(len(self.succ))
+                succ.append(n if graph.is_seq[sid] else sid)
+                setup.append(
+                    lib.cell(nl.gates[sink].master).setup_ns
+                    if graph.is_seq[sid] else 0.0
+                )
+                wire_idx.append(slot[(gid, sid)])
+                self.labels.append(
+                    f"FF:{sink}:{out}" if graph.is_seq[sid] else None
+                )
+            self.hi.append(len(succ))
+        self.succ = succ
+        self.succ_arr = np.array(succ, dtype=np.int64)
+        self.setup = np.array(setup)
+        self.wire_idx = np.array(wire_idx, dtype=np.int64)
         self.sources = [
             index[name]
             for name, gate in nl.gates.items()
@@ -89,11 +116,15 @@ class _PathArcs:
             or any(nl.nets[net].driver is None for net in gate.inputs)
         ]
 
-    def _add(self, succ, setup, label, wd_key):
-        self.succ.append(succ)
-        self.setup.append(setup)
-        self.labels.append(label)
-        self.wd_keys.append(wd_key)
+    def weights(self, arrays):
+        """Arc weights: wire delay plus the successor's gate delay (an
+        FF arc: the setup time; a primary-output arc: 0)."""
+        wire = np.concatenate([arrays.fi_wire, arrays.ff_wire, [0.0]])
+        gd = np.append(arrays.gate_delay, 0.0)
+        to_gate = self.succ_arr < len(arrays.gate_delay)
+        return wire[self.wire_idx] + np.where(
+            to_gate, gd[self.succ_arr], self.setup
+        )
 
 
 def _path_arcs(graph) -> _PathArcs:
@@ -108,21 +139,18 @@ def top_k_paths(graph, result: TimingResult, k: int) -> list:
 
     ``graph`` is the design's
     :class:`~repro.sta.compiled.CompiledTimingGraph`; ``result`` must
-    come from an STA pass on the same design (its gate and wire delays
-    define the DAG weights).
+    come from an STA pass on it (its gate and wire delay arrays define
+    the DAG weights).
     """
     if k <= 0:
         raise ValueError("k must be positive")
+    if result.arrays is None or len(result.arrays.gate_delay) != graph.n:
+        raise ValueError("top_k_paths needs a result of this graph's STA pass")
     arcs = _path_arcs(graph)
     n, names = graph.n, graph.names
     succ_of, labels, lo, hi = arcs.succ, arcs.labels, arcs.lo, arcs.hi
-    gate_delay = result.gate_delay
-    gd = [gate_delay[name] for name in names]
-    get = result.wire_delay.get
-    w = [
-        get(key, 0.0) + (gd[succ] if succ < n else setup)
-        for key, succ, setup in zip(arcs.wd_keys, succ_of, arcs.setup)
-    ]
+    gd = result.arrays.gate_delay.tolist()
+    w = arcs.weights(result.arrays).tolist()
 
     # longest delay from every node to the sink (-inf: no endpoint), in
     # one pass over the gates in reverse topological order
@@ -149,10 +177,18 @@ def top_k_paths(graph, result: TimingResult, k: int) -> list:
         heap.append((-(nd + down[src]), counter, src, nd, (src, None), None))
     heapq.heapify(heap)
 
+    # Best-first expansion.  Keys (-bound, counter) are unique, so the
+    # pop order is fixed by the keys alone: an expanded node's best
+    # child that beats the heap top would be the very next pop, and is
+    # taken directly instead of through the heap.
     paths = []
     push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        _neg_bound, _cnt, node, dist, prefix, label = pop(heap)
+    entry = None
+    while entry is not None or heap:
+        if entry is None:
+            entry = pop(heap)
+        _neg_bound, _cnt, node, dist, prefix, label = entry
+        entry = None
         if node == n:
             gates = []
             while prefix is not None:
@@ -165,6 +201,7 @@ def top_k_paths(graph, result: TimingResult, k: int) -> list:
             if len(paths) == k:
                 break
             continue
+        best = None
         for a in range(lo[node], hi[node]):
             succ = succ_of[a]
             bound = down[succ]
@@ -173,10 +210,25 @@ def top_k_paths(graph, result: TimingResult, k: int) -> list:
             nd = dist + w[a]
             counter += 1
             if succ == n:
-                push(heap, (-(nd + bound), counter, n, nd, prefix, labels[a]))
+                child = (-(nd + bound), counter, n, nd, prefix, labels[a])
             else:
-                push(heap, (-(nd + bound), counter, succ, nd, (succ, prefix),
-                            label))
+                child = (-(nd + bound), counter, succ, nd, (succ, prefix),
+                         label)
+            # ties go to the earlier child: its counter is smaller
+            if best is None or child[0] < best[0]:
+                if best is not None:
+                    push(heap, best)
+                best = child
+            else:
+                push(heap, child)
+        if best is not None:
+            top = heap[0] if heap else None
+            if top is not None and (
+                top[0] < best[0] or (top[0] == best[0] and top[1] < best[1])
+            ):
+                push(heap, best)
+            else:
+                entry = best
     return paths
 
 

@@ -85,19 +85,15 @@ def first_order_timing(ctx) -> FirstOrderTiming:
     """The first-order timing model of a design context, from its
     baseline STA and delay fits, on ``ctx.timing_graph``."""
     graph = ctx.timing_graph
-    baseline = ctx.baseline
-    wire = baseline.wire_delay
-    t0 = np.array([baseline.gate_delay[g] for g in graph.names])
-    a = np.array([ctx.delay_fit_for(g).a for g in graph.names])
-    arc_wire = np.zeros(len(graph.fi_src))
-    arc_wire[graph.real_fi] = [wire.get(k, 0.0) for k in graph.wd_keys_fi]
-    lib = ctx.library
-    ff_extra = np.array(
-        [
-            wire.get(key, 0.0) + lib.cell(graph.masters[gid]).setup_ns
-            for key, gid in zip(graph.wd_keys_ff, graph.ff_gate.tolist())
-        ]
+    base = ctx.baseline.arrays
+    t0 = base.gate_delay
+    a, _b = ctx.delay_fitter.gate_fits(
+        graph.masters, base.input_slew, base.load
     )
+    arc_wire = np.zeros(len(graph.fi_src))
+    arc_wire[graph.real_fi] = base.fi_wire
+    setup = ctx.library.variant_table().setup[graph.nominal_vids]
+    ff_extra = base.ff_wire + setup[graph.ff_gate]
     return FirstOrderTiming(graph, t0, a, arc_wire, ff_extra)
 
 

@@ -1,5 +1,7 @@
 """Integration tests for DMopt (QP and QCP dose-map optimization)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from repro.library import CellLibrary
 from repro.netlist import make_design
 from repro.solver import (
     FAILURE_STATUSES,
+    STATUS_DIVERGED,
+    STATUS_ILL_CONDITIONED,
+    STATUS_INFEASIBLE,
     STATUS_MAX_ITER,
     SolveResult,
     solve_qp,
@@ -191,6 +196,42 @@ class TestModesAndOptions:
             leakage_budget=0.3 * ctx.baseline_leakage,
         )
         assert loose.mct <= tight.mct + 1e-6
+
+
+class TestFailureDiagnosis:
+    """Only an infeasible verdict is attributed to a constraint family."""
+
+    @pytest.mark.parametrize(
+        "mode, solver", [("qp", "solve_qp_robust"), ("qcp", "solve_qcp")]
+    )
+    @pytest.mark.parametrize(
+        "status", [STATUS_MAX_ITER, STATUS_DIVERGED, STATUS_ILL_CONDITIONED]
+    )
+    def test_stopped_solve_blames_no_family(self, ctx, monkeypatch, mode,
+                                            solver, status):
+        """The real solution of a feasible program, reported as stopped:
+        every relaxation probe would succeed, so a diagnosis would name
+        a family that does not block.  The status speaks instead."""
+        real = getattr(dmopt, solver)
+
+        def stopped(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), status=status)
+
+        monkeypatch.setattr(dmopt, solver, stopped)
+        res = optimize_dose_map(ctx, grid_size=10.0, mode=mode)
+        assert res.status == status
+        assert res.infeasibility is None
+        assert "blocking" not in repr(res)
+        assert res.mct == ctx.baseline.mct
+        assert not res.dose_map_poly.values.any()
+
+    def test_infeasible_verdict_is_diagnosed(self, ctx):
+        res = optimize_dose_map(
+            ctx, grid_size=10.0, mode="qp", dose_range=0.0,
+            timing_bound=ctx.baseline.mct * 0.5,
+        )
+        assert res.status == STATUS_INFEASIBLE
+        assert "timing" in res.infeasibility.blocking
 
 
 class TestSnapModes:

@@ -79,7 +79,7 @@ class TestConfig:
 
 
 # ----------------------------------------------------------------------
-# differential tests: the array dose lookup and the memoized variant /
+# differential tests: the array dose lookup and the variant-table /
 # leakage lookups against the per-gate loops they replace
 # ----------------------------------------------------------------------
 class _Locations:
@@ -204,17 +204,26 @@ class TestVariantLookupDifferential:
     @settings(deadline=None, max_examples=10)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_vids_for_matches_per_gate_loop(self, ctx90, seed):
+        """The variant table gathered at the graph's ids equals each
+        gate's own characterized variant."""
         doses = _random_dose_dict(ctx90, random.Random(seed))
-        memo = CompiledTimingGraph(ctx90.netlist, ctx90.library)
-        loop = CompiledTimingGraph(ctx90.netlist, ctx90.library)
-        got = memo.vids_for(doses)
-        ref = np.array([
-            loop.stack.vid(m, *doses.get(name, (0.0, 0.0)))
-            for name, m in zip(loop.names, loop.masters)
-        ], dtype=np.int64)
-        assert np.array_equal(got, ref)
-        # variants registered in the same (first-encounter) order
-        assert list(memo.stack._ids) == list(loop.stack._ids)
+        lib = ctx90.library
+        graph = CompiledTimingGraph(ctx90.netlist, lib)
+        got = graph.vids_for(doses)
+        ref = [
+            lib.characterized(m, *doses.get(name, (0.0, 0.0)))
+            for name, m in zip(graph.names, graph.masters)
+        ]
+        tab = lib.variant_table()
+        assert np.array_equal(
+            tab.delay[got], np.stack([c.delay.values for c in ref])
+        )
+        assert np.array_equal(
+            tab.out_slew[got], np.stack([c.out_slew.values for c in ref])
+        )
+        assert tab.input_cap[got].tolist() == [c.input_cap_ff for c in ref]
+        assert tab.leakage[got].tolist() == [c.leakage_uw for c in ref]
+        assert tab.setup[got].tolist() == [c.setup_ns for c in ref]
 
     @settings(deadline=None, max_examples=10)
     @given(seed=st.integers(0, 2**31 - 1))

@@ -1,9 +1,15 @@
 """Unit tests for delay/leakage coefficient fitting."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fitting import DelayFitter, LeakageFitter
 from repro.library import CellLibrary
+from tests.oracles import fitting as reference
+
+_LIBS = {node: CellLibrary(node) for node in ("65nm", "90nm")}
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +80,37 @@ class TestDelayFit:
     def test_sample_count_validation(self, lib65):
         with pytest.raises(ValueError, match="at least 3"):
             DelayFitter(lib65, n_dose_samples=2)
+
+
+class TestPerMasterFits:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        node=st.sampled_from(sorted(_LIBS)),
+        master=st.integers(0, 44),
+        fit_width=st.booleans(),
+    )
+    def test_equal_per_entry_lstsq(self, node, master, fit_width):
+        """All 49 entries of a master's fit equal the entry-by-entry
+        least squares to the last bit, ssr included."""
+        lib = _LIBS[node]
+        name = list(lib.masters)[master]
+        fits = DelayFitter(lib, fit_width=fit_width).master_fits(name)
+        for i in range(fits.shape[1]):
+            for j in range(fits.shape[2]):
+                assert tuple(fits[:, i, j].tolist()) == reference.fit_at_entry(
+                    lib, name, i, j, fit_width=fit_width
+                ), (i, j)
+
+    def test_gate_fits_read_the_nearest_entry(self, lib65):
+        fitter = DelayFitter(lib65)
+        masters = ["INVX1", "NAND2X1", "INVX1"]
+        slews = [0.05, 0.3, 0.001]
+        loads = [2.0, 9.0, 60.0]
+        a, b = fitter.gate_fits(masters, slews, loads)
+        want = [fitter.fit_for(m, s, c) for m, s, c in zip(masters, slews, loads)]
+        assert a.tolist() == [f.a for f in want]
+        assert b.tolist() == [f.b for f in want]
+        assert np.all(b == 0.0)
 
 
 class TestLeakageFit:

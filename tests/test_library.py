@@ -227,3 +227,93 @@ class TestCrossNode:
 
     def test_repr(self, lib65):
         assert "36 comb + 9 seq" in repr(lib65)
+
+
+#: A dose request: on the 0.5 % grid, or anywhere in the range.
+_grid_dose = st.integers(-10, 10).map(lambda k: k * DOSE_STEP)
+_any_dose = st.one_of(_grid_dose, st.floats(-5.0, 5.0, allow_nan=False))
+
+
+class TestVariantTable:
+    """The array-backed variant table against the per-transistor oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        node=st.sampled_from(["65nm", "90nm"]),
+        requests=st.lists(
+            st.tuples(st.integers(0, 44), _any_dose, _any_dose),
+            min_size=1, max_size=6,
+        ),
+        scalar=st.booleans(),
+    )
+    def test_variants_equal_oracle(self, node, requests, scalar):
+        """Every requested variant, and every step of a grid row it
+        filled, equals ``tests/oracles/characterize.py`` to the last bit
+        at the request's doses rounded to 1e-3 %."""
+        lib = CellLibrary(node)
+        names = list(lib.masters)
+        if scalar:
+            vids = [lib.variant_id(m, dp, da) for m, dp, da in requests]
+        else:
+            mids, dps, das = (np.array(col) for col in zip(*requests))
+            vids = lib.variant_ids(mids, dps, das).tolist()
+        checked = list(zip(vids, requests))
+        for m, dp, da in requests:
+            kp, ka = round(dp, 3), round(da, 3)
+            if lib.snap_dose(kp) == kp and lib.snap_dose(ka) == ka:
+                n_before = len(lib.variant_table().leakage)
+                row = lib.variant_ids(
+                    np.full(21, m), lib.variant_doses(), np.full(21, da)
+                )
+                # the row was characterized whole by the first request
+                if (kp, ka) != (0.0, 0.0):
+                    assert len(lib.variant_table().leakage) == n_before
+                checked += [
+                    (v, (m, d, da))
+                    for v, d in zip(row.tolist(), lib.variant_doses())
+                ]
+        table = lib.variant_table()
+        for vid, (m, dp, da) in checked:
+            master = lib.cell(names[m])
+            delay, slew, cap, leak = reference.characterize(
+                lib.node, master,
+                lib.dose_to_dl(round(dp, 3)), lib.dose_to_dw(round(da, 3)),
+            )
+            assert np.array_equal(table.delay[vid], delay)
+            assert np.array_equal(table.out_slew[vid], slew)
+            assert table.input_cap[vid] == cap
+            assert table.leakage[vid] == leak
+            assert table.setup[vid] == master.setup_ns
+            cc = lib.characterized(names[m], dp, da)
+            assert np.array_equal(cc.delay.values, delay)
+            assert cc.leakage_uw == leak
+
+    def test_rows_are_characterized_whole(self):
+        lib = CellLibrary("65nm")
+        lib.variant_ids(lib.master_ids(["INVX1", "NAND2X1", "INVX1"]))
+        assert len(lib.variant_table().leakage) == 2  # nominal only
+        lib.characterized("INVX1", 0.5)
+        # the rest of INVX1's row: 20 more variants, the nominal reused
+        assert len(lib.variant_table().leakage) == 22
+        assert lib.variant_id(lib.master_id["INVX1"]) == 0
+        lib.characterized("INVX1", 0.0, 0.5)  # a new active-dose row
+        assert len(lib.variant_table().leakage) == 43
+
+    def test_cache_does_not_depend_on_request_order(self):
+        """A nearby dose that asks first does not set the variant: both
+        doses key to 2.5 % and get the variant characterized there."""
+        lib = CellLibrary("65nm")
+        near = lib.characterized("INVX1", 2.5004)
+        exact = lib.characterized("INVX1", 2.5)
+        fresh = CellLibrary("65nm").characterized("INVX1", 2.5)
+        assert near.dl_nm == exact.dl_nm == fresh.dl_nm == -5.0
+        assert np.array_equal(near.delay.values, fresh.delay.values)
+        assert near.leakage_uw == fresh.leakage_uw
+
+    def test_unphysical_row_edge_characterizes_only_the_request(self):
+        """With a dose range whose edge gives a non-positive gate length,
+        an in-range dose still characterizes; the edge itself raises."""
+        lib = CellLibrary("65nm", dose_range=40.0)
+        assert lib.characterized("INVX1", 1.0).dl_nm == -2.0
+        with pytest.raises(ValueError, match="non-positive length"):
+            lib.characterized("INVX1", 40.0)

@@ -158,6 +158,37 @@ class TestIncrementalRetiming:
         vec.update_placement((a, b))
         assert vec.trial_mct() == pytest.approx(m0, abs=0.0)
 
+    def test_result_outlives_later_passes(self, lib65):
+        """A result's dicts are built on first read, from the pass's own
+        arrays: a later incremental pass, placement update or analyze on
+        the same engine does not reach them."""
+        bundle = make_design("AES-65", scale=0.2)
+        nl, lib = bundle.netlist, bundle.library
+        pl = place_design(bundle, seed=7)
+        doses = random_doses(nl, lib, seed=3)
+        vec = VectorTimingAnalyzer(nl, lib, pl)
+        kept = vec.analyze(doses)
+        want = TimingAnalyzer(nl, lib, pl.copy()).analyze(doses)
+        a, b = list(nl.gates)[5], list(nl.gates)[150]
+        pl.swap(a, b)
+        vec.update_placement((a, b))
+        vec.trial_mct({a: (5.0, 0.0), b: (-5.0, 0.0)})
+        vec.analyze({a: (2.5, 0.0)}, clock_period=1.0)
+        assert kept == want
+        assert kept.arrays.gate_delay.tolist() == list(want.gate_delay.values())
+
+    def test_dose_array_equals_dose_dict(self, lib65):
+        bundle = make_design("AES-65", scale=0.2)
+        nl, lib = bundle.netlist, bundle.library
+        doses = random_doses(nl, lib, seed=4, fraction=0.5)
+        vec = VectorTimingAnalyzer(nl, lib, place_design(bundle, seed=7))
+        from_dict = vec.analyze(doses)
+        from_array = vec.analyze(nl.dose_array(doses))
+        assert from_array == from_dict
+        assert vec.graph.vids_for(nl.dose_array(doses)).tolist() == (
+            vec.graph.vids_for(doses).tolist()
+        )
+
     def test_trial_mct_requires_seeded_state(self, lib65):
         bundle = make_design("AES-65", scale=0.2)
         pl = place_design(bundle, seed=7)
