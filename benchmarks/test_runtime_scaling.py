@@ -3,7 +3,10 @@
 Measures DMopt QP runtime as the dose grid refines on one design:
 the variable count grows with grid count while the timing constraints
 stay fixed, so runtime should grow modestly -- the practical property
-that makes fine grids (and their better results) affordable.
+that makes fine grids (and their better results) affordable.  The
+variable and constraint counts are those of the pruned program the
+solver sees (``DesignContext.formulation_for``), not of the full
+assembly.
 """
 
 from repro.core import optimize_dose_map

@@ -9,7 +9,11 @@ from repro.core.certify import (
 from repro.core.dmopt import DMoptResult, MODE_QCP, MODE_QP, optimize_dose_map
 from repro.core.dosepl import DoseplConfig, DoseplResult, run_dosepl
 from repro.core.flow import FlowResult, run_flow
-from repro.core.formulate import Formulation, build_formulation
+from repro.core.formulate import (
+    Formulation,
+    build_formulation,
+    prune_formulation,
+)
 from repro.core.corners import (
     CornerAwareResult,
     corner_context,
@@ -40,6 +44,7 @@ __all__ = [
     "enforce_certificate",
     "Formulation",
     "build_formulation",
+    "prune_formulation",
     "optimize_dose_map",
     "DMoptResult",
     "MODE_QP",

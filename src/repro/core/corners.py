@@ -106,7 +106,9 @@ def optimize_dose_map_corners(
     ctx_leak = corner_context(ctx, leaky)
 
     # timing rows from the slow corner; leakage quadratic from the
-    # leakage corner (same grid assignment: shared placement)
+    # leakage corner (same grid assignment: shared placement).  Both are
+    # full programs, so the two have the same columns: a pruned slow
+    # corner would have fewer than the leak corner's quadratic
     form = build_formulation(ctx_slow, grid_size)
     form_leak = build_formulation(ctx_leak, grid_size)
     assert form.gate_order == form_leak.gate_order

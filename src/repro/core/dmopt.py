@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import obs, telemetry
 from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
-from repro.core.formulate import Formulation
+from repro.core.formulate import Formulation, build_formulation
 from repro.core.snap import SNAP_CEIL, SNAP_NEAREST, snap_dose_map
 from repro.solver import (
     STATUS_INFEASIBLE,
@@ -328,10 +328,20 @@ def optimize_dose_map(
         # constraint family: on a solve that merely stopped (max_iter,
         # diverged, ill_conditioned) every relaxation probe succeeds,
         # so a diagnosis would blame a family that does not block.
+        # The probes open the dose range, where the pruned program's
+        # dropped rows could bind: they run on the full program.
         report = None
         if solve.status == STATUS_INFEASIBLE:
             with obs.span("dmopt.diagnose"):
-                report = diagnose_infeasibility(form, tau=tau)
+                full = build_formulation(
+                    ctx,
+                    grid_size,
+                    both_layers=both_layers,
+                    dose_range=dose_range,
+                    smoothness=smoothness,
+                    seam_smoothness=seam_smoothness,
+                )
+                report = diagnose_infeasibility(full, tau=tau)
         poly, active, _ = form.split(np.zeros(form.n_vars))
         return DMoptResult(
             mode=mode,

@@ -5,6 +5,8 @@ Variable vector layout (n = number of gates, G = number of dose grids):
     x = [ d^P_0 .. d^P_{G-1} | (d^A_0 .. d^A_{G-1}) | a_1 .. a_n | T ]
 
 with the active-layer block present only for both-layer optimization.
+A pruned program (see *Pruning* below) keeps only the arrival columns
+its remaining rows use, in the same order.
 
 Constraint blocks (paper equation numbers in parentheses):
 
@@ -27,6 +29,37 @@ batch and the leakage quadratic as ``np.bincount`` scatters.  The
 program size depends on the grid count, not the gate count, so assembly
 must not be the gate-bound step.  The readable per-gate ``add_row``
 loop it must match entry for entry lives in ``tests/oracles/formulate.py``.
+
+Pruning
+-------
+:func:`build_formulation` emits every row.  :func:`prune_formulation`
+then drops the timing rows that cannot bind at any dose within
+``+-R`` (``R = max(5, dose_range)``, the hardware range unless a wider
+one is asked for), and the arrival columns only those rows use.  It is
+what :meth:`~repro.core.model.DesignContext.formulation_for` serves.
+
+With ``|d| <= R`` every gate delay lies in ``t0 +- (|A_q Ds| + |B_q
+Ds|) R`` (the ``B`` term in both-layer mode only).  Let ``arr_slow`` be
+the longest arrival at each gate with every gate at its slowest,
+``down_slow`` the longest path from a gate's output to an endpoint
+(wire and setup included), and ``MCT_fast`` the longest endpoint
+arrival with every gate at its fastest.  A row is kept when the
+longest path through it can reach ``MCT_fast``:
+
+* arc ``r -> q``:   ``arr_slow[r] + wire + t_slow[q] + down_slow[q]``
+* launch/PI of q:   ``t_slow[q] + down_slow[q]``
+* endpoint of e:    ``arr_slow[e] + wire + setup``
+
+Soundness: at any dose map ``d`` within the range, a critical path of
+``d`` has length ``MCT(d) >= MCT_fast``, and every row on it bounds
+that length from above, so all of its rows are kept.  Every point of
+the pruned program therefore has ``T >= MCT(d)``, and the exact
+arrivals of ``d`` complete it to a point of the full program with the
+same doses and ``T``; the converse is row deletion.  The objective
+reads only doses and ``T``, so QP and QCP optima are equal for every
+range up to ``R``.  A wider range voids the argument:
+:meth:`Formulation.retarget` refuses it, and the infeasibility
+diagnosis, whose probes open the range, runs on the full program.
 """
 
 from __future__ import annotations
@@ -77,6 +110,9 @@ class Formulation:
     seam_smoothness: bool = False
     n_range_rows: int = 0
     n_smooth_rows: int = 0
+    #: The dose range the timing rows were pruned for (``None``: the
+    #: full program); bounds every :meth:`retarget`.
+    prune_range: float = None
     shared: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -108,9 +144,16 @@ class Formulation:
         the assembled ``A``/``P_leak`` and swap bounds in O(rows).  The
         returned formulation shares ``A``, ``P_leak`` and ``shared``
         (solver workspaces stay valid: the sparsity is untouched).
+        A pruned program refuses a range wider than the one it was
+        pruned for: its dropped rows could bind there.
         """
         dr = self.dose_range if dose_range is None else float(dose_range)
         sm = self.smoothness if smoothness is None else float(smoothness)
+        if self.prune_range is not None and dr > self.prune_range:
+            raise ValueError(
+                f"dose range {dr:g} exceeds the +-{self.prune_range:g} % "
+                "this program was pruned for"
+            )
         if dr == self.dose_range and sm == self.smoothness:
             return self
         l = self.l.copy()
@@ -336,6 +379,27 @@ def _neighbor_indices(partition: GridPartition):
     return k1, k2
 
 
+def _arrival_rows(arrs: _DesignArrays):
+    """Layout of the arrival-propagation family, relative to its first row.
+
+    Each gate owns one optional launch/PI row followed by its fanin-arc
+    rows, in gate order.  Returns ``(og, own_rows, arc_rows, n_rows)``:
+    the gates that own a launch/PI row, that row of each, the row of
+    each arc of ``arrs.arc_src``/``arc_snk``, and the family's size.
+    """
+    n = len(arrs.names)
+    own = arrs.is_seq | arrs.has_pi
+    arc_snk = arrs.arc_snk
+    n_arcs = np.bincount(arc_snk, minlength=n).astype(np.int64)
+    per_gate = own.astype(np.int64) + n_arcs
+    gstart = np.cumsum(per_gate) - per_gate
+    og = np.nonzero(own)[0]
+    starts = np.cumsum(n_arcs) - n_arcs
+    pos_in_gate = np.arange(arc_snk.size, dtype=np.int64) - starts[arc_snk]
+    arc_rows = gstart[arc_snk] + own[arc_snk].astype(np.int64) + pos_in_gate
+    return og, gstart[og], arc_rows, int(per_gate.sum())
+
+
 def _assemble_vector(
     ctx,
     partition: GridPartition,
@@ -398,20 +462,12 @@ def _assemble_vector(
 
     # ---- (5)/(10) arrival propagation: each gate owns one optional
     # launch/PI row followed by its fanin-arc rows, in gate order
-    own = arrs.is_seq | arrs.has_pi
     arc_src, arc_snk = arrs.arc_src, arrs.arc_snk
-    n_arcs = (
-        np.bincount(arc_snk, minlength=n).astype(np.int64)
-        if arc_snk.size
-        else np.zeros(n, dtype=np.int64)
-    )
-    per_gate = own.astype(np.int64) + n_arcs
-    gstart = r + np.cumsum(per_gate) - per_gate
-    n_arr_rows = int(per_gate.sum())
+    og, own_rows, arc_rows, n_arr_rows = _arrival_rows(arrs)
+    own_rows = own_rows + r
+    arc_rows = arc_rows + r
     a_ds = arrs.fit_a * ds
 
-    og = np.nonzero(own)[0]
-    own_rows = gstart[og]
     rows_p += [own_rows, own_rows]
     cols_p += [grid_k[og], off_arr + og]
     vals_p += [a_ds[og], np.full(og.size, -1.0)]
@@ -422,9 +478,6 @@ def _assemble_vector(
         vals_p.append(b_ds[og])
 
     if arc_snk.size:
-        starts = np.cumsum(n_arcs) - n_arcs
-        pos_in_gate = np.arange(arc_snk.size, dtype=np.int64) - starts[arc_snk]
-        arc_rows = gstart[arc_snk] + own[arc_snk].astype(np.int64) + pos_in_gate
         rows_p += [arc_rows, arc_rows, arc_rows]
         cols_p += [off_arr + arc_src, off_arr + arc_snk, grid_k[arc_snk]]
         vals_p += [
@@ -436,8 +489,6 @@ def _assemble_vector(
             rows_p.append(arc_rows)
             cols_p.append(g + grid_k[arc_snk])
             vals_p.append(b_ds[arc_snk])
-    else:
-        arc_rows = np.empty(0, dtype=np.int64)
 
     u_arr = np.empty(n_arr_rows)
     u_arr[own_rows - r] = -arrs.t0[og]
@@ -509,4 +560,107 @@ def _assemble_vector(
         seam_smoothness=seam_smoothness,
         n_range_rows=n_range_rows,
         n_smooth_rows=n_smooth_rows,
+    )
+
+
+# ----------------------------------------------------------------------
+# pruning: drop the timing rows that cannot bind within the dose range
+# ----------------------------------------------------------------------
+#: Relative margin of the pruning test: a row whose bound ties
+#: ``MCT_fast`` to within rounding is kept.
+PRUNE_RTOL = 1e-9
+
+
+def prune_range_for(dose_range: float) -> float:
+    """The range a program is pruned for: +-5 %, or a wider request."""
+    return max(DEFAULT_DOSE_RANGE, float(dose_range))
+
+
+def _timing_row_mask(ctx, both_layers: bool, prune_range: float) -> np.ndarray:
+    """Keep-mask of the arrival-propagation rows followed by the endpoint
+    rows, at doses within ``+-prune_range`` (see the module docstring).
+
+    Grid-independent, so computed once per context, layer set and range
+    and cached next to the design arrays.
+    """
+    key = (bool(both_layers), float(prune_range))
+    cache = ctx.__dict__.setdefault("_formulate_row_masks", {})
+    if key in cache:
+        return cache[key]
+    arrs = _design_arrays(ctx)
+    ds = ctx.library.dose_sensitivity
+    swing = np.abs(arrs.fit_a * ds)
+    if both_layers:
+        swing = swing + np.abs(arrs.fit_b * ds)
+    swing = swing * prune_range
+    t_slow = arrs.t0 + swing
+    t_fast = arrs.t0 - swing
+    src, snk, wire = arrs.arc_src, arrs.arc_snk, arrs.arc_wire
+    ep, extra = arrs.ep_gid, -arrs.ep_u
+
+    # arcs grouped by their sink's level: a group's sources are final
+    # going forward, and its sinks are final going backward
+    graph = ctx.timing_graph
+    level = np.empty(len(arrs.names), dtype=np.int64)
+    level[graph.nl_pos] = graph.level
+    order = np.argsort(level[snk], kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(level[snk][order])) + 1)
+
+    def arrival(t):
+        arr = np.where(arrs.is_seq | arrs.has_pi, t, -np.inf)
+        for a in groups:
+            np.maximum.at(arr, snk[a], arr[src[a]] + wire[a] + t[snk[a]])
+        return arr
+
+    arr_slow, arr_fast = arrival(t_slow), arrival(t_fast)
+    down = np.full(len(arrs.names), -np.inf)
+    np.maximum.at(down, ep, extra)
+    for a in reversed(groups):
+        np.maximum.at(down, src[a], wire[a] + t_slow[snk[a]] + down[snk[a]])
+    mct_fast = np.max(arr_fast[ep] + extra, initial=-np.inf)
+    floor = mct_fast - PRUNE_RTOL * abs(mct_fast)
+
+    og, own_rows, arc_rows, n_arr_rows = _arrival_rows(arrs)
+    keep = np.empty(n_arr_rows + ep.size, dtype=bool)
+    keep[own_rows] = t_slow[og] + down[og] >= floor
+    keep[arc_rows] = arr_slow[src] + wire + t_slow[snk] + down[snk] >= floor
+    keep[n_arr_rows:] = arr_slow[ep] + extra >= floor
+    cache[key] = keep
+    return keep
+
+
+def prune_formulation(ctx, form: Formulation) -> Formulation:
+    """``form`` (a full :func:`build_formulation` program of ``ctx``)
+    without the timing rows that cannot bind within ``+-R``, ``R =``
+    :func:`prune_range_for` of its dose range, and without the arrival
+    columns only those rows use.
+
+    The dose columns, ``T``, the range, smoothness and clock rows stay,
+    in place, so :meth:`Formulation.retarget` and :meth:`Formulation.split`
+    work unchanged; ``idx_T`` and ``row_clock`` move with the deletions.
+    """
+    prune_range = prune_range_for(form.dose_range)
+    head = form.n_range_rows + form.n_smooth_rows
+    keep_rows = np.concatenate([
+        np.ones(head, dtype=bool),
+        _timing_row_mask(ctx, form.both_layers, prune_range),
+        [True],  # the clock row
+    ])
+    rows = np.flatnonzero(keep_rows)
+    A = form.A[rows]
+    keep_cols = np.diff(A.indptr) > 0
+    keep_cols[: form.n_dose_vars] = True
+    keep_cols[form.idx_T] = True
+    cols = np.flatnonzero(keep_cols)
+    return replace(
+        form,
+        A=A[:, cols].tocsc(),
+        l=form.l[rows],
+        u=form.u[rows],
+        P_leak=form.P_leak[cols][:, cols].tocsc(),
+        q_leak=form.q_leak[cols],
+        idx_T=cols.size - 1,
+        row_clock=rows.size - 1,
+        prune_range=prune_range,
+        shared={},
     )

@@ -64,8 +64,8 @@ class DesignContext:
         self.delay_fitter = DelayFitter(self.library, fit_width=fit_width)
         self.leakage_fitter = LeakageFitter(self.library, fit_width=fit_width)
         self.fit_width = fit_width
-        #: Assembled-formulation cache keyed by
-        #: (grid_size, both_layers, seam_smoothness); see formulation_for.
+        #: Pruned-formulation cache keyed by (grid_size, both_layers,
+        #: seam_smoothness, prune range); see formulation_for.
         self._formulation_cache: dict = {}
         #: Formulations assembled so far (cache misses of formulation_for).
         self.formulation_builds = 0
@@ -74,34 +74,45 @@ class DesignContext:
     def formulation_for(self, grid_size: float, both_layers: bool = False,
                         dose_range: float = None, smoothness: float = None,
                         seam_smoothness: bool = False):
-        """A DMopt formulation for this design, cached per structure.
+        """The pruned DMopt program for this design, cached per structure.
 
+        This is the program every DMopt solve sees: the full assembly
+        of :func:`repro.core.formulate.build_formulation` without the
+        timing rows that cannot bind at any dose within ``+-R``, ``R =
+        max(5, dose_range)`` (:func:`repro.core.formulate.prune_formulation`).
         The constraint matrix ``A`` and leakage quadratic depend only on
-        ``(grid_size, both_layers, seam_smoothness)`` -- dose-range and
-        smoothness limits live purely in the ``l``/``u`` bound vectors.
-        The first call per structure key assembles (see
-        :func:`repro.core.formulate.build_formulation`); later calls --
-        e.g. the points of a dose-range sweep -- reuse the cached
-        matrices and only retarget bounds, so a sweep point costs O(rows)
-        instead of a full reassembly.  Retargeted siblings share their
-        ``shared`` scratch dict, which lets solvers reuse
-        pattern-dependent workspaces across the sweep.
+        ``(grid_size, both_layers, seam_smoothness, R)`` -- dose-range
+        and smoothness limits live purely in the ``l``/``u`` bound
+        vectors -- so the key depends on the call's own arguments, never
+        on which ranges were asked for before.  The first call per key
+        assembles and prunes; later calls -- e.g. the points of a
+        dose-range sweep within +-5 % -- reuse the cached matrices and
+        only retarget bounds, so a sweep point costs O(rows) instead of
+        a full reassembly.  Retargeted siblings share their ``shared``
+        scratch dict, which lets solvers reuse pattern-dependent
+        workspaces across the sweep.
         """
         from repro.constants import DEFAULT_DOSE_RANGE, DEFAULT_SMOOTHNESS
-        from repro.core.formulate import build_formulation
+        from repro.core.formulate import (
+            build_formulation,
+            prune_formulation,
+            prune_range_for,
+        )
 
         if dose_range is None:
             dose_range = DEFAULT_DOSE_RANGE
         if smoothness is None:
             smoothness = DEFAULT_SMOOTHNESS
-        key = (float(grid_size), bool(both_layers), bool(seam_smoothness))
+        prune_range = prune_range_for(dose_range)
+        key = (float(grid_size), bool(both_layers), bool(seam_smoothness),
+               prune_range)
         form = self._formulation_cache.get(key)
         if form is not None and self._formulation_stale(form, grid_size,
                                                         both_layers):
             form = None
         if form is None:
             self.formulation_builds += 1
-            form = build_formulation(
+            full = build_formulation(
                 self,
                 grid_size,
                 both_layers=both_layers,
@@ -109,6 +120,7 @@ class DesignContext:
                 smoothness=smoothness,
                 seam_smoothness=seam_smoothness,
             )
+            form = prune_formulation(self, full)
             self._formulation_cache[key] = form
         return form.retarget(dose_range=dose_range, smoothness=smoothness)
 

@@ -162,7 +162,8 @@ def solve_qcp(
             r_dual=res.r_dual,
             solve_time=time.perf_counter() - t_start,
             info=info,
-            warm_started=bool(warm),
+            # the barrier ignores a seed of another program's shape
+            warm_started=barrier.warm_started,
         )
 
     def least_quad(res):

@@ -61,8 +61,10 @@ def random_dag(seed, n_gates, lib, shared_pins=False, placed=0.9):
     return nl, pl
 
 
-def random_dag_context(seed, n_gates, lib, shared_pins=False):
-    """A :class:`DesignContext` over a random DAG (every cell placed)."""
+def random_dag_context(seed, n_gates, lib, shared_pins=False,
+                       fit_width=False):
+    """A :class:`DesignContext` over a random DAG (every cell placed);
+    ``fit_width`` fits the both-layer coefficients too."""
     nl = _random_netlist(random.Random(seed), seed, n_gates, lib, shared_pins)
     bundle = DesignBundle(
         name=f"rand{seed}",
@@ -71,7 +73,7 @@ def random_dag_context(seed, n_gates, lib, shared_pins=False):
         die_width=DIE_WIDTH,
         die_height=DIE_HEIGHT,
     )
-    return DesignContext(bundle)
+    return DesignContext(bundle, fit_width=fit_width)
 
 
 def random_doses(netlist, library, seed, fraction=1.0):

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DesignContext
-from repro.core.formulate import build_formulation
+from repro.core.formulate import build_formulation, prune_formulation
 from repro.library import CellLibrary
 from tests.oracles.formulate import (
     assert_formulations_identical,
@@ -106,18 +106,20 @@ class TestFormulationCacheRetarget:
         f2 = aes_ctx.formulation_for(10.0, dose_range=4.0, smoothness=1.0)
         assert f2.A is f1.A  # structure shared, no reassembly
         assert f2.shared is f1.shared  # solver workspaces carry over
-        fresh = build_formulation(
+        fresh = prune_formulation(aes_ctx, build_formulation(
             aes_ctx, 10.0, dose_range=4.0, smoothness=1.0
-        )
+        ))
         assert np.array_equal(f2.l, fresh.l)
         assert np.array_equal(f2.u, fresh.u)
 
     def test_retarget_matches_fresh_build_everywhere(self, aes_ctx):
+        """The cache serves the pruned fresh build, bounds retargeted."""
         f = aes_ctx.formulation_for(30.0, dose_range=2.5, smoothness=0.75)
-        fresh = build_formulation(
+        fresh = prune_formulation(aes_ctx, build_formulation(
             aes_ctx, 30.0, dose_range=2.5, smoothness=0.75
-        )
+        ))
         assert_formulations_identical(fresh, f)
+        assert f.prune_range == fresh.prune_range == 5.0
 
     def test_retarget_noop_returns_self(self, aes_ctx):
         f1 = aes_ctx.formulation_for(10.0)

@@ -8,16 +8,19 @@ paths through that pair exist twice:
 * :func:`repro.sta.top_k_paths` on the compiled graph ``==`` the dict
   enumerator for K = 1, 10 and every path, duplicates included;
 * :func:`repro.core.formulate.build_formulation` emits the matrices of
-  the per-gate ``add_row`` reference.
+  the per-gate ``add_row`` reference;
+* the pruning mask keeps exactly the rows the per-gate longest-path
+  loops of ``tests/oracles/prune.py`` keep.
 """
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.formulate import build_formulation
+from repro.core.formulate import _timing_row_mask, build_formulation
 from repro.library import CellLibrary
 from repro.netlist import Netlist
 from repro.placement import Die, Placement
@@ -28,6 +31,7 @@ from tests.oracles.formulate import (
     build_reference_formulation,
 )
 from tests.oracles.netlists import random_dag, random_dag_context, random_doses
+from tests.oracles.prune import reference_row_mask
 from tests.oracles.sta import TimingAnalyzer
 
 #: K large enough to enumerate every path of a generated DAG.
@@ -119,4 +123,17 @@ class TestGeneratedNetlists:
         assert_formulations_identical(
             build_reference_formulation(ctx, grid, seam_smoothness=seam),
             build_formulation(ctx, grid, seam_smoothness=seam),
+        )
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=seeds, n_gates=st.integers(5, 60), both=st.booleans(),
+           prune_range=st.sampled_from([5.0, 7.0]))
+    def test_prune_mask_equals_oracle(self, lib65, seed, n_gates, both,
+                                      prune_range):
+        ctx = random_dag_context(seed, n_gates, lib65, shared_pins=True,
+                                 fit_width=both)
+        assert np.array_equal(
+            _timing_row_mask(ctx, both, prune_range),
+            reference_row_mask(ctx, both, prune_range),
         )
