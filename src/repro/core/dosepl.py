@@ -121,9 +121,12 @@ def _cell_leakage(ctx, gate_name: str, dose: float) -> float:
     ).leakage_uw
 
 
-def _try_round(ctx, dose_map, trial, result, cfg, fixed, stats, timer,
+def _try_round(ctx, dose_map, trial, ranked, cfg, fixed, stats, timer,
                trial_best):
     """One round of cell swapping, applied to ``trial`` in place.
+
+    ``ranked`` is ``(paths, weights)``: the top-K critical paths of the
+    accepted golden result, most-critical first, and their cell weights.
 
     ``timer``/``trial_best`` are the persistent incremental
     trial-STA state owned by :func:`run_dosepl` (hoisted out of the
@@ -140,10 +143,9 @@ def _try_round(ctx, dose_map, trial, result, cfg, fixed, stats, timer,
     """
     nl = ctx.netlist
     partition = dose_map.partition
-    paths = top_k_paths(ctx.timing_graph, result, cfg.top_k)
+    paths, weights = ranked
     if not paths:
         return 0, trial_best
-    weights = _path_weights(paths, result.mct)
     critical_cells = set(weights)
     pitch = trial.gate_pitch()
     max_dist = cfg.distance_factor * pitch
@@ -325,9 +327,15 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
     timer = ctx.analyzer_for(work)
     work_mct = timer.mct(ctx.gate_dose_array(dose_map, placement=work))
 
+    # the golden result changes only when a round is accepted: rounds
+    # after a rollback or a zero-swap round reuse its ranked paths
+    ranked = None
     for rnd in range(1, cfg.rounds + 1):
+        if ranked is None:
+            paths = top_k_paths(ctx.timing_graph, golden, cfg.top_k)
+            ranked = paths, _path_weights(paths, golden.mct)
         swaps_done, work_mct = _try_round(
-            ctx, dose_map, work, golden, cfg, fixed, stats, timer, work_mct
+            ctx, dose_map, work, ranked, cfg, fixed, stats, timer, work_mct
         )
         if swaps_done == 0:
             history.append((rnd, best_mct, best_leak))
@@ -338,7 +346,7 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
             dose_map, placement=trial
         )
         if trial_res.mct < best_mct - 1e-12:
-            place, golden = trial, trial_res
+            place, golden, ranked = trial, trial_res, None
             best_mct, best_leak = trial_res.mct, trial_leak
             accepted += 1
         else:

@@ -80,6 +80,15 @@ class GridPartition:
         pair of int arrays, one index per point.  Non-finite coordinates
         raise ``ValueError``.
         """
+        if isinstance(x, (float, int)) and isinstance(y, (float, int)):
+            # one point: plain floats, the same division, clamp and
+            # truncation as the array path below
+            x, y = float(x), float(y)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("grid_of needs finite coordinates")
+            j = min(max(x / self.cell_width, 0.0), float(self.n - 1))
+            i = min(max(y / self.cell_height, 0.0), float(self.m - 1))
+            return int(i), int(j)
         xy = np.array((x, y), dtype=float)
         if not np.isfinite(xy).all():
             raise ValueError("grid_of needs finite coordinates")

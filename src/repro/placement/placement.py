@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Die:
@@ -52,11 +54,18 @@ class Placement:
 
     Locations are the cells' left edges at their row baseline; the
     y-coordinate of a placed cell is always ``row * row_height``.
+
+    Region queries read a coordinate index built on first use: the
+    names in placement order and their x and y arrays.  Moving or
+    swapping placed cells updates it in place; placing a new cell drops
+    it, to be rebuilt by the next query.
     """
 
     def __init__(self, die: Die):
         self.die = die
         self._pos: dict = {}  # gate name -> (x, y)
+        #: (names, name -> row, xs, ys) over ``_pos``, or None until read
+        self._index = None
 
     # ------------------------------------------------------------------
     # basic access
@@ -67,7 +76,14 @@ class Placement:
                 f"({x:.2f}, {y:.2f}) outside die "
                 f"{self.die.width:.2f}x{self.die.height:.2f}"
             )
-        self._pos[gate_name] = (float(x), float(y))
+        self._pos[gate_name] = loc = (float(x), float(y))
+        if self._index is not None:
+            _names, rows, xs, ys = self._index
+            row = rows.get(gate_name)
+            if row is None:
+                self._index = None
+            else:
+                xs[row], ys[row] = loc
 
     def location(self, gate_name: str) -> tuple:
         try:
@@ -99,6 +115,11 @@ class Placement:
         """Exchange the locations of two placed cells."""
         p1, p2 = self.location(g1), self.location(g2)
         self._pos[g1], self._pos[g2] = p2, p1
+        if self._index is not None:
+            _names, rows, xs, ys = self._index
+            r1, r2 = rows[g1], rows[g2]
+            xs[r1], ys[r1] = p2
+            xs[r2], ys[r2] = p1
 
     def distance(self, g1: str, g2: str) -> float:
         """Manhattan distance between two cells (um)."""
@@ -130,12 +151,20 @@ class Placement:
         return (x0 - margin <= x <= x1 + margin) and (y0 - margin <= y <= y1 + margin)
 
     def cells_in_region(self, x0: float, y0: float, x1: float, y1: float):
-        """All placed cells with location inside the closed rectangle."""
-        return [
-            name
-            for name, (x, y) in self._pos.items()
-            if x0 <= x <= x1 and y0 <= y <= y1
-        ]
+        """All placed cells with location inside the closed rectangle,
+        in placement order."""
+        if self._index is None:
+            names = list(self._pos)
+            xy = np.array(list(self._pos.values()), dtype=float).reshape(-1, 2)
+            self._index = (
+                names,
+                {name: row for row, name in enumerate(names)},
+                xy[:, 0].copy(),
+                xy[:, 1].copy(),
+            )
+        names, _rows, xs, ys = self._index
+        inside = (x0 <= xs) & (xs <= x1) & (y0 <= ys) & (ys <= y1)
+        return [names[row] for row in np.flatnonzero(inside).tolist()]
 
     def gate_pitch(self) -> float:
         """Average cell pitch: chip dimension / sqrt(gate count).

@@ -8,7 +8,8 @@ bilinear interpolation over the table's stacked NLDM arrays).  A dose
 assignment becomes per-gate variant ids in one table lookup,
 ``CellLibrary.variant_ids(master_ids, poly, active)``.  Every analysis
 reads this one graph: golden STA, top-K paths, Monte Carlo, SSTA and
-GL-bias.
+GL-bias; Monte Carlo and SSTA share its per-level fan-in slot layout
+(``CompiledTimingGraph.fanin_slots``).
 
 ``analyze`` returns a :class:`~repro.sta.timing.TimingResult` carrying
 the pass's arrays; its per-gate dicts are built only when read.
@@ -29,7 +30,7 @@ agreement down.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -314,6 +315,31 @@ class CompiledTimingGraph:
 
         # nominal (zero-dose) variant ids
         self.nominal_vids = library.variant_ids(self.master_ids)
+
+    @cached_property
+    def fanin_slots(self) -> list:
+        """The fan-in CSR of each level, padded to one row per arc slot.
+
+        One ``(ids, src, arc)`` per level: ``ids`` are the level's gate
+        ids in perm order, and row k of the (slots x gates) arrays ``src``
+        and ``arc`` holds each gate's (k+1)-th fan-in arc after its
+        virtual one -- the arc's source gate and its arc id -- in arc
+        order, padded with -1 where a gate has fewer arcs.  Built on
+        first use and placement-independent: Monte Carlo and SSTA both
+        time over it, and treat the virtual arc (arrival 0) themselves.
+        """
+        slot = np.arange(len(self.fi_src)) - self.fi_ptr[self.fi_seg]
+        levels = []
+        for lo, hi in self.level_slices:
+            arcs = np.arange(self.fi_ptr[lo], self.fi_ptr[hi])
+            arcs = arcs[slot[arcs] > 0]
+            k, col = slot[arcs] - 1, self.fi_seg[arcs] - lo
+            src = np.full((int(k.max(initial=-1)) + 1, hi - lo), -1)
+            arc = np.full(src.shape, -1)
+            src[k, col] = self.fi_src[arcs]
+            arc[k, col] = arcs
+            levels.append((self.perm[lo:hi], src, arc))
+        return levels
 
     def vids_for(self, doses) -> np.ndarray:
         """Per-gate variant ids, in graph order, for a dose assignment.

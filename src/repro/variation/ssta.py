@@ -13,9 +13,12 @@ matching, preserving spatial correlation -- which is exactly what a dose
 map manipulates, making SSTA the natural yield analysis for this paper's
 setting.
 
-Arrivals propagate over the compiled timing graph.  Outputs the chip
-MCT as a canonical form, from which mean, sigma, and timing-yield
-quantiles follow in closed form.
+Arrivals propagate over the compiled timing graph one level per numpy
+call: for each fan-in arc slot of the graph's per-level slot layout
+(``fanin_slots``, shared with Monte Carlo), Clark's max runs over every
+gate of the level that has that slot.  Outputs the chip MCT as a
+canonical form, from which mean, sigma, and timing-yield quantiles
+follow in closed form.
 """
 
 from __future__ import annotations
@@ -103,13 +106,47 @@ def clark_max(a: CanonicalDelay, b: CanonicalDelay) -> CanonicalDelay:
     return CanonicalDelay(mean, sens, rand)
 
 
+def _clark_rows(ma, sa, ra, mb, sb, rb):
+    """:func:`clark_max` of row pairs: the means, (rows x sources)
+    sensitivities and private sigmas of both operands in, those of each
+    row's max out.  The scalar's formulas in the scalar's order; only
+    the dot products sum in another order, and exp and hypot are
+    numpy's."""
+    var_a = np.einsum("ij,ij->i", sa, sa) + ra * ra
+    var_b = np.einsum("ij,ij->i", sb, sb) + rb * rb
+    cov = np.einsum("ij,ij->i", sa, sb)
+    theta = np.sqrt(np.maximum(var_a + var_b - 2.0 * cov, 1e-30))
+    alpha = (ma - mb) / theta
+    # math.erf per entry: the scalar's erf, and no scipy.special import
+    # (a few MB of resident memory) for a few thousand calls per pass
+    erf = np.fromiter(
+        map(math.erf, (alpha / math.sqrt(2.0)).tolist()), float, len(alpha)
+    )
+    p = 0.5 * (1.0 + erf)
+    q = 1.0 - p
+    d = np.exp(-0.5 * alpha * alpha) / _SQRT2PI
+
+    mean = ma * p + mb * q + theta * d
+    second = (
+        (var_a + ma * ma) * p
+        + (var_b + mb * mb) * q
+        + (ma + mb) * theta * d
+    )
+    var = np.maximum(second - mean * mean, 0.0)
+
+    sens = p[:, None] * sa + q[:, None] * sb
+    resid = var - np.einsum("ij,ij->i", sens, sens)
+    return mean, sens, np.sqrt(np.maximum(resid, 0.0))
+
+
 class SSTA:
     """Block-based SSTA over a design context.
 
-    Arrivals propagate over the context's compiled timing graph in its
-    level order.  Each gate folds its fan-in pins through Clark's max in
+    Arrivals propagate over the context's compiled timing graph a level
+    at a time.  Each gate folds its fan-in pins through Clark's max in
     graph arc order, the virtual arc (arrival 0) first -- the operating
-    point the compiled STA uses.
+    point the compiled STA uses -- and the endpoints fold through the
+    scalar :func:`clark_max` chain.
 
     Parameters
     ----------
@@ -129,16 +166,15 @@ class SSTA:
             place.die.width, place.die.height, model.correlation_grid_um
         )
         self.partition = part
-        self._n_sources = part.n_grids
         assign = part.assign_gates(place)
-        # dose-independent parts of each gate's canonical delay
-        self._sens = []
-        self._rand = []
-        for name, a in zip(self.timing.graph.names, self.timing.a.tolist()):
-            sens = np.zeros(part.n_grids)
-            sens[assign[name]] = a * model.sigma_systematic_nm
-            self._sens.append(sens)
-            self._rand.append(abs(a) * model.sigma_random_nm)
+        # dose-independent parts of each gate's canonical delay: one
+        # systematic sensitivity, at the gate's grid, and a private sigma
+        a = self.timing.a
+        self._grid = np.array(
+            [assign[name] for name in self.timing.graph.names], dtype=np.int64
+        )
+        self._sens = a * model.sigma_systematic_nm
+        self._rand = np.abs(a) * model.sigma_random_nm
 
     def analyze(self, dose_map=None) -> CanonicalDelay:
         """Propagate canonical arrivals; returns the chip MCT variable."""
@@ -148,23 +184,32 @@ class SSTA:
         if dose_map is not None:
             shift = gate_dose_shift_nm(self.ctx, dose_map)
             t0 = np.maximum(t0 + tm.a * shift, 0.0)
-        t0 = t0.tolist()
-        src = g.fi_src.tolist()
-        wire = tm.arc_wire.tolist()
-        ptr = g.fi_ptr.tolist()
-        zero = CanonicalDelay(0.0, np.zeros(self._n_sources), 0.0)
 
-        arrival = [None] * g.n
-        for p, gid in enumerate(g.perm.tolist()):
-            best = zero  # the virtual arc
-            for arc in range(ptr[p] + 1, ptr[p + 1]):
-                best = clark_max(best, arrival[src[arc]].shifted(wire[arc]))
-            delay = CanonicalDelay(t0[gid], self._sens[gid], self._rand[gid])
-            arrival[gid] = best.plus(delay)
+        n_src = self.partition.n_grids
+        mean, sens, rand = np.zeros(g.n), np.zeros((g.n, n_src)), np.zeros(g.n)
+        for ids, src, arc in g.fanin_slots:
+            m = len(ids)
+            # the virtual arcs
+            bm, bs, br = np.zeros(m), np.zeros((m, n_src)), np.zeros(m)
+            for src_row, arc_row in zip(src, arc):
+                cols = np.flatnonzero(src_row >= 0)  # gates with this slot
+                s = src_row[cols]
+                bm[cols], bs[cols], br[cols] = _clark_rows(
+                    bm[cols], bs[cols], br[cols],
+                    mean[s] + tm.arc_wire[arc_row[cols]], sens[s], rand[s],
+                )
+            mean[ids] = bm + t0[ids]
+            bs[np.arange(m), self._grid[ids]] += self._sens[ids]
+            sens[ids] = bs
+            rand[ids] = np.hypot(br, self._rand[ids])
 
-        ends = [arrival[gid] for gid in g.po_ids.tolist()]
+        mean, rand = mean.tolist(), rand.tolist()
+        ends = [
+            CanonicalDelay(mean[gid], sens[gid], rand[gid])
+            for gid in g.po_ids.tolist()
+        ]
         ends += [
-            arrival[drv].shifted(extra)
+            CanonicalDelay(mean[drv], sens[drv], rand[drv]).shifted(extra)
             for drv, extra in zip(g.ff_src.tolist(), tm.ff_extra.tolist())
         ]
         if not ends:

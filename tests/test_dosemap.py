@@ -271,11 +271,39 @@ class TestVectorLookup:
             got = p.grid_of(x, y)
             assert got == ref and all(type(v) is int for v in got)
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        x=st.one_of(
+            st.floats(-100.0, 200.0),
+            st.sampled_from([0.0, -0.0, 12.5, 25.0, 87.5, 100.0]),
+            st.floats(-1e300, 1e300),
+            st.integers(-10**6, 10**6),
+        ),
+        y=st.one_of(
+            st.floats(-50.0, 100.0),
+            st.sampled_from([0.0, 7.5, 15.0, 45.0, 60.0]),
+            st.floats(-1e300, 1e300),
+            st.integers(-10**6, 10**6),
+        ),
+        g=st.sampled_from([7.0, 12.5, 33.3]),
+    )
+    def test_scalar_path_equals_array_path(self, x, y, g):
+        """One point takes a plain-float path; it must land in the grid
+        the array path gives, boundaries and far-outside points too."""
+        p = GridPartition(width=100.0, height=60.0, g=g)
+        ii, jj = p.grid_of(np.array([x], dtype=float), np.array([y], dtype=float))
+        got = p.grid_of(x, y)
+        assert got == (int(ii[0]), int(jj[0]))
+        assert all(type(v) is int for v in got)
+        assert p.grid_of(np.float64(x), np.float64(y)) == got
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinates_rejected(self, bad):
         p = GridPartition(width=100.0, height=60.0, g=12.5)
         with pytest.raises(ValueError, match="finite"):
             p.grid_of(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            p.grid_of(1.0, float(bad))
         with pytest.raises(ValueError, match="finite"):
             p.grid_of(np.array([1.0, 2.0]), np.array([1.0, bad]))
 

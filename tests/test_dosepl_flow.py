@@ -61,6 +61,41 @@ class TestDosepl:
     def test_runtime_recorded(self, dosepl_result):
         assert dosepl_result.runtime > 0
 
+    def test_top_k_paths_once_per_golden_result(self, ctx, qcp,
+                                                 monkeypatch):
+        """Rounds after a rollback or a zero-swap round reuse the ranked
+        paths of the unchanged golden result: one ``top_k_paths`` call
+        for the input, and one per accepted round that another round
+        follows.  The result is the same as without the count."""
+        from repro.core import dosepl
+
+        # swaps three cells a round, so some rounds roll back
+        cfg = DoseplConfig(top_k=200, rounds=6, swaps_per_path=2,
+                           swaps_per_round=3)
+        plain = run_dosepl(ctx, qcp.dose_map_poly, config=cfg)
+        real = dosepl.top_k_paths
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dosepl, "top_k_paths", counting)
+        res = run_dosepl(ctx, qcp.dose_map_poly, config=cfg)
+
+        mcts = [m for _r, m, _l in res.history]
+        accepted = [b < a for a, b in zip(mcts, mcts[1:])]
+        assert sum(accepted) == res.swaps_accepted
+        assert not all(accepted)
+        assert len(calls) == 1 + sum(accepted[:-1]) < cfg.rounds
+        # a distinct golden result per call (``calls`` keeps them alive)
+        assert len({id(result) for result in calls}) == len(calls)
+        for field in ("mct", "leakage", "baseline_mct", "swaps_accepted",
+                      "swaps_attempted", "rounds_run", "history",
+                      "swaps_trial_rejected"):
+            assert getattr(res, field) == getattr(plain, field), field
+        assert dict(res.placement.items()) == dict(plain.placement.items())
+
 
 class TestSweep:
     def test_sweep_monotone_trends(self, ctx):

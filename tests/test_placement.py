@@ -110,6 +110,50 @@ class TestPlacement:
         assert p.cells_in_region(0, 0, 5, 2) == ["a"]
         assert set(p.cells_in_region(0, 0, 20, 9)) == {"a", "b"}
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["place", "swap", "copy", "query"]),
+                st.integers(0, 7),
+                st.integers(0, 7),
+                st.sampled_from([0.0, 2.5, 5.0, 10.0, 20.0]),
+                st.sampled_from([0.0, 1.8, 3.6, 9.0]),
+            ),
+            max_size=40,
+        ),
+        box=st.tuples(
+            st.sampled_from([0.0, 2.5, 5.0, 7.5, 10.0, 20.0]),
+            st.sampled_from([0.0, 1.8, 3.6, 5.4, 9.0]),
+            st.sampled_from([0.0, 2.5, 5.0, 7.5, 10.0, 20.0]),
+            st.sampled_from([0.0, 1.8, 3.6, 5.4, 9.0]),
+        ),
+    )
+    def test_cells_in_region_matches_scan(self, ops, box):
+        """The coordinate index, kept in place across moves and swaps
+        and rebuilt after a new cell, answers exactly the scan over
+        every placed cell, points on the box edges included."""
+        def scan(p, x0, y0, x1, y1):
+            return [
+                name for name, (x, y) in p.items()
+                if x0 <= x <= x1 and y0 <= y <= y1
+            ]
+
+        p = Placement(_die())
+        others = []
+        for op, a, b, x, y in ops:
+            if op == "place":
+                p.place(f"g{a}", x, y)
+            elif op == "swap" and len(p):
+                placed = [name for name, _loc in p.items()]
+                p.swap(placed[a % len(placed)], placed[b % len(placed)])
+            elif op == "copy":
+                others.append(p)
+                p = p.copy()
+            assert p.cells_in_region(*box) == scan(p, *box)
+        for q in others:
+            assert q.cells_in_region(*box) == scan(q, *box)
+
     def test_neighborhood_bbox(self):
         nl = _chain_netlist(3)
         p = Placement(_die())

@@ -1,11 +1,17 @@
-"""Tests for the first-order SSTA engine (validated against Monte Carlo)."""
+"""Tests for the first-order SSTA engine (validated against Monte Carlo
+and against the per-gate walk of ``tests/oracles/ssta.py``)."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import DesignContext, optimize_dose_map
+from repro.dosemap import DoseMap, GridPartition
+from repro.library import CellLibrary
 from repro.netlist import make_design
 from repro.variation import (
     SSTA,
@@ -15,6 +21,8 @@ from repro.variation import (
     clark_max,
     ssta_timing_yield,
 )
+from tests.oracles.netlists import random_dag_context
+from tests.oracles.ssta import ssta_analyze
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +126,76 @@ class TestSSTAEngine:
         c = CanonicalDelay(1.0, np.array([0.0]), 2.0)
         assert c.quantile(0.5) == pytest.approx(1.0)
         assert c.quantile(0.8413) == pytest.approx(3.0, abs=1e-2)
+
+
+#: Level-vectorized SSTA vs the per-gate walk.  The level kernel runs
+#: the scalar Clark formulas in the same order, so only the
+#: sensitivity dot products (summed in another order) and exp/hypot
+#: (numpy's instead of ``math``'s) differ, by an ulp or so; sigma comes
+#: out of a cancellation (variance minus sensitivities squared), so it
+#: keeps less of that.
+MEAN_RTOL, SIGMA_RTOL = 1e-12, 1e-9
+
+
+def _assert_matches_oracle(ctx, model, dose_map):
+    got = SSTA(ctx, model).analyze(dose_map)
+    want = ssta_analyze(ctx, model, dose_map)
+    assert got.mean == pytest.approx(want.mean, rel=MEAN_RTOL, abs=0.0)
+    assert got.sigma == pytest.approx(want.sigma, rel=SIGMA_RTOL, abs=0.0)
+    assert got.sens.shape == want.sens.shape
+
+
+def _random_dose_map(ctx, seed, grid=5.0):
+    place = ctx.placement
+    part = GridPartition(place.die.width, place.die.height, grid)
+    rng = np.random.default_rng(seed)
+    return DoseMap(part, values=rng.uniform(-5.0, 5.0, (part.m, part.n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _design_ctx(design):
+    return DesignContext(make_design(design, scale=0.25))
+
+
+@functools.lru_cache(maxsize=None)
+def _lib65():
+    return CellLibrary("65nm")
+
+
+class TestAgainstPerGateOracle:
+    @pytest.mark.parametrize(
+        "design", ["AES-65", "JPEG-65", "AES-90", "JPEG-90"]
+    )
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_fixed_designs(self, design, mapped, model):
+        ctx = _design_ctx(design)
+        dose_map = _random_dose_map(ctx, 3, grid=10.0) if mapped else None
+        _assert_matches_oracle(ctx, model, dose_map)
+
+    def test_zero_variation_sigma_is_exactly_zero(self):
+        ctx = _design_ctx("JPEG-65")
+        for dose_map in (None, _random_dose_map(ctx, 4, grid=10.0)):
+            mct = SSTA(ctx, VariationModel(0, 0)).analyze(dose_map)
+            assert mct.sigma == 0.0
+            want = ssta_analyze(ctx, VariationModel(0, 0), dose_map)
+            assert mct.mean == pytest.approx(want.mean, rel=MEAN_RTOL)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n_gates=st.integers(3, 60),
+        sigmas=st.tuples(
+            st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 1.0, 2.0])
+        ),
+        corr_grid=st.sampled_from([5.0, 20.0]),
+        mapped=st.booleans(),
+    )
+    def test_generated_netlists(self, seed, n_gates, sigmas, corr_grid,
+                                mapped):
+        """Random DAGs with FFs and a gate reading one net on both
+        pins, with and without a dose map."""
+        ctx = random_dag_context(seed, n_gates, _lib65(), shared_pins=True)
+        model = VariationModel(*sigmas, correlation_grid_um=corr_grid)
+        dose_map = _random_dose_map(ctx, seed) if mapped else None
+        _assert_matches_oracle(ctx, model, dose_map)

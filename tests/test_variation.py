@@ -15,6 +15,8 @@ from repro.variation import (
     timing_yield,
     yield_curve,
 )
+from repro.variation.montecarlo import _BLOCK
+from tests.oracles import montecarlo as unblocked
 from tests.oracles.sta import TimingAnalyzer
 
 
@@ -167,6 +169,59 @@ class TestAgainstPerGateLoop:
             mc.mct_samples(dl, dose_map),
             _per_gate_loop_mct(ctx, dl, dose_map),
         )
+
+
+class TestBlockedAgainstUnblocked:
+    """Samples are drawn and timed in blocks of ``_BLOCK`` columns; every
+    block boundary must leave the numbers of drawing and timing all
+    samples at once (``tests/oracles/montecarlo.py``) bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n_samples", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2000]
+    )
+    @pytest.mark.parametrize(
+        "model",
+        [VariationModel(seed=8), VariationModel(0.0, 1.5, 7.0, seed=9),
+         VariationModel(1.0, 0.0, seed=10)],
+        ids=["both", "systematic", "random"],
+    )
+    def test_bit_identical(self, ctx, mc, n_samples, model):
+        dl = mc.sample_dl(model, n_samples)
+        assert np.array_equal(dl, unblocked.sample_dl(mc, model, n_samples))
+        place = ctx.placement
+        part = GridPartition(place.die.width, place.die.height, 10.0)
+        rng = np.random.default_rng(n_samples)
+        dose_map = DoseMap(part, values=rng.uniform(-5, 5, (part.m, part.n)))
+        for dm in (None, dose_map):
+            got = mc.mct_samples(dl, dm)
+            assert got.shape == (n_samples,)
+            assert np.array_equal(got, unblocked.mct_samples(mc, dl, dm))
+
+    def test_zero_samples(self, mc):
+        got = mc.mct_samples(np.zeros((0, mc.graph.n)))
+        assert got.shape == (0,)
+        assert np.array_equal(
+            got, unblocked.mct_samples(mc, np.zeros((0, mc.graph.n)))
+        )
+
+    def test_shares_the_graph_slot_layout(self, ctx, mc):
+        """Monte Carlo times over the compiled graph's one layout: each
+        level's slot rows list every gate's real fan-in arcs in arc
+        order, padded with -1."""
+        g = ctx.timing_graph
+        assert len(mc._levels) == len(g.fanin_slots) == g.n_levels
+        for (ids, src, _wire), (slot_ids, slot_src, _arc) in zip(
+            mc._levels, g.fanin_slots
+        ):
+            assert ids is slot_ids and src is slot_src
+        for ids, src, arc in g.fanin_slots:
+            assert src.shape == arc.shape == (src.shape[0], len(ids))
+            for col, gid in enumerate(ids.tolist()):
+                p = int(g.pos_of[gid])
+                arcs = list(range(g.fi_ptr[p] + 1, g.fi_ptr[p + 1]))
+                pad = [-1] * (src.shape[0] - len(arcs))
+                assert arc[:, col].tolist() == arcs + pad
+                assert src[:, col].tolist() == g.fi_src[arcs].tolist() + pad
 
 
 class TestYield:
