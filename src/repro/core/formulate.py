@@ -267,8 +267,9 @@ def _design_arrays(ctx) -> _DesignArrays:
     place = ctx.placement
     baseline = ctx.baseline
 
+    graph = ctx.timing_graph
+    nl_pos = graph.nl_pos
     names = list(nl.gates)
-    index = {name: i for i, name in enumerate(names)}
     n = len(names)
     masters = [nl.gates[name].master for name in names]
 
@@ -276,16 +277,14 @@ def _design_arrays(ctx) -> _DesignArrays:
     y = np.empty(n)
     for i, name in enumerate(names):
         x[i], y[i] = place.location(name)
-    is_seq = np.array(
-        [lib.cell(m).is_sequential for m in masters], dtype=bool
-    )
+    is_seq = np.empty(n, dtype=bool)
+    is_seq[nl_pos] = graph.is_seq
     # the baseline pass's arrays, from graph order to netlist order
-    graph = ctx.timing_graph
     base = baseline.arrays
     t0, slews, loads = (np.empty(n) for _ in range(3))
-    t0[graph.nl_pos] = base.gate_delay
-    slews[graph.nl_pos] = base.input_slew
-    loads[graph.nl_pos] = base.load
+    t0[nl_pos] = base.gate_delay
+    slews[nl_pos] = base.input_slew
+    loads[nl_pos] = base.load
     # delay fits at each gate's nearest table entry
     fit_a, fit_b = ctx.delay_fitter.gate_fits(masters, slews, loads)
 
@@ -304,45 +303,42 @@ def _design_arrays(ctx) -> _DesignArrays:
         gamma[i] = fit.gamma
 
     # timing arcs (deduplicated per (driver, sink), in input-pin order)
-    # and primary-input flags, mirroring the reference row enumeration
-    wire_delay = baseline.wire_delay
+    # and primary-input flags, mirroring the reference row enumeration;
+    # a stable sort keeps each gate's contiguous arcs in pin order
     has_pi = np.zeros(n, dtype=bool)
-    arc_src, arc_snk, arc_wire = [], [], []
-    for gid, name in enumerate(names):
-        if is_seq[gid]:
-            continue
-        gate = nl.gates[name]
-        seen: set = set()
-        pi = False
-        for net_name in gate.inputs:
-            drv = nl.nets[net_name].driver
-            if drv is None:
-                pi = True
-                continue
-            if drv in seen:
-                continue
-            seen.add(drv)
-            arc_src.append(index[drv])
-            arc_snk.append(gid)
-            arc_wire.append(wire_delay.get((drv, name), 0.0))
-        has_pi[gid] = pi
+    has_pi[nl_pos] = graph.has_pi
+    real = graph.real_fi
+    arc_src, arc_snk, arc_wire = _first_per_pair(
+        nl_pos[graph.fi_src[real]], nl_pos[graph.fi_sink[real]],
+        base.fi_wire, n,
+    )
 
     # endpoint rows: PO drivers (rhs 0) and FF D-pin fanin (rhs
     # -wire - setup), in per-gate then first-seen fanout order (a set
     # would order a gate's flip-flops by the process's string hash)
-    ep_gid, ep_u = [], []
-    for gid, name in enumerate(names):
-        gate = nl.gates[name]
-        if nl.nets[gate.output].is_primary_output:
-            ep_gid.append(gid)
-            ep_u.append(0.0)
-        for succ in dict.fromkeys(nl.fanout_gates(name)):
-            if not is_seq[index[succ]]:
-                continue
-            wire = wire_delay.get((name, succ), 0.0)
-            setup = lib.cell(nl.gate(succ).master).setup_ns
-            ep_gid.append(gid)
-            ep_u.append(-wire - setup)
+    fo = graph.fo_succ >= 0
+    fo_succ = graph.fo_succ[fo]
+    to_ff = graph.is_seq[fo_succ]
+    fo_succ = fo_succ[to_ff]
+    fo_drv = graph.fo_owner[fo][to_ff]
+    # every (driver, flip-flop) fanout pair is an FF data-pin arc
+    ff_key = graph.ff_src * n + graph.ff_gate
+    ff_order = np.argsort(ff_key, kind="stable")
+    ff_at = ff_order[np.searchsorted(ff_key[ff_order], fo_drv * n + fo_succ)]
+    setup = np.array([lib.cell(graph.masters[k]).setup_ns for k in fo_succ])
+    _ff_snk, ff_drv, ff_u = _first_per_pair(
+        nl_pos[fo_succ], nl_pos[fo_drv],
+        -base.ff_wire[ff_at] - setup, n,
+    )
+    po_gid = np.sort(nl_pos[graph.po_ids])
+    ep_gid = np.concatenate([po_gid, ff_drv])
+    ep_u = np.concatenate([np.zeros(po_gid.size), ff_u])
+    # a gate's PO row first, then its flip-flops
+    ep_order = np.argsort(
+        2 * ep_gid + np.repeat([0, 1], [po_gid.size, ff_drv.size]),
+        kind="stable",
+    )
+    ep_gid, ep_u = ep_gid[ep_order], ep_u[ep_order]
 
     arrs = _DesignArrays(
         names=names,
@@ -356,14 +352,23 @@ def _design_arrays(ctx) -> _DesignArrays:
         alpha=alpha,
         beta=beta,
         gamma=gamma,
-        arc_src=np.asarray(arc_src, dtype=np.int64),
-        arc_snk=np.asarray(arc_snk, dtype=np.int64),
-        arc_wire=np.asarray(arc_wire, dtype=float),
-        ep_gid=np.asarray(ep_gid, dtype=np.int64),
-        ep_u=np.asarray(ep_u, dtype=float),
+        arc_src=arc_src,
+        arc_snk=arc_snk,
+        arc_wire=arc_wire,
+        ep_gid=ep_gid,
+        ep_u=ep_u,
     )
     ctx.__dict__["_formulate_design_arrays"] = arrs
     return arrs
+
+
+def _first_per_pair(other, owner, values, n):
+    """``(other, owner, values)`` at the first entry of each (other,
+    owner) pair, stably sorted by ``owner`` (gate indices below ``n``)."""
+    order = np.argsort(owner, kind="stable")
+    _, first = np.unique(owner[order] * n + other[order], return_index=True)
+    keep = order[np.sort(first)]
+    return other[keep], owner[keep], values[keep]
 
 
 def _neighbor_indices(partition: GridPartition):

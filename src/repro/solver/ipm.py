@@ -20,7 +20,10 @@ create flat directions that stall first-order methods).
 
 One convex quadratic row ``(1/2)x'Qx + g'x <= b`` may join the linear
 ones (the QCP's leakage budget, see :mod:`repro.solver.qcp`): it is one
-more barrier pair in the same loop, so the QCP is one solve.
+more barrier pair in the same loop, so the QCP is one solve.  The
+corrector carries the row's curvature along the predictor direction
+(Mehrotra's second-order correction); treated as linear, the row can
+make the loop cycle.
 
 Repeated solves of structurally identical problems (dose-map sweep
 points and guard retries) share an :class:`IPMWorkspace`.  It computes
@@ -539,7 +542,13 @@ def solve_qp_ipm(
 
         # --- corrector step
         rc = -s * z - ds_a * dz_a + sigma * mu
-        dx, dz = _solve_step(-r_dual, -r_prim - rc / z)
+        r2 = -r_prim - rc / z
+        if row:
+            # second-order correction: a step along dx moves the row by
+            # a'dx + (1/2)dx'Q dx, and the linearization drops the
+            # curvature; take it along the affine direction instead
+            r2[m] -= 0.5 * float(dx_a @ (Q @ dx_a))
+        dx, dz = _solve_step(-r_dual, r2)
         ds = (rc - s * dz) / z
 
         eta = 0.99 if mu > 1e-6 else 0.999

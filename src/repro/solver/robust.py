@@ -5,7 +5,7 @@ ill-conditioned normal matrix (singular SuperLU factorization), a
 diverging Mehrotra step, or a warm-start seed that blows up the first
 scaling matrix.  :func:`solve_qp_robust` runs every QP through one fixed,
 status-driven chain so callers (:func:`repro.core.dmopt.optimize_dose_map`,
-the QCP barrier and bisection, the infeasibility probes) never see an uncaught
+the QCP barrier, the infeasibility probes) never see an uncaught
 exception for a recoverable numeric failure.  There is no backend choice
 and no tuning: every step runs its solver's defaults.
 
@@ -21,8 +21,7 @@ and no tuning: every step runs its solver's defaults.
 4. ``admm``: the last resort, the cold first-order solver (it
    factorizes a quasi-definite KKT system, immune to the normal-matrix
    conditioning that stops the IPM).  ADMM has no quadratic row, so a
-   program with one (``quad``, the QCP's barrier) ends after step 3 and
-   :func:`repro.solver.qcp.solve_qcp` takes over.
+   program with one (``quad``, the QCP's barrier) ends after step 3.
 
 A cold ``infeasible`` verdict ends the chain -- no solver can fix an
 infeasible problem.  The full attempt trail is recorded in

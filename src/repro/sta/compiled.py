@@ -198,6 +198,8 @@ class CompiledTimingGraph:
         fi_ptr = [0]
         wd_keys = []  # (driver name, sink name) per *real* arc
         real_fi = []  # arc ids of real arcs
+        #: Combinational gates with an input pin on a primary input.
+        self.has_pi = np.zeros(n, dtype=bool)
         for p in range(n):
             gid = int(self.perm[p])
             name = names[gid]
@@ -208,6 +210,7 @@ class CompiledTimingGraph:
                 for net_name in netlist.gates[name].inputs:
                     drv = netlist.nets[net_name].driver
                     if drv is None:
+                        self.has_pi[gid] = True
                         continue
                     real_fi.append(len(fi_src))
                     wd_keys.append((drv, name))

@@ -150,7 +150,6 @@ class TestDMoptDegenerates:
         res = optimize_dose_map(ctx, 10.0, mode="qcp",
                                 leakage_budget=-0.9 * ctx.baseline_leakage)
         assert res.status == STATUS_INFEASIBLE
-        assert "unattainable" in res.solve.info["note"]
         assert res.mct == ctx.baseline.mct
         assert res.leakage == ctx.baseline_leakage
         assert np.allclose(res.dose_map_poly.values, 0.0)

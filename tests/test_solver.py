@@ -4,21 +4,24 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 import repro.solver.robust as robust
 from repro.solver import (
     STATUS_ILL_CONDITIONED,
-    STATUS_MAX_ITER,
+    STATUS_INFEASIBLE,
     STATUS_SOLVED,
     diagnostic_result,
     solve_qcp,
     solve_qp,
     solve_qp_robust,
 )
-from repro.solver.ipm import MAX_ITER as IPM_MAX_ITER
-from repro.solver.qcp import FEAS_TOL, TIE_TOL
+from repro.solver.qcp import TIE_TOL
+
+#: Relative margin by which a generated binding budget lies below the
+#: linear program's quadratic value (see :func:`_qcp_from_seed`).
+FEAS_TOL = 1e-4
 
 
 def _scipy_qp(P, q, A, l, u, x0):
@@ -75,7 +78,8 @@ def _qcp_from_seed(seed, binding, n, m):
     plus random sparse rows, some one-sided, cut around a random point
     ``x_feas``.  A binding budget lies strictly between
     ``quad(x_feas)`` and the quadratic at the ``lam = 0`` (linear
-    program) solution; a slack one lies above the latter.  ``h0`` is
+    program) solution, below the latter by more than ``10 * FEAS_TOL``
+    relative; a slack one lies above it.  ``h0`` is
     the row's value ``quad - s`` at that linear program solution.
     """
     rng = np.random.default_rng(seed)
@@ -120,6 +124,15 @@ def _random_qcps(draw):
     )
     assume(problem is not None)
     return problem
+
+
+def _row_violation_bound(l, u, s):
+    """Largest row value ``quad - s`` a solved barrier may leave: its
+    10x-relaxed primal tolerance, relative to the largest of 1, ``|s|``
+    and the finite bounds."""
+    bounds = np.concatenate([l, u])
+    return 1e-6 * max(1.0, abs(s),
+                      float(np.abs(bounds[np.isfinite(bounds)]).max()))
 
 
 class TestQPBasics:
@@ -257,13 +270,14 @@ class TestQCP:
         A = sp.eye(1)
         res = solve_qcp(c, A, np.array([1.0]), np.array([2.0]),
                         2.0 * sp.eye(1), np.zeros(1), s=0.25)
+        assert res.status == STATUS_INFEASIBLE
         assert not res.ok
-        assert "unattainable" in res.info.get("note", "")
 
     @settings(deadline=None, max_examples=30)
     @given(_random_qcps())
     def test_random_qcp_against_scipy(self, problem):
-        """KKT conditions and the acceptance rule at the returned point.
+        """KKT conditions at the returned point, reached by the first
+        barrier step alone.
 
         The barrier drives complementary slackness to its own
         tolerance, so the duality gap ``lam * -h`` is at the 1e-7 level.
@@ -271,6 +285,7 @@ class TestQCP:
         c, A, l, u, Q, g, s, binding, h0 = problem
         res = solve_qcp(c, A, l, u, Q, g, s)
         assert res.ok
+        assert [a["step"] for a in res.info["attempts"]] == ["ipm"]
 
         x, lam = res.x, res.info["lam"]
         ax = A @ x
@@ -278,7 +293,7 @@ class TestQCP:
 
         h = 0.5 * x @ (Q @ x) + g @ x - s
         assert res.info["quad"] - s == pytest.approx(h, abs=1e-12)
-        assert h <= FEAS_TOL * max(abs(h0), 1.0, abs(s)) + 1e-12
+        assert h <= _row_violation_bound(l, u, s)
 
         assert lam >= 0.0
         assert (lam == 0.0) == (h0 <= FEAS_TOL * max(1.0, abs(s)))
@@ -310,6 +325,17 @@ class TestQCP:
         assert res.ok
         assert res.obj == pytest.approx(-1.0, abs=1e-2)
 
+    # the draws on which warm and cold once disagreed by 1e-4 to 9e-4:
+    # the cold solve fell back to an inexact multiplier search while the
+    # warm barrier converged
+    @example(_qcp_from_seed(30, True, 5, 3), 1e-3)
+    @example(_qcp_from_seed(30, True, 5, 3), 2**-7)
+    @example(_qcp_from_seed(30, True, 5, 3), 0.01)
+    @example(_qcp_from_seed(40, True, 6, 1), 1e-3)
+    @example(_qcp_from_seed(40, True, 6, 1), 2**-7)
+    @example(_qcp_from_seed(44, True, 5, 1), 1e-3)
+    @example(_qcp_from_seed(44, True, 5, 1), 2**-7)
+    @example(_qcp_from_seed(47, True, 4, 3), 0.1)
     @settings(deadline=None, max_examples=30)
     @given(_random_qcps(), st.floats(1e-3, 0.1))
     def test_warm_resolve_matches_cold(self, problem, nudge):
@@ -339,10 +365,9 @@ class TestQCP:
         assert res.x[1] == pytest.approx(0.0, abs=1e-4)
         assert res.info["quad"] == pytest.approx(0.0, abs=1e-6)
 
-    def test_barrier_failure_falls_back_to_bisection(self, monkeypatch):
-        """With every barrier step failing, the cold bisection on the
-        multiplier, over the QP chain, still returns an accepted point:
-        min -x1-x2, 0<=x<=2, x1^2+x2^2<=2 -> (1,1), obj -2."""
+    def test_barrier_failure_returns_its_status(self, monkeypatch):
+        """With every barrier step failing, solve_qcp returns the
+        chain's own verdict, never a solution."""
         real_ipm = robust.solve_qp_ipm
 
         def no_barrier(P, q, A, l, u, **kwargs):
@@ -352,45 +377,35 @@ class TestQCP:
             return real_ipm(P, q, A, l, u, **kwargs)
 
         monkeypatch.setattr(robust, "solve_qp_ipm", no_barrier)
-        Q, s = 2.0 * sp.eye(2), 2.0
         res = solve_qcp(np.array([-1.0, -1.0]), sp.eye(2), np.zeros(2),
-                        np.full(2, 2.0), Q, np.zeros(2), s)
-        assert res.ok
-        # the lam = 0 (linear program) solution is (2, 2): h0 = 8 - 2
-        h = 0.5 * res.x @ (Q @ res.x) - s
-        assert h <= FEAS_TOL * max(6.0, 1.0, s)
-        assert res.obj == pytest.approx(-2.0, abs=1e-2)
-        assert res.info["lam"] == pytest.approx(0.5, rel=1e-2)
-        # the trail: both barrier steps, then one entry per bisection
-        # solve, the first at lam = 0
-        attempts = res.info["attempts"]
-        assert [a["step"] for a in attempts[:2]] == ["ipm", "ipm-regularized"]
-        assert {a["step"] for a in attempts[2:]} == {"bisect"}
-        assert len(attempts) - 2 == res.info["inner_solves"] - 1
-        assert attempts[2]["lam"] == 0.0 and attempts[2]["h"] > 0.0
-        assert all(a["status"] == STATUS_SOLVED for a in attempts[2:])
+                        np.full(2, 2.0), 2.0 * sp.eye(2), np.zeros(2), 2.0)
+        assert res.status == STATUS_ILL_CONDITIONED
+        assert not res.ok
+        assert [a["step"] for a in res.info["attempts"]] == [
+            "ipm", "ipm-regularized"]
+        assert res.info["inner_solves"] == 1
+        assert "stubbed barrier failure" in res.info["note"]
 
     @pytest.mark.parametrize("seed, binding, n, m",
                              [(44, True, 5, 1), (30, True, 5, 3),
                               (40, True, 6, 1)])
-    def test_bisection_solves_what_the_barrier_cannot(self, seed, binding,
-                                                      n, m):
-        """Generated programs on which both barrier steps stop at
+    def test_barrier_solves_once_cycling_programs(self, seed, binding, n,
+                                                   m):
+        """Generated programs on which the barrier once cycled to
         ``MAX_ITER`` (3 of the 2,856 from seeds 0-59 at every n, m and
-        binding): the bisection still returns an accepted point."""
-        c, A, l, u, Q, g, s, _binding, h0 = _qcp_from_seed(seed, binding,
-                                                            n, m)
+        binding), its corrector treating the row as linear: with the
+        row's curvature corrected, the first barrier step solves them."""
+        c, A, l, u, Q, g, s, _binding, _h0 = _qcp_from_seed(seed, binding,
+                                                             n, m)
         res = solve_qcp(c, A, l, u, Q, g, s)
-        attempts = res.info["attempts"]
-        assert [(a["step"], a["status"], a["iterations"])
-                for a in attempts[:2]] == [
-            ("ipm", STATUS_MAX_ITER, IPM_MAX_ITER),
-            ("ipm-regularized", STATUS_MAX_ITER, IPM_MAX_ITER),
-        ]
-        assert {a["step"] for a in attempts[2:]} == {"bisect"}
-        assert res.ok and res.status == STATUS_SOLVED
+        [(step, status, iterations)] = [
+            (a["step"], a["status"], a["iterations"])
+            for a in res.info["attempts"]]
+        assert (step, status) == ("ipm", STATUS_SOLVED)
+        assert iterations <= 15
+        assert res.ok and res.info["lam"] > 0.0
         h = 0.5 * res.x @ (Q @ res.x) + g @ res.x - s
-        assert h <= FEAS_TOL * max(abs(h0), 1.0, abs(s)) + 1e-12
+        assert h <= _row_violation_bound(l, u, s)
 
 
 class TestResultAPI:
