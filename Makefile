@@ -1,10 +1,11 @@
-.PHONY: install test bench bench-paper bench-compare chaos-smoke resume-smoke obs-report experiments examples lint clean
+.PHONY: install test bench bench-paper bench-compare chaos-smoke resume-smoke obs-report experiments examples clean
 
 install:
 	pip install -e .[test]
 
+# Tier-1: the suite CI runs
 test:
-	pytest tests/ -q
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
 
 # Workloads with committed BENCH_<workload>.json records.  cells_jobs2 is
 # left out: its formulation builds vs cache hits depend on worker scheduling.

@@ -207,7 +207,6 @@ def certify_result(
     timing_bound: float = None,
     leakage_budget: float = 0.0,
     seam_smoothness: bool = None,
-    attach: bool = True,
 ) -> CertificateReport:
     """Re-verify a DMoptResult against the original constraint semantics.
 
@@ -227,15 +226,13 @@ def certify_result(
         driver default ("improve leakage without degrading timing").
     leakage_budget:
         QCP allowed leakage *increase* (uW) over baseline; default 0.
-    attach:
-        Store the report on ``res.certificate``.
 
     Returns
     -------
     CertificateReport
         ``report.ok`` is the verdict; violations name their constraint
-        family.  The caller decides whether to raise (see
-        :func:`enforce_certificate`).
+        family.  It is also stored on ``res.certificate``.  The caller
+        decides whether to raise (see :func:`enforce_certificate`).
     """
     form = res.formulation
     if dose_range is None:
@@ -344,8 +341,7 @@ def certify_result(
         mode=res.mode,
         families=report.violated_families,
     )
-    if attach:
-        res.certificate = report
+    res.certificate = report
     return report
 
 

@@ -61,25 +61,6 @@ from repro.solver.result import (
 MAX_ITER = 60
 
 
-def _to_inequalities(A, l, u):
-    """Stack finite-bound rows of l <= Ax <= u into G x <= h."""
-    A = sp.csr_matrix(A)
-    rows_u = np.isfinite(u)
-    rows_l = np.isfinite(l)
-    blocks, rhs = [], []
-    if rows_u.any():
-        blocks.append(A[rows_u])
-        rhs.append(u[rows_u])
-    if rows_l.any():
-        blocks.append(-A[rows_l])
-        rhs.append(-l[rows_l])
-    if not blocks:
-        raise ValueError("problem has no finite constraints")
-    G = sp.vstack(blocks, format="csc")
-    h = np.concatenate(rhs)
-    return G, h
-
-
 class IPMWorkspace:
     """Pattern-dependent precomputation shared across IPM solves.
 

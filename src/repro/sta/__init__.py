@@ -18,13 +18,14 @@ from repro.sta.timing import (
 from repro.sta.wire import arc_wire_delay, net_wire_cap
 
 
-def make_analyzer(netlist, library, placement, **kwargs):
+def make_analyzer(netlist, library, placement, graph=None):
     """Compile the design's timing graph and bind it to ``placement``.
 
-    ``kwargs`` go to :class:`VectorTimingAnalyzer` (``input_slew``,
-    ``po_load``, ``graph``).
+    ``graph`` shares an existing :class:`CompiledTimingGraph` of the
+    same design instead.  Primary inputs switch with
+    ``DEFAULT_INPUT_SLEW`` and primary outputs drive ``DEFAULT_PO_LOAD``.
     """
-    return VectorTimingAnalyzer(netlist, library, placement, **kwargs)
+    return VectorTimingAnalyzer(netlist, library, placement, graph=graph)
 
 
 __all__ = [

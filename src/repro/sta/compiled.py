@@ -1,10 +1,12 @@
 """Compiled, array-backed STA engine: the flow's golden timer.
 
-The design is lowered into flat NumPy structures **once** -- topological
-levels, CSR fanin/fanout arc arrays, per-gate master indices into the
-library's variant table, wire-geometry coefficients -- and arrival/slew
-then propagate one whole topological level per NumPy call (a vectorized
-bilinear interpolation over the table's stacked NLDM arrays).  A dose
+The design is lowered into flat NumPy structures **once**, from one walk
+of the netlist that lists each gate's fan-in driver ids and output-net
+sink ids -- topological levels, CSR fanin/fanout/load arc arrays,
+per-gate master indices into the library's variant table -- and
+arrival/slew then propagate one whole topological level per NumPy call
+(a vectorized bilinear interpolation over the table's stacked NLDM
+arrays).  A dose
 assignment becomes per-gate variant ids in one table lookup,
 ``CellLibrary.variant_ids(master_ids, poly, active)``.  Every analysis
 reads this one graph: golden STA, top-K paths, Monte Carlo, SSTA and
@@ -18,7 +20,10 @@ On top of the full vectorized pass it supports **incremental re-timing**:
 after a placement move or a per-gate dose change, only the dirty fanout
 cone is re-propagated and only the affected net loads are rebuilt, so a
 dosePl trial swap costs O(cone) instead of O(design), and a rejected
-swap is undone by ``revert_trial`` from the pass's undo log.
+swap is undone by ``revert_trial`` from the pass's undo log.  Both run
+the same kernels: arc wire R/C, net HPWL cap, net load and the level
+propagation each take the ids they compute, and a full pass passes all
+of them.
 
 Numerical contract: every arithmetic expression mirrors the per-gate
 reference timer operation-for-operation (same association order, same
@@ -122,13 +127,15 @@ def _dict_of(*pairs):
     return out
 
 
-def _concat_ranges(starts, counts):
-    """Indices [s0, s0+1, ..., s0+c0-1, s1, ...] for CSR slice gathers."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(starts, counts) + (np.arange(total) - offsets)
+def _csr_rows(ptr, rows):
+    """Gather CSR rows ``rows``: their entry ids concatenated in row
+    order, each row's start in that list, and each entry's row (an
+    index into ``rows``)."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    local = np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(len(rows)), counts)
+    return starts[seg] + (np.arange(len(seg)) - local[seg]), local, seg
 
 
 class CompiledTimingGraph:
@@ -157,164 +164,135 @@ class CompiledTimingGraph:
 
         names = netlist.topological_order(library)
         self.names = names
-        self.index = {name: i for i, name in enumerate(names)}
+        self.index = index = {name: i for i, name in enumerate(names)}
         n = len(names)
         self.n = n
-        self.masters = [netlist.gates[g].master for g in names]
+
+        # ---- the one netlist walk -----------------------------------
+        # per gate: the driver id of each input pin (-1: a primary
+        # input) and the sink id of each pin on its output net; every
+        # CSR and touch list below is derived from these two lists
+        gates, nets = netlist.gates, netlist.nets
+        self.masters, fanin, fanout, pin_nets = [], [], [], []
+        self.is_po = np.zeros(n, dtype=bool)
+        self.po_labels = []
+        for gid, name in enumerate(names):
+            gate = gates[name]
+            self.masters.append(gate.master)
+            pin_nets.append(gate.inputs)
+            fanin.append(
+                [index.get(nets[net].driver, -1) for net in gate.inputs]
+            )
+            out = nets[gate.output]
+            fanout.append([index[sink] for sink, _pin in out.sinks])
+            if out.is_primary_output:
+                self.is_po[gid] = True
+                self.po_labels.append(f"PO:{gate.output}")
+        self.po_ids = np.flatnonzero(self.is_po)
         #: Variant-table master index of each gate.
         self.master_ids = library.master_ids(self.masters)
         #: Netlist position of each gate: a per-gate array in netlist
         #: order, indexed by ``nl_pos``, is in graph order.
-        nl_index = {name: k for k, name in enumerate(netlist.gates)}
+        nl_index = {name: k for k, name in enumerate(gates)}
         self.nl_pos = np.array([nl_index[g] for g in names], dtype=np.int64)
         self.is_seq = np.array(
             [library.cell(m).is_sequential for m in self.masters], dtype=bool
         )
+        is_seq = self.is_seq.tolist()
 
         # ---- levels -------------------------------------------------
-        level = np.zeros(n, dtype=np.int64)
-        for i, name in enumerate(names):
-            if self.is_seq[i]:
-                continue
-            best = 0
-            for net_name in netlist.gates[name].inputs:
-                drv = netlist.nets[net_name].driver
-                if drv is not None:
-                    best = max(best, int(level[self.index[drv]]) + 1)
-            level[i] = best
-        self.level = level
+        level = [0] * n
+        for gid in range(n):
+            if not is_seq[gid]:
+                level[gid] = max(
+                    (level[d] + 1 for d in fanin[gid] if d >= 0), default=0
+                )
+        self.level = level = np.array(level, dtype=np.int64)
         self.n_levels = int(level.max()) + 1 if n else 0
         # stable sort keeps topological order within a level
         self.perm = np.argsort(level, kind="stable").astype(np.int64)
         self.pos_of = np.empty(n, dtype=np.int64)
         self.pos_of[self.perm] = np.arange(n)
-        bounds = np.searchsorted(level[self.perm], np.arange(self.n_levels + 1))
+        bounds = np.searchsorted(
+            level[self.perm], np.arange(self.n_levels + 1)
+        )
         self.level_slices = [
             (int(bounds[k]), int(bounds[k + 1])) for k in range(self.n_levels)
         ]
 
-        # ---- fanin arcs (perm-ordered CSR) --------------------------
-        fi_src, fi_sink, fi_seg = [], [], []
-        fi_ptr = [0]
-        wd_keys = []  # (driver name, sink name) per *real* arc
-        real_fi = []  # arc ids of real arcs
+        # ---- fan-in and fan-out arcs (perm-ordered CSR) -------------
+        fi_src, fi_sink, fi_seg, fi_ptr, real_fi = [], [], [], [0], []
+        fo_succ, fo_seg, fo_ptr = [], [], [0]
         #: Combinational gates with an input pin on a primary input.
         self.has_pi = np.zeros(n, dtype=bool)
-        for p in range(n):
-            gid = int(self.perm[p])
-            name = names[gid]
-            fi_src.append(-1)  # virtual (0, input_slew) baseline
-            fi_sink.append(gid)
-            fi_seg.append(p)
-            if not self.is_seq[gid]:
-                for net_name in netlist.gates[name].inputs:
-                    drv = netlist.nets[net_name].driver
-                    if drv is None:
-                        self.has_pi[gid] = True
-                        continue
-                    real_fi.append(len(fi_src))
-                    wd_keys.append((drv, name))
-                    fi_src.append(self.index[drv])
-                    fi_sink.append(gid)
-                    fi_seg.append(p)
+        perm = self.perm.tolist()
+        for p, gid in enumerate(perm):
+            drv = [] if is_seq[gid] else [d for d in fanin[gid] if d >= 0]
+            self.has_pi[gid] = not is_seq[gid] and len(drv) < len(fanin[gid])
+            real_fi += range(len(fi_src) + 1, len(fi_src) + 1 + len(drv))
+            fi_src += [-1, *drv]  # a virtual (0, input slew) arc first
+            fi_sink += [gid] * (1 + len(drv))
+            fi_seg += [p] * (1 + len(drv))
             fi_ptr.append(len(fi_src))
+            fo_succ += [*fanout[gid], -1]  # virtual +inf arc: never empty
+            fo_seg += [p] * (1 + len(fanout[gid]))
+            fo_ptr.append(len(fo_succ))
         self.fi_src = np.array(fi_src, dtype=np.int64)
         self.fi_sink = np.array(fi_sink, dtype=np.int64)
         self.fi_seg = np.array(fi_seg, dtype=np.int64)
         self.fi_ptr = np.array(fi_ptr, dtype=np.int64)
         self.real_fi = np.array(real_fi, dtype=np.int64)
-        self.wd_keys_fi = wd_keys
-
-        # ---- load CSR (gate-index ordered): sinks of each output net
-        ld_sink, ld_owner = [], []
-        ld_ptr = [0]
-        hp_gate = []  # output-net endpoints (driver + sinks) for HPWL
-        hp_ptr = [0]
-        is_po = np.zeros(n, dtype=bool)
-        po_ids, po_labels = [], []
-        for gid, name in enumerate(names):
-            out = netlist.gates[name].output
-            net = netlist.nets[out]
-            hp_gate.append(gid)
-            for sink, _pin in net.sinks:
-                ld_sink.append(self.index[sink])
-                ld_owner.append(gid)
-                hp_gate.append(self.index[sink])
-            ld_ptr.append(len(ld_sink))
-            hp_ptr.append(len(hp_gate))
-            if net.is_primary_output:
-                is_po[gid] = True
-                po_ids.append(gid)
-                po_labels.append(f"PO:{out}")
-        self.ld_sink = np.array(ld_sink, dtype=np.int64)
-        self.ld_owner = np.array(ld_owner, dtype=np.int64)
-        self.ld_ptr = np.array(ld_ptr, dtype=np.int64)
-        self.hp_gate = np.array(hp_gate, dtype=np.int64)
-        self.hp_ptr = np.array(hp_ptr, dtype=np.int64)
-        self.is_po = is_po
-        self.po_ids = np.array(po_ids, dtype=np.int64)
-        self.po_labels = po_labels
-
-        # ---- FF data-pin endpoint arcs ------------------------------
-        ff_src, ff_gate, ff_labels, wd_keys_ff = [], [], [], []
-        for gid, name in enumerate(names):
-            if not self.is_seq[gid]:
-                continue
-            for net_name in netlist.gates[name].inputs:
-                drv = netlist.nets[net_name].driver
-                if drv is None:
-                    continue
-                ff_src.append(self.index[drv])
-                ff_gate.append(gid)
-                ff_labels.append(f"FF:{name}:{net_name}")
-                wd_keys_ff.append((drv, name))
-        self.ff_src = np.array(ff_src, dtype=np.int64)
-        self.ff_gate = np.array(ff_gate, dtype=np.int64)
-        self.ff_labels = ff_labels
-        self.wd_keys_ff = wd_keys_ff
-
-        # ---- fanout arcs (perm-ordered CSR, for the backward pass) --
-        fo_succ, fo_seg = [], []
-        fo_ptr = [0]
-        for p in range(n):
-            gid = int(self.perm[p])
-            for succ in netlist.fanout_gates(names[gid]):
-                fo_succ.append(self.index[succ])
-                fo_seg.append(p)
-            fo_succ.append(-1)  # virtual +inf arc: reduction never empty
-            fo_seg.append(p)
-            fo_ptr.append(len(fo_succ))
+        self.wd_keys_fi = [
+            (names[fi_src[a]], names[fi_sink[a]]) for a in real_fi
+        ]
         self.fo_succ = np.array(fo_succ, dtype=np.int64)
         self.fo_seg = np.array(fo_seg, dtype=np.int64)
         self.fo_ptr = np.array(fo_ptr, dtype=np.int64)
         self.fo_owner = self.perm[self.fo_seg]
 
-        # ---- incremental adjacency ----------------------------------
-        # per gate: fanin arc ids touching it (as src or sink), fanout
-        # arc ids, FF arc ids, the drivers of its input nets (whose net
-        # loads depend on this gate's pin cap / position), and its
-        # combinational fanout gate ids (dirty-cone closure).
-        self.fi_touch = [[] for _ in range(n)]
-        for a in self.real_fi:
-            self.fi_touch[self.fi_src[a]].append(int(a))
-            self.fi_touch[self.fi_sink[a]].append(int(a))
-        self.fo_touch = [[] for _ in range(n)]
-        for a, succ in enumerate(self.fo_succ):
-            if succ >= 0:
-                self.fo_touch[succ].append(a)
-                self.fo_touch[self.fo_owner[a]].append(a)
-        self.ff_touch = [[] for _ in range(n)]
-        for a in range(len(self.ff_src)):
-            self.ff_touch[self.ff_src[a]].append(a)
-            self.ff_touch[self.ff_gate[a]].append(a)
-        self.fanin_drivers = [set() for _ in range(n)]
-        for a in self.real_fi:
-            self.fanin_drivers[self.fi_sink[a]].add(int(self.fi_src[a]))
-        for a in range(len(self.ff_src)):
-            self.fanin_drivers[self.ff_gate[a]].add(int(self.ff_src[a]))
+        # ---- load CSR (gate-index ordered): sinks of each output net,
+        # and for HPWL the net's endpoints (driver + sinks)
+        self.ld_ptr = np.cumsum([0, *map(len, fanout)], dtype=np.int64)
+        self.ld_sink = np.array([s for f in fanout for s in f], dtype=np.int64)
+        self.ld_owner = np.repeat(np.arange(n), np.diff(self.ld_ptr))
+        self.hp_ptr = self.ld_ptr + np.arange(n + 1)
+        self.hp_gate = np.insert(self.ld_sink, self.ld_ptr[:-1], np.arange(n))
+
+        # ---- FF data-pin endpoint arcs ------------------------------
+        ff_src, ff_gate, self.ff_labels = [], [], []
+        for gid in np.flatnonzero(self.is_seq).tolist():
+            for d, net in zip(fanin[gid], pin_nets[gid]):
+                if d >= 0:
+                    ff_src.append(d)
+                    ff_gate.append(gid)
+                    self.ff_labels.append(f"FF:{names[gid]}:{net}")
+        self.ff_src = np.array(ff_src, dtype=np.int64)
+        self.ff_gate = np.array(ff_gate, dtype=np.int64)
+        self.wd_keys_ff = [
+            (names[d], names[s]) for d, s in zip(ff_src, ff_gate)
+        ]
+
+        # ---- wire arcs and incremental adjacency --------------------
+        #: Ends of every wire arc -- the fan-in arcs, then the fan-out
+        #: arcs, then the FF arcs -- with -1 at a virtual end.
+        self.wire_src = np.concatenate([self.fi_src, self.fo_owner,
+                                        self.ff_src])
+        self.wire_snk = np.concatenate([self.fi_sink, self.fo_succ,
+                                        self.ff_gate])
+        # per gate: the real wire arcs touching it (at either end), the
+        # drivers of its input nets (whose net loads depend on this
+        # gate's pin cap / position), and its combinational fanout gate
+        # ids (dirty-cone closure).
+        self.wire_touch = [[] for _ in range(n)]
+        ends = zip(self.wire_src.tolist(), self.wire_snk.tolist())
+        for a, (src, snk) in enumerate(ends):
+            if src >= 0 and snk >= 0:
+                self.wire_touch[src].append(a)
+                self.wire_touch[snk].append(a)
+        self.fanin_drivers = [{d for d in f if d >= 0} for f in fanin]
         self.comb_fanout = [[] for _ in range(n)]
-        for a in self.real_fi:
-            self.comb_fanout[self.fi_src[a]].append(int(self.fi_sink[a]))
+        for a in real_fi:
+            self.comb_fanout[fi_src[a]].append(fi_sink[a])
 
         # nominal (zero-dose) variant ids
         self.nominal_vids = library.variant_ids(self.master_ids)
@@ -360,10 +338,10 @@ class CompiledTimingGraph:
 class VectorTimingAnalyzer:
     """The STA engine, bound to one placement of a compiled graph.
 
-    ``input_slew`` is the transition time (ns) at primary inputs and
-    clock pins and ``po_load`` the load (fF) on primary outputs; net
-    wire capacitance comes from HPWL.  ``graph`` shares an existing
-    compilation of the same design.
+    Primary inputs and clock pins switch with ``DEFAULT_INPUT_SLEW``,
+    primary outputs drive ``DEFAULT_PO_LOAD``, and net wire capacitance
+    comes from HPWL.  ``graph`` shares an existing compilation of the
+    same design.
 
     ``analyze(doses, clock_period)`` returns a :class:`TimingResult`;
     besides it:
@@ -383,22 +361,17 @@ class VectorTimingAnalyzer:
         ids, pin caps and net loads it rebuilt, and the per-gate state
         of its cone; the previous state itself after a full pass), so a
         rejected trial swap is not re-timed to be undone.
+
+    Each wire quantity -- arc R/C, net HPWL cap, net load -- has one
+    kernel that takes the arc or gate ids it refreshes: the full build
+    passes all of them, an incremental update the ones a move touched.
     """
 
-    def __init__(
-        self,
-        netlist,
-        library,
-        placement,
-        input_slew: float = DEFAULT_INPUT_SLEW,
-        po_load: float = DEFAULT_PO_LOAD,
-        graph: CompiledTimingGraph = None,
-    ):
+    def __init__(self, netlist, library, placement,
+                 graph: CompiledTimingGraph = None):
         self.netlist = netlist
         self.library = library
         self.placement = placement
-        self.input_slew = float(input_slew)
-        self.po_load = float(po_load)
         self.node = library.node
         if graph is None:
             graph = CompiledTimingGraph(netlist, library)
@@ -412,75 +385,59 @@ class VectorTimingAnalyzer:
         #: Forward passes run so far: full, and dirty-cone (incremental).
         self.full_passes = 0
         self.cone_passes = 0
-        self._geometry_full()
+        n = graph.n
+        self._x, self._y = np.zeros(n), np.zeros(n)
+        self._placed = np.zeros(n, dtype=bool)
+        # wire R and C per wire arc, and per-kind views of them
+        self._rw, self._cw = np.zeros((2, len(graph.wire_src)))
+        kinds = np.cumsum([len(graph.fi_src), len(graph.fo_succ)])
+        self._fi_rw, self._fo_rw, self._ff_rw = np.split(self._rw, kinds)
+        self._fi_cw, self._fo_cw, self._ff_cw = np.split(self._cw, kinds)
+        self._wire_cap = np.zeros(n)
+        self._refresh_geometry(range(n), slice(None), np.arange(n))
 
     # ------------------------------------------------------------------
     # geometry
     # ------------------------------------------------------------------
-    def _coords(self):
-        g = self.graph
-        n = g.n
-        x = np.zeros(n)
-        y = np.zeros(n)
-        placed = np.zeros(n, dtype=bool)
-        loc = self.placement
-        for i, name in enumerate(g.names):
-            if loc.is_placed(name):
-                px, py = loc.location(name)
-                x[i], y[i], placed[i] = px, py, True
-        return x, y, placed
-
-    def _arc_geometry(self, src, snk, x, y, placed):
-        """(r_wire, c_wire) arrays for arcs; virtual/unplaced arcs get 0."""
-        valid = (src >= 0) & placed[src] & placed[snk]
-        s = np.where(src >= 0, src, 0)
+    def _arc_geometry(self, src, snk):
+        """(r_wire, c_wire) of arcs src -> snk; an arc with a virtual end
+        (-1) or an unplaced one gets 0."""
+        x, y, placed = self._x, self._y, self._placed
+        valid = (src >= 0) & (snk >= 0) & placed[src] & placed[snk]
         dist = np.where(
-            valid,
-            np.abs(x[s] - x[snk]) + np.abs(y[s] - y[snk]),
-            0.0,
+            valid, np.abs(x[src] - x[snk]) + np.abs(y[src] - y[snk]), 0.0
         )
         return self.node.wire_r_per_um * dist, self.node.wire_c_per_um * dist
 
-    def _wire_caps(self, x, y, placed):
-        """Per-gate output-net wire capacitance from HPWL."""
+    def _wire_caps(self, ids):
+        """Output-net wire capacitance, from HPWL, of gates ``ids``."""
         g = self.graph
-        ep = g.hp_gate
-        starts = g.hp_ptr[:-1]
-        xs = np.where(placed[ep], x[ep], np.inf)
-        ys = np.where(placed[ep], y[ep], np.inf)
-        xmin = np.minimum.reduceat(xs, starts)
-        ymin = np.minimum.reduceat(ys, starts)
-        xs = np.where(placed[ep], x[ep], -np.inf)
-        ys = np.where(placed[ep], y[ep], -np.inf)
-        xmax = np.maximum.reduceat(xs, starts)
-        ymax = np.maximum.reduceat(ys, starts)
-        count = np.add.reduceat(placed[ep].astype(np.int64), starts)
-        with np.errstate(invalid="ignore"):
-            hpwl = np.where(count >= 2, (xmax - xmin) + (ymax - ymin), 0.0)
+        rows, starts, _seg = _csr_rows(g.hp_ptr, ids)
+        ep = g.hp_gate[rows]
+        placed = self._placed[ep]
+        x, y = self._x[ep], self._y[ep]
+        xmin = np.minimum.reduceat(np.where(placed, x, np.inf), starts)
+        ymin = np.minimum.reduceat(np.where(placed, y, np.inf), starts)
+        xmax = np.maximum.reduceat(np.where(placed, x, -np.inf), starts)
+        ymax = np.maximum.reduceat(np.where(placed, y, -np.inf), starts)
+        count = np.add.reduceat(placed.astype(np.int64), starts)
+        hpwl = np.where(count >= 2, (xmax - xmin) + (ymax - ymin), 0.0)
         return self.node.wire_c_per_um * hpwl
 
-    def _geometry_full(self):
-        g = self.graph
-        x, y, placed = self._coords()
-        self._x, self._y, self._placed = x, y, placed
-        self._fi_rw, self._fi_cw = self._arc_geometry(
-            g.fi_src, g.fi_sink, x, y, placed
+    def _refresh_geometry(self, gates, arcs, nets):
+        """Re-read the coordinates of ``gates`` from the placement, then
+        recompute the wire R/C of wire arcs ``arcs`` (an id array, or a
+        slice) and the wire cap of the output nets of gates ``nets``."""
+        g, loc = self.graph, self.placement
+        for gid in gates:
+            name = g.names[gid]
+            self._placed[gid] = loc.is_placed(name)
+            if self._placed[gid]:
+                self._x[gid], self._y[gid] = loc.location(name)
+        self._rw[arcs], self._cw[arcs] = self._arc_geometry(
+            g.wire_src[arcs], g.wire_snk[arcs]
         )
-        self._fo_rw, self._fo_cw = self._arc_geometry(
-            g.fo_owner, np.where(g.fo_succ >= 0, g.fo_succ, 0), x, y, placed
-        )
-        # virtual fanout arcs must stay zero even if owner is placed
-        virt = g.fo_succ < 0
-        self._fo_rw[virt] = 0.0
-        self._fo_cw[virt] = 0.0
-        if len(g.ff_src):
-            self._ff_rw, self._ff_cw = self._arc_geometry(
-                g.ff_src, g.ff_gate, x, y, placed
-            )
-        else:
-            self._ff_rw = np.empty(0)
-            self._ff_cw = np.empty(0)
-        self._wire_cap = self._wire_caps(x, y, placed)
+        self._wire_cap[nets] = self._wire_caps(nets)
 
     def update_placement(self, moved_gates) -> None:
         """Refresh geometry for moved cells; mark their cones dirty.
@@ -490,89 +447,44 @@ class VectorTimingAnalyzer:
         re-propagates only the affected cone.
         """
         g = self.graph
-        node = self.node
         ids = [g.index[m] for m in moved_gates if m in g.index]
         if not ids:
             return
-        loc = self.placement
-        for gid in ids:
-            name = g.names[gid]
-            if loc.is_placed(name):
-                px, py = loc.location(name)
-                self._x[gid], self._y[gid] = px, py
-                self._placed[gid] = True
-            else:
-                self._placed[gid] = False
-        x, y, placed = self._x, self._y, self._placed
-
-        def _dist(a, b):
-            if placed[a] and placed[b]:
-                return abs(x[a] - x[b]) + abs(y[a] - y[b])
-            return 0.0
-
-        fi_arcs = set()
-        fo_arcs = set()
-        ff_arcs = set()
-        net_owners = set()
-        for gid in ids:
-            fi_arcs.update(g.fi_touch[gid])
-            fo_arcs.update(g.fo_touch[gid])
-            ff_arcs.update(g.ff_touch[gid])
-            net_owners.add(gid)  # its own output net stretches
-            net_owners.update(g.fanin_drivers[gid])  # input nets stretch
-        for a in fi_arcs:
-            d = _dist(g.fi_src[a], g.fi_sink[a])
-            self._fi_rw[a] = node.wire_r_per_um * d
-            self._fi_cw[a] = node.wire_c_per_um * d
-        for a in fo_arcs:
-            d = _dist(g.fo_owner[a], g.fo_succ[a])
-            self._fo_rw[a] = node.wire_r_per_um * d
-            self._fo_cw[a] = node.wire_c_per_um * d
-        for a in ff_arcs:
-            d = _dist(g.ff_src[a], g.ff_gate[a])
-            self._ff_rw[a] = node.wire_r_per_um * d
-            self._ff_cw[a] = node.wire_c_per_um * d
-        for gid in net_owners:
-            lo, hi = g.hp_ptr[gid], g.hp_ptr[gid + 1]
-            xs, ys = [], []
-            for ep in g.hp_gate[lo:hi]:
-                if placed[ep]:
-                    xs.append(x[ep])
-                    ys.append(y[ep])
-            hpwl = (
-                (max(xs) - min(xs)) + (max(ys) - min(ys))
-                if len(xs) >= 2
-                else 0.0
-            )
-            self._wire_cap[gid] = node.wire_c_per_um * hpwl
+        arcs = set().union(*(g.wire_touch[i] for i in ids))
+        # a moved gate stretches its own output net and its input nets
+        nets = set(ids).union(*(g.fanin_drivers[i] for i in ids))
+        self._refresh_geometry(
+            ids, np.array(sorted(arcs), dtype=np.int64),
+            np.array(sorted(nets), dtype=np.int64),
+        )
         self._moved_pending.update(ids)
 
     def rebind(self, placement) -> "VectorTimingAnalyzer":
         """New analyzer for another placement, sharing the compiled graph."""
         return VectorTimingAnalyzer(
-            self.netlist,
-            self.library,
-            placement,
-            input_slew=self.input_slew,
-            po_load=self.po_load,
-            graph=self.graph,
+            self.netlist, self.library, placement, graph=self.graph
         )
 
     # ------------------------------------------------------------------
     # forward propagation
     # ------------------------------------------------------------------
-    def _loads_full(self, cap):
+    def _net_loads(self, cap, ids):
+        """Output-net load of gates ``ids``: the net's wire cap plus each
+        sink pin's cap in net order, plus the primary-output load."""
         g = self.graph
-        loads = self._wire_cap.copy()
-        np.add.at(loads, g.ld_owner, cap[g.ld_sink])
-        loads[g.is_po] += self.po_load
+        pins, _starts, seg = _csr_rows(g.ld_ptr, ids)
+        loads = self._wire_cap[ids]
+        np.add.at(loads, seg, cap[g.ld_sink[pins]])
+        loads[g.is_po[ids]] += DEFAULT_PO_LOAD
         return loads
 
-    def _forward_level(self, st, pos, arc_idx, starts_local, seg_local, cap, stacks):
-        """Propagate one level's (sub)set of gates given their arc gather."""
+    def _forward_level(self, st, pos, arcs, cap, tab):
+        """Propagate the gates at perm positions ``pos``, all of one
+        level; ``arcs`` is their fan-in arc gather, as
+        :func:`_csr_rows` gives it."""
         g = self.graph
-        d_tab, s_tab, sax, lax = stacks
         ids = g.perm[pos]
+        arc_idx, starts_local, seg_local = arcs
         src = g.fi_src[arc_idx]
         snk = g.fi_sink[arc_idx]
         rw = self._fi_rw[arc_idx]
@@ -580,12 +492,17 @@ class VectorTimingAnalyzer:
         wd = rw * (0.5 * cw + cap[snk]) * KOHM_FF_TO_NS
         valid = src >= 0
         arr_in = np.where(valid, st["arrival"][src] + wd, 0.0)
-        slew_in = np.where(valid, st["out_slew"][src], self.input_slew)
-        best_arr, best_slew = lex_max_reduce(arr_in, slew_in, starts_local, seg_local)
+        slew_in = np.where(valid, st["out_slew"][src], DEFAULT_INPUT_SLEW)
+        best_arr, best_slew = lex_max_reduce(
+            arr_in, slew_in, starts_local, seg_local
+        )
         vids = st["vids"][ids]
-        w = _bilinear_weights(sax[vids], lax[vids], best_slew, st["loads"][ids])
-        dly = _bilinear_gather(d_tab, vids, *w)
-        slw = _bilinear_gather(s_tab, vids, *w)
+        w = _bilinear_weights(
+            tab.slew_axis[vids], tab.load_axis[vids], best_slew,
+            st["loads"][ids],
+        )
+        dly = _bilinear_gather(tab.delay, vids, *w)
+        slw = _bilinear_gather(tab.out_slew, vids, *w)
         st["arrival"][ids] = best_arr + dly
         st["gate_delay"][ids] = dly
         st["in_slew"][ids] = best_slew
@@ -598,22 +515,17 @@ class VectorTimingAnalyzer:
         st = {
             "vids": vids.copy(),
             "cap": cap,
-            "loads": self._loads_full(cap),
+            "loads": self._net_loads(cap, np.arange(g.n)),
             "arrival": np.zeros(g.n),
             "out_slew": np.zeros(g.n),
             "gate_delay": np.zeros(g.n),
             "in_slew": np.zeros(g.n),
         }
-        stacks = (tab.delay, tab.out_slew, tab.slew_axis, tab.load_axis)
         for lo, hi in g.level_slices:
-            pos = np.arange(lo, hi)
             a0, a1 = int(g.fi_ptr[lo]), int(g.fi_ptr[hi])
-            arc_idx = np.arange(a0, a1)
-            starts_local = g.fi_ptr[lo:hi] - a0
-            seg_local = g.fi_seg[a0:a1] - lo
-            self._forward_level(
-                st, pos, arc_idx, starts_local, seg_local, cap, stacks
-            )
+            arcs = (np.arange(a0, a1), g.fi_ptr[lo:hi] - a0,
+                    g.fi_seg[a0:a1] - lo)
+            self._forward_level(st, np.arange(lo, hi), arcs, cap, tab)
         self._state = st
         self._moved_pending = set()
 
@@ -667,28 +579,11 @@ class VectorTimingAnalyzer:
         )
         st["vids"] = vids.copy()
         st["cap"] = cap
-        loads = st["loads"]
-        for gid in load_dirty:
-            lo, hi = int(g.ld_ptr[gid]), int(g.ld_ptr[gid + 1])
-            v = self._wire_cap[gid]
-            for a in range(lo, hi):
-                v = v + cap[g.ld_sink[a]]
-            if g.is_po[gid]:
-                v = v + self.po_load
-            loads[gid] = v
-        if dirty:
-            levels = g.level[cone]
-            stacks = (tab.delay, tab.out_slew, tab.slew_axis, tab.load_axis)
-            for lv in np.unique(levels):
-                pos = pos_all[levels == lv]
-                starts = g.fi_ptr[pos]
-                counts = g.fi_ptr[pos + 1] - starts
-                arc_idx = _concat_ranges(starts, counts)
-                starts_local = np.cumsum(counts) - counts
-                seg_local = np.repeat(np.arange(len(pos)), counts)
-                self._forward_level(
-                    st, pos, arc_idx, starts_local, seg_local, cap, stacks
-                )
+        st["loads"][ld_ids] = self._net_loads(cap, ld_ids)
+        levels = g.level[cone]
+        for lv in np.unique(levels):
+            pos = pos_all[levels == lv]
+            self._forward_level(st, pos, _csr_rows(g.fi_ptr, pos), cap, tab)
         self._moved_pending = set()
 
     def _ensure_forward(self, vids):

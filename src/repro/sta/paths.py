@@ -10,8 +10,11 @@ critical ones.
 The DAG mirrors the STA abstraction: node weight = gate delay, arc weight
 = interconnect delay, flip-flops act as sources (clk->q) and their D-pins
 as endpoints (+setup), primary outputs are endpoints.  Its structure is
-read from :class:`~repro.sta.compiled.CompiledTimingGraph` once and
-cached there; each call reads only the gate and wire delay arrays of the
+derived from :class:`~repro.sta.compiled.CompiledTimingGraph`'s arrays
+alone -- the load CSR (``ld_ptr``/``ld_sink``), the primary-output and
+FF endpoint labels, the fan-in and FF arc lists, and the sources
+``is_seq | has_pi`` -- once, and cached there; it never walks the
+netlist.  Each call reads only the gate and wire delay arrays of the
 result (:class:`~repro.sta.timing.TimingArrays`).
 
 Ties are broken by push order: sources in netlist order, and per gate
@@ -68,53 +71,48 @@ class _PathArcs:
     """
 
     def __init__(self, graph):
-        nl, lib = graph.netlist, graph.library
-        index, n = graph.index, graph.n
+        n, n_fi = graph.n, len(graph.real_fi)
+        owner, sink = graph.ld_owner, graph.ld_sink
         # (driver id, sink id) -> its slot in [fi_wire, ff_wire]; two
         # pins on one net have equal wire delays
-        slot = {
-            (int(graph.fi_src[a]), int(graph.fi_sink[a])): k
-            for k, a in enumerate(graph.real_fi.tolist())
-        }
-        n_fi = len(graph.real_fi)
-        slot.update(
-            ((int(src), int(ff)), n_fi + k)
-            for k, (src, ff) in enumerate(zip(graph.ff_src, graph.ff_gate))
+        real = graph.real_fi
+        keys = zip(
+            np.concatenate([graph.fi_src[real], graph.ff_src]).tolist(),
+            np.concatenate([graph.fi_sink[real], graph.ff_gate]).tolist(),
         )
-        po_slot = n_fi + len(graph.ff_src)
-        self.lo, self.hi = [], []
-        succ, setup, wire_idx, self.labels = [], [], [], []
-        for gid, name in enumerate(graph.names):
-            out = nl.gates[name].output
-            net = nl.nets[out]
-            self.lo.append(len(succ))
-            if net.is_primary_output:
-                succ.append(n)
-                setup.append(0.0)
-                wire_idx.append(po_slot)
-                self.labels.append(f"PO:{out}")
-            for sink, _pin in net.sinks:
-                sid = index[sink]
-                succ.append(n if graph.is_seq[sid] else sid)
-                setup.append(
-                    lib.cell(nl.gates[sink].master).setup_ns
-                    if graph.is_seq[sid] else 0.0
-                )
-                wire_idx.append(slot[(gid, sid)])
-                self.labels.append(
-                    f"FF:{sink}:{out}" if graph.is_seq[sid] else None
-                )
-            self.hi.append(len(succ))
-        self.succ = succ
-        self.succ_arr = np.array(succ, dtype=np.int64)
-        self.setup = np.array(setup)
-        self.wire_idx = np.array(wire_idx, dtype=np.int64)
-        self.sources = [
-            index[name]
-            for name, gate in nl.gates.items()
-            if graph.is_seq[index[name]]
-            or any(nl.nets[net].driver is None for net in gate.inputs)
+        slot = {key: k for k, key in enumerate(keys)}
+        pin_slot = np.array(
+            [slot[key] for key in zip(owner.tolist(), sink.tolist())],
+            dtype=np.int64,
+        )
+        # per gate: its primary-output arc, then one arc per pin of the
+        # load CSR; ``pin`` is each load pin's arc id
+        size = graph.is_po + np.diff(graph.ld_ptr)
+        hi = np.cumsum(size)
+        self.lo, self.hi = (hi - size).tolist(), hi.tolist()
+        pin = np.arange(len(sink)) + np.cumsum(graph.is_po)[owner]
+        ff = graph.is_seq[sink]
+        m = int(size.sum())
+        self.succ_arr = np.full(m, n, dtype=np.int64)
+        self.succ_arr[pin[~ff]] = sink[~ff]
+        self.succ = self.succ_arr.tolist()
+        self.setup = np.zeros(m)
+        self.setup[pin[ff]] = [
+            graph.library.cell(graph.masters[s]).setup_ns
+            for s in sink[ff].tolist()
         ]
+        # a primary-output arc reads the trailing 0
+        self.wire_idx = np.full(m, n_fi + len(graph.ff_src))
+        self.wire_idx[pin] = pin_slot
+        self.labels = [None] * m
+        po = (hi - size)[graph.po_ids]
+        for at, label in zip(po.tolist(), graph.po_labels):
+            self.labels[at] = label
+        for at, k in zip(pin[ff].tolist(), pin_slot[ff].tolist()):
+            self.labels[at] = graph.ff_labels[k - n_fi]
+        # path sources in netlist order
+        order = np.argsort(graph.nl_pos)
+        self.sources = order[(graph.is_seq | graph.has_pi)[order]].tolist()
 
     def weights(self, arrays):
         """Arc weights: wire delay plus the successor's gate delay (an

@@ -7,22 +7,25 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from repro.solver import STATUS_INFEASIBLE, solve_qp, solve_qp_ipm
-from repro.solver.ipm import _to_inequalities
+from repro.solver.ipm import IPMWorkspace
 
 
 class TestInequalityConversion:
+    """IPMWorkspace stacks the finite-bound rows of l <= Ax <= u into
+    G x <= h."""
+
     def test_two_sided_becomes_two_rows(self):
-        A = sp.eye(2)
+        A = sp.eye(2, format="csc")
         l = np.array([-1.0, -np.inf])
         u = np.array([1.0, 2.0])
-        G, h = _to_inequalities(A, l, u)
-        assert G.shape == (3, 2)  # 2 upper rows + 1 lower row
-        assert np.allclose(h, [1.0, 2.0, 1.0])
+        ws = IPMWorkspace(sp.eye(2, format="csc"), A, l, u)
+        assert ws.G.shape == (3, 2)  # 2 upper rows + 1 lower row
+        assert np.allclose(ws.gather_h(l, u), [1.0, 2.0, 1.0])
 
     def test_no_finite_bounds_rejected(self):
-        A = sp.eye(1)
+        A = sp.eye(1, format="csc")
         with pytest.raises(ValueError, match="no finite constraints"):
-            _to_inequalities(A, np.array([-np.inf]), np.array([np.inf]))
+            IPMWorkspace(A, A, np.array([-np.inf]), np.array([np.inf]))
 
 
 class TestIPMBasics:

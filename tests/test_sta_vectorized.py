@@ -267,6 +267,57 @@ def _swap_accept_reject(nl, lib, pl, seed, n_steps, big_cone_every=0,
     return kinds
 
 
+_WIRE_KEYS = ("_fi_rw", "_fi_cw", "_fo_rw", "_fo_cw", "_ff_rw", "_ff_cw",
+              "_wire_cap")
+
+
+class TestIncrementalGeometry:
+    """``update_placement`` refreshes the wire arrays a move touches with
+    the kernels a fresh bind runs over the whole design, so after any
+    move sequence the engine's wire arrays and net loads are exactly a
+    fresh ``rebind``'s."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        n_gates=st.integers(4, 50),
+        moves=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 999),
+                      st.integers(0, 999), st.booleans()),
+            min_size=1, max_size=10,
+        ),
+    )
+    def test_moves_match_rebind(self, lib65, seed, n_gates, moves):
+        nl, pl = random_dag(seed, n_gates, lib65, shared_pins=seed % 2 == 0)
+        rng = random.Random(seed)
+        names = list(nl.gates)
+        doses = random_doses(nl, lib65, seed=seed, fraction=0.5)
+        vec = VectorTimingAnalyzer(nl, lib65, pl)
+        vec.mct(doses)
+        for swap, i, j, redose in moves:
+            a, b = names[i % len(names)], names[j % len(names)]
+            if swap and a != b and pl.is_placed(a) and pl.is_placed(b):
+                pl.swap(a, b)
+                moved = (a, b)
+            else:  # move a (placing it, if it was not) to a new site
+                pl.place(a, round(rng.uniform(0, 58.0), 1),
+                         1.8 * rng.randrange(6))
+                moved = (a,)
+            vec.update_placement(moved)
+            upd = ({a: (lib65.snap_dose(rng.uniform(-6, 6)), 0.0)}
+                   if redose else {})
+            doses.update(upd)
+            vec.trial_mct(upd)
+            fresh = vec.rebind(pl)
+            fresh.mct(doses)
+            for key in _WIRE_KEYS:
+                assert np.array_equal(getattr(vec, key),
+                                      getattr(fresh, key)), key
+            assert np.array_equal(vec._state["loads"],
+                                  fresh._state["loads"])
+
+
 class TestTrialRevert:
     """``revert_trial`` restores exactly the state a re-timing pass over
     the undone move would compute."""
