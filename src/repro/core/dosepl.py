@@ -14,6 +14,9 @@ non-critical cells into low-dose regions, subject to:
 After each round the placement is legalized, "ECO routed" (wire parasitics
 recomputed from the new geometry) and golden STA decides accept/rollback;
 rolled-back cells are marked fixed.  Default 10 rounds, as in the paper.
+
+One work placement and the one STA engine bound to it carry a run, from
+the first golden result to the last round's signoff.
 """
 
 from __future__ import annotations
@@ -68,20 +71,6 @@ class DoseplConfig:
                     f"{name} must be finite and >= 0, got {value!r}"
                 )
 
-    @classmethod
-    def aggressive(cls) -> "DoseplConfig":
-        """The TCAD version's "improved cell swapping strategy": more
-        swaps per round and per path, more rounds.  The golden
-        accept/rollback discipline makes extra aggression safe (a bad
-        round is discarded wholesale); it simply explores more moves.
-        """
-        return cls(
-            top_k=1500,
-            rounds=14,
-            swaps_per_path=2,
-            swaps_per_round=4,
-        )
-
 
 @dataclass
 class DoseplResult:
@@ -128,13 +117,12 @@ def _try_round(ctx, dose_map, trial, ranked, cfg, fixed, stats, timer,
     ``ranked`` is ``(paths, weights)``: the top-K critical paths of the
     accepted golden result, most-critical first, and their cell weights.
 
-    ``timer``/``trial_best`` are the persistent incremental
-    trial-STA state owned by :func:`run_dosepl` (hoisted out of the
-    round so the engine's compiled geometry survives across rounds):
-    after each candidate swap only the dirty fanout cone is re-timed,
-    and the move is kept only if the trial MCT strictly improves --
-    O(cone) per candidate instead of a full golden pass per round spent
-    on a doomed swap.
+    ``timer`` is the run's one STA engine, bound to ``trial``, and
+    ``trial_best`` its MCT there.  While the round's ``trial_budget``
+    lasts, each candidate swap re-times only its dirty fanout cone and
+    is kept only if the trial MCT strictly improves; after that a swap
+    is kept untimed.  Every kept swap reaches the timer through
+    ``update_placement``, so the round's signoff times it.
 
     Returns ``(swaps_done, trial_best)``; rejected candidates are undone
     in place, so ``trial`` holds exactly the accepted swaps, and the
@@ -227,6 +215,9 @@ def _try_round(ctx, dose_map, trial, ranked, cfg, fixed, stats, timer,
                     ):
                         trial.swap(cell, cand)  # undo
                         continue
+                    # the timer follows every swap that may be kept;
+                    # the round's signoff times one kept untimed
+                    timer.update_placement((cell, cand))
                     # incremental trial-STA filter
                     if trials_left > 0:
                         trials_left -= 1
@@ -234,7 +225,6 @@ def _try_round(ctx, dose_map, trial, ranked, cfg, fixed, stats, timer,
                             cell: (ctx.library.snap_dose(d_cell_new), 0.0),
                             cand: (ctx.library.snap_dose(d_cand_new), 0.0),
                         }
-                        timer.update_placement((cell, cand))
                         m = timer.trial_mct(upd)
                         if m >= trial_best - 1e-12:
                             trial.swap(cell, cand)  # undo
@@ -260,16 +250,13 @@ def _try_round(ctx, dose_map, trial, ranked, cfg, fixed, stats, timer,
     return swaps_done, trial_best
 
 
-def _resync_trial_state(ctx, dose_map, work, target, timer):
-    """Make ``work`` (and the hoisted trial timer) match ``target``.
+def _resync_trial_state(work, target, timer):
+    """Move every cell of ``work`` that sits elsewhere in ``target`` there,
+    and refresh ``timer``'s geometry for those cells.
 
-    Used after every round: on accept, ``target`` is the legalized
-    placement (cells shifted by legalization); on rollback it is the
-    previous accepted placement (the round's swaps must be undone).
-    Only cells whose position differs are moved and re-timed, so the
-    incremental engine state stays warm across rounds.
-
-    Returns the trial MCT at the resynced state.
+    ``target`` is the legalized placement before a round's signoff, and
+    the last accepted placement on rollback.  No timing pass runs here:
+    the next one re-times only the moved cells' cones.
     """
     moved = [
         name
@@ -277,20 +264,21 @@ def _resync_trial_state(ctx, dose_map, work, target, timer):
         if work.location(name) != loc
     ]
     for name in moved:
-        x, y = target.location(name)
-        work.place(name, x, y)
-    if not moved:
-        return timer.trial_mct({})
+        work.place(name, *target.location(name))
     timer.update_placement(moved)
-    upd = {}
-    for name in moved:
-        dp = ctx.library.snap_dose(dose_map.dose_of_gate(work, name))
-        upd[name] = (dp, 0.0)
-    return timer.trial_mct(upd)
 
 
-def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
+def run_dosepl(ctx, dose_map, config: DoseplConfig = None):
     """Run the dosePl pass on top of an optimized dose map.
+
+    One STA engine is bound to ``work``, a copy of the context's
+    placement; its ``analyze`` at the map's doses is the first golden
+    result.  Each round swaps cells in ``work`` (:func:`_try_round`),
+    moves ``work`` to the legalized positions and signs the round off
+    on the same engine (:meth:`~repro.core.model.DesignContext.signoff`,
+    the body of ``golden_eval``: its incremental pass equals a fresh
+    bind's).  A rolled-back round moves ``work`` back to the last
+    accepted placement, and one forward pass re-seeds the trial MCT.
 
     Parameters
     ----------
@@ -298,8 +286,6 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
         The design context (provides netlist, library, golden analysis).
     dose_map:
         The poly-layer :class:`~repro.dosemap.DoseMap` from DMopt.
-    placement:
-        Starting placement; defaults to the context's placement.
     config:
         :class:`DoseplConfig` overrides.
 
@@ -309,23 +295,19 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
     """
     cfg = config or DoseplConfig()
     t_start = time.perf_counter()
-    place = (placement or ctx.placement).copy()
+    place = ctx.placement.copy()  # the last accepted placement
+    work = place.copy()
+    timer = ctx.analyzer_for(work)
 
-    golden, leak = ctx.golden_eval(dose_map, placement=place)
-    best_mct, best_leak = golden.mct, leak
-    baseline_mct = best_mct
+    def doses():
+        return ctx.gate_dose_array(dose_map, placement=work)
+
+    golden, best_leak = ctx.signoff(timer, doses())
+    best_mct = baseline_mct = work_mct = golden.mct
     fixed: set = set()
     stats = {"attempted": 0, "trial_rejected": 0, "swapped_cells": set()}
     accepted = 0
     history = [(0, best_mct, best_leak)]
-
-    # Persistent work placement + incremental trial timer, hoisted out
-    # of the per-round loop: the engine's compiled geometry and timing
-    # state survive across rounds and are resynced by position diff on
-    # accept/rollback instead of being rebuilt from scratch.
-    work = place.copy()
-    timer = ctx.analyzer_for(work)
-    work_mct = timer.mct(ctx.gate_dose_array(dose_map, placement=work))
 
     # the golden result changes only when a round is accepted: rounds
     # after a rollback or a zero-swap round reuse its ranked paths
@@ -342,20 +324,19 @@ def run_dosepl(ctx, dose_map, placement=None, config: DoseplConfig = None):
             continue
         # legalize + "ECO route": parasitics recomputed from new geometry
         trial = legalize(work, ctx.netlist, ctx.library)
-        trial_res, trial_leak = ctx.golden_eval(
-            dose_map, placement=trial
-        )
+        _resync_trial_state(work, trial, timer)
+        trial_res, trial_leak = ctx.signoff(timer, doses())
         if trial_res.mct < best_mct - 1e-12:
             place, golden, ranked = trial, trial_res, None
-            best_mct, best_leak = trial_res.mct, trial_leak
+            best_mct = work_mct = trial_res.mct
+            best_leak = trial_leak
             accepted += 1
         else:
             # rollback: mark the cells involved as fixed
             fixed.update(stats["swapped_cells"])
+            _resync_trial_state(work, place, timer)
+            work_mct = timer.mct(doses())
         stats["swapped_cells"] = set()
-        work_mct = _resync_trial_state(
-            ctx, dose_map, work, place, timer
-        )
         history.append((rnd, best_mct, best_leak))
 
     telemetry.emit(

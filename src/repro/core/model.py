@@ -201,10 +201,18 @@ class DesignContext:
         """
         doses = self.gate_dose_array(dose_map_poly, dose_map_active,
                                      placement, snap)
-        analyzer = self.analyzer_for(placement)
+        return self.signoff(self.analyzer_for(placement), doses)
+
+    def signoff(self, analyzer, doses):
+        """Golden (timing result, total leakage) at an (n, 2) dose array
+        (:meth:`gate_dose_array`), timed by ``analyzer`` on its placement.
+
+        The body of :meth:`golden_eval`; dosePl passes the engine bound
+        to its work placement, whose incremental pass equals a fresh
+        bind's bit for bit.
+        """
         result = analyzer.analyze(doses=doses)
-        leak = total_leakage(self.netlist, self.library, doses)
-        return result, leak
+        return result, total_leakage(self.netlist, self.library, doses)
 
     def analyzer_for(self, placement=None):
         """An STA engine bound to ``placement`` (the context's by default).

@@ -164,10 +164,3 @@ class TestAggressiveDosepl:
         )
         assert aggressive.mct <= aggressive.baseline_mct + 1e-12
         assert aggressive.mct <= dosepl_result.mct + 5e-3
-
-    def test_aggressive_preset_shape(self):
-        from repro.core import DoseplConfig
-
-        cfg = DoseplConfig.aggressive()
-        assert cfg.swaps_per_round > 1
-        assert cfg.rounds >= 10
